@@ -1,14 +1,11 @@
 """Named verification suites behind the ``affinekit check`` subcommand.
 
 Each suite returns a report dict {"suite", "checks": [...], "passed"}; a
-check is {"name", "max_error", "tolerance", "passed"}.  Independent checks
-of a suite may run on a thread pool capped by AFFINEKIT_THREADS.
+check is {"name", "max_error", "tolerance", "passed"}.  Checks run in
+order on the calling thread.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,28 +26,14 @@ from .sampling import random_glplus, random_invertible, random_orthogonal, rng_f
 SUITES = ("invariance", "brackets", "measures", "legendre", "qdesk")
 
 
-def max_workers() -> int:
-    raw = os.environ.get("AFFINEKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_items(items) -> list:
-    """Evaluate (name, tolerance, fn) items, preserving submission order."""
-    workers = min(max_workers(), len(items)) if items else 1
-    if workers <= 1:
-        values = [fn() for _, _, fn in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn) for _, _, fn in items]
-            values = [f.result() for f in futures]
-    return [
-        {"name": name, "max_error": float(err), "tolerance": tol,
-         "passed": bool(err <= tol)}
-        for (name, tol, _), err in zip(items, values)
-    ]
+    """Evaluate (name, tolerance, fn) items in order."""
+    checks = []
+    for name, tol, fn in items:
+        err = fn()
+        checks.append({"name": name, "max_error": float(err), "tolerance": tol,
+                       "passed": bool(err <= tol)})
+    return checks
 
 
 def _report(suite: str, checks: list) -> dict:

@@ -10,10 +10,18 @@ in components
 In matrix form the velocity block is exactly the inverse Legendre map and
 the pi block is -(dH/dphi).T.
 
-The default integrator is the implicit midpoint rule: the affine kinetic
-Hamiltonians couple phi and pi, so the system is non-separable and explicit
-splitting schemes do not apply.  Midpoint is symplectic and preserves every
-quadratic first integral (all the affine-spin charges) to solver tolerance.
+The default integrator is the implicit midpoint rule: symplectic, and it
+preserves every quadratic first integral (all the affine-spin charges) to
+solver tolerance.  The left- and right-invariant kinetic models (is-af, af-is,
+af-J, H-af, l-af, r-af) couple phi and pi, so H is non-separable for them.
+Explicit splitting would still apply to d'Alembert/d'Alembert with any
+configuration potential, and to af-af internal motion with a d'Alembert
+translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
+
+``compile_system`` builds every per-run constant of H once.  Its ``rhs``,
+``energy`` and ``charges`` act on views of the flat phase vector
+z = (x, phi, p, pi), with one stacked det and inverse of the phi stack per
+evaluation; the public functions below are thin calls into them.
 """
 
 from __future__ import annotations
@@ -24,10 +32,9 @@ import numpy as np
 
 from .errors import IterationDiverged, SingularInput, StateInvalid
 from .kinematics import SystemConfig
-from .kinetics import (KineticModel, MomentumState, inverse_legendre,
-                       kinetic_hamiltonian, kinetic_phi_gradient)
-from .matcore import two_polar_decompose
-from .potentials import PotentialSpec, potential_gradient, total_potential
+from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
+from .matcore import det_inv
+from .potentials import PotentialForm, PotentialSpec, compile_potential
 
 DET_PHI_FLOOR = 1e-12
 MIDPOINT_TOL = 1e-12
@@ -88,34 +95,85 @@ class Trajectory:
         return self
 
 
-def total_energy(model: KineticModel, params, spec: PotentialSpec,
-                 state: PhaseState) -> float:
-    return kinetic_hamiltonian(model, params, state.config, state.mom) \
-        + total_potential(spec, state.config)
+def _split(z: np.ndarray, N: int, n: int):
+    """Views (x, phi, p, pi) of a flat phase vector."""
+    nx, nphi = N * n, N * n * n
+    return (z[:nx].reshape(N, n), z[nx:nx + nphi].reshape(N, n, n),
+            z[nx + nphi:2 * nx + nphi].reshape(N, n), z[2 * nx + nphi:].reshape(N, n, n))
 
 
-def noether_charges(state: PhaseState, energy: float = np.nan) -> ChargeRecord:
-    """Per-body and total generators of the affine symmetry actions."""
-    config, mom = state.config, state.mom
-    sigma = mom.sigma(config)
-    sigma_hat = mom.sigma_hat(config)
-    lam = np.einsum("ka,kb->kab", config.x, mom.p)
-    det_phi = np.linalg.det(config.phi)
-    q_log = np.stack([two_polar_decompose(config.phi[K]).q for K in range(config.N)])
+def _charge_record(x, phi, p, pi, det, energy: float) -> ChargeRecord:
+    sigma = phi @ pi
+    sigma_hat = pi @ phi
     sigma_total = sigma.sum(axis=0)
-    lambda_total = lam.sum(axis=0)
+    lambda_total = (x[:, :, None] * p[:, None, :]).sum(axis=0)
     return ChargeRecord(
         energy=float(energy),
-        p_total=mom.p.sum(axis=0),
+        p_total=p.sum(axis=0),
         sigma_total=sigma_total,
         sigma_hat_total=sigma_hat.sum(axis=0),
         lambda_total=lambda_total,
         j_total=lambda_total + sigma_total,
         spin=sigma - np.transpose(sigma, (0, 2, 1)),
         vorticity=sigma_hat - np.transpose(sigma_hat, (0, 2, 1)),
-        det_phi=det_phi,
-        q_log=q_log,
+        det_phi=det,
+        q_log=np.log(np.linalg.svd(phi, compute_uv=False)),
     )
+
+
+# ---------------------------------------------------------------------------
+# compiled system
+
+@dataclass(frozen=True)
+class CompiledSystem:
+    """A kinetic model, its inertia and a potential compiled for N bodies."""
+
+    kin: KineticForm
+    pot: PotentialForm
+    n: int
+    N: int
+
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        """dz/dt of the canonical equations."""
+        x, phi, p, pi = _split(z, self.N, self.n)
+        det, phi_inv = det_inv(phi)
+        v, xi, kin_gT = self.kin.flow(phi, p, pi)
+        _, dv_dx, dv_dphiT = self.pot.evaluate(x, phi, det, phi_inv)
+        return np.concatenate([v.ravel(), xi.ravel(), -dv_dx.ravel(),
+                               -(kin_gT + dv_dphiT).ravel()])
+
+    def energy(self, z: np.ndarray) -> float:
+        x, phi, p, pi = _split(z, self.N, self.n)
+        det, phi_inv = det_inv(phi)
+        return float(self.kin.hamiltonian(phi, p, pi).sum()) \
+            + self.pot.evaluate(x, phi, det, phi_inv, grad=False)[0]
+
+    def charges(self, z: np.ndarray) -> ChargeRecord:
+        """Charge record of z, energy included."""
+        x, phi, p, pi = _split(z, self.N, self.n)
+        return _charge_record(x, phi, p, pi, np.linalg.det(phi), self.energy(z))
+
+
+def compile_system(model: KineticModel, params, spec: PotentialSpec,
+                   n: int, N: int) -> CompiledSystem:
+    """Build every per-run constant of H once.
+
+    Raises MissingParams or DegenerateMetric here, before any evaluation.
+    """
+    return CompiledSystem(kin=compile_kinetics(model, params, n, N),
+                          pot=compile_potential(spec, n, N), n=n, N=N)
+
+
+def total_energy(model: KineticModel, params, spec: PotentialSpec,
+                 state: PhaseState) -> float:
+    return compile_system(model, params, spec, state.n, state.N).energy(_pack(state))
+
+
+def noether_charges(state: PhaseState, energy: float = np.nan) -> ChargeRecord:
+    """Per-body and total generators of the affine symmetry actions."""
+    phi = state.config.phi
+    return _charge_record(state.config.x, phi, state.mom.p, state.mom.pi,
+                          np.linalg.det(phi), energy)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +190,8 @@ class PhaseDerivative:
 def hamilton_rhs(model: KineticModel, params, spec: PotentialSpec,
                  state: PhaseState) -> PhaseDerivative:
     """Canonical equations of motion for H = kinetic + potential."""
-    config, mom = state.config, state.mom
-    vel = inverse_legendre(model, params, config, mom)
-    kin_grad = kinetic_phi_gradient(model, params, config, mom)
-    if spec.one_body or spec.binary or spec.dil is not None:
-        dv_dx, dv_dphi = potential_gradient(spec, config)
-    else:
-        dv_dx = np.zeros_like(config.x)
-        dv_dphi = np.zeros_like(config.phi)
-    pi_dot = -np.transpose(kin_grad + dv_dphi, (0, 2, 1))
-    return PhaseDerivative(x_dot=vel.v, phi_dot=vel.xi, p_dot=-dv_dx, pi_dot=pi_dot)
+    system = compile_system(model, params, spec, state.n, state.N)
+    return PhaseDerivative(*_split(system.rhs(_pack(state)), state.N, state.n))
 
 
 # ---------------------------------------------------------------------------
@@ -153,33 +203,21 @@ def _pack(state: PhaseState) -> np.ndarray:
 
 
 def _unpack(z: np.ndarray, N: int, n: int, time: float) -> PhaseState:
-    nx = N * n
-    nphi = N * n * n
-    x = z[:nx].reshape(N, n)
-    phi = z[nx:nx + nphi].reshape(N, n, n)
-    p = z[nx + nphi:2 * nx + nphi].reshape(N, n)
-    pi = z[2 * nx + nphi:].reshape(N, n, n)
+    x, phi, p, pi = _split(z, N, n)
     return PhaseState(config=SystemConfig(x=x, phi=phi), mom=MomentumState(p=p, pi=pi),
                       time=time)
 
 
-def _rhs_vec(model, params, spec, z, N, n, time):
-    d = hamilton_rhs(model, params, spec, _unpack(z, N, n, time))
-    return np.concatenate([d.x_dot.ravel(), d.phi_dot.ravel(),
-                           d.p_dot.ravel(), d.pi_dot.ravel()])
-
-
-def _midpoint_step(model, params, spec, z, dt, N, n, time):
+def _midpoint_step(system: CompiledSystem, z, dt):
     # fixed-point iteration on z1 = z + dt f((z + z1)/2); the guaranteed
     # residual is MIDPOINT_TOL but iteration continues while it still improves,
     # which keeps the quadratic charges conserved to near machine precision
-    z_next = z + dt * _rhs_vec(model, params, spec, z, N, n, time)
+    z_next = z + dt * system.rhs(z)
     scale = max(1.0, float(np.max(np.abs(z))))
     prev = np.inf
     best = np.inf
     for _ in range(MIDPOINT_MAX_ITER):
-        mid = 0.5 * (z + z_next)
-        proposal = z + dt * _rhs_vec(model, params, spec, mid, N, n, time + 0.5 * dt)
+        proposal = z + dt * system.rhs(0.5 * (z + z_next))
         residual = float(np.max(np.abs(proposal - z_next)))
         z_next = proposal
         best = min(best, residual)
@@ -196,22 +234,21 @@ def _midpoint_step(model, params, spec, z, dt, N, n, time):
     return z_next
 
 
-def _rk4_step(model, params, spec, z, dt, N, n, time):
-    k1 = _rhs_vec(model, params, spec, z, N, n, time)
-    k2 = _rhs_vec(model, params, spec, z + 0.5 * dt * k1, N, n, time + 0.5 * dt)
-    k3 = _rhs_vec(model, params, spec, z + 0.5 * dt * k2, N, n, time + 0.5 * dt)
-    k4 = _rhs_vec(model, params, spec, z + dt * k3, N, n, time + dt)
+def _rk4_step(system: CompiledSystem, z, dt):
+    k1 = system.rhs(z)
+    k2 = system.rhs(z + 0.5 * dt * k1)
+    k3 = system.rhs(z + 0.5 * dt * k2)
+    k4 = system.rhs(z + dt * k3)
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 INTEGRATION_METHODS = ("implicit_midpoint", "rk4")
 
 
-def _state_problem(state: PhaseState) -> str:
-    if not (np.all(np.isfinite(state.config.x)) and np.all(np.isfinite(state.config.phi))
-            and np.all(np.isfinite(state.mom.p)) and np.all(np.isfinite(state.mom.pi))):
+def _state_problem(system: CompiledSystem, z: np.ndarray) -> str:
+    if not np.isfinite(z).all():
         return "non-finite phase-space entries"
-    dets = np.linalg.det(state.config.phi)
+    dets = np.linalg.det(_split(z, system.N, system.n)[1])
     if np.min(dets) <= DET_PHI_FLOOR:
         return f"det phi fell to {np.min(dets):.3e} (floor {DET_PHI_FLOOR})"
     return ""
@@ -219,8 +256,9 @@ def _state_problem(state: PhaseState) -> str:
 
 def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
               dt: float, T: float, method: str = "implicit_midpoint") -> Trajectory:
-    """Propagate s0 over [0, T], sampling every dt and at T.
+    """Propagate s0 over [0, T] in steps of dt, the last one cut to end at T.
 
+    Sample k sits at s0.time + k dt and the last one at s0.time + T exactly.
     Leaving GL+(n) (det phi at the floor) aborts the run and returns the
     partial trajectory with ``aborted`` set; it is a modeling failure the
     caller must see, not something to regularize away.
@@ -234,37 +272,35 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     step = _midpoint_step if method == "implicit_midpoint" else _rk4_step
 
     N, n = s0.N, s0.n
-    energy0 = total_energy(model, params, spec, s0)
+    system = compile_system(model, params, spec, n, N)
+    z = _pack(s0)
     times = [s0.time]
     states = [s0]
-    charges = [noether_charges(s0, energy=energy0)]
+    charges = [system.charges(z)]
 
-    problem = _state_problem(s0)
+    problem = _state_problem(system, z)
     if problem:
         return Trajectory(np.array(times), states, charges, aborted=True,
                           abort_reason=problem)
 
-    z = _pack(s0)
-    t = 0.0
     eps = 1e-12 * max(1.0, T)
-    while t < T - eps:
-        h = min(dt, T - t)
+    steps = int(np.ceil((T - eps) / dt)) if T > eps else 0
+    for k in range(1, steps + 1):
+        last = k == steps
         try:
-            z = step(model, params, spec, z, h, N, n, s0.time + t)
+            z = step(system, z, T - (steps - 1) * dt if last else dt)
         except (SingularInput, np.linalg.LinAlgError) as exc:
             # the step itself crossed the det floor: flag, keep the partial run
             return Trajectory(np.array(times), states, charges, aborted=True,
                               abort_reason=f"step left GL+(n): {exc}")
-        t += h
-        state = _unpack(z, N, n, s0.time + t)
-        problem = _state_problem(state)
+        problem = _state_problem(system, z)
         if problem:
             return Trajectory(np.array(times), states, charges, aborted=True,
                               abort_reason=problem)
-        times.append(s0.time + t)
-        states.append(state)
-        charges.append(noether_charges(
-            state, energy=total_energy(model, params, spec, state)))
+        t = s0.time + (T if last else k * dt)
+        times.append(t)
+        states.append(_unpack(z, N, n, t))
+        charges.append(system.charges(z))
     return Trajectory(np.array(times), states, charges)
 
 
@@ -289,12 +325,7 @@ def _phase_gradient(F, state: PhaseState, h_scale: float = 1e-5):
         zp = z0.copy(); zp[i] += h
         zm = z0.copy(); zm[i] -= h
         grad[i] = (F(_unpack(zp, N, n, state.time)) - F(_unpack(zm, N, n, state.time))) / (2 * h)
-    nx = N * n
-    nphi = N * n * n
-    return (grad[:nx].reshape(N, n),
-            grad[nx:nx + nphi].reshape(N, n, n),
-            grad[nx + nphi:2 * nx + nphi].reshape(N, n),
-            grad[2 * nx + nphi:].reshape(N, n, n))
+    return _split(grad, N, n)
 
 
 def poisson_bracket(F, G, state: PhaseState, h_scale: float = 1e-5) -> float:

@@ -165,13 +165,21 @@ def mutual_tensors(psi, phi) -> MutualTensors:
     )
 
 
-def _trace_powers(m: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n)
-    acc = np.eye(m.shape[0])
-    for a in range(n):
-        acc = acc @ m
-        out[a] = np.trace(acc)
+def _powers(m: np.ndarray, count: int, right: np.ndarray | None = None) -> np.ndarray:
+    """Stacked products m^a @ right for a = 0..count, shape (count + 1, *m.shape).
+
+    ``m`` may be a stack of square matrices; ``right`` defaults to the identity.
+    """
+    out = np.empty((count + 1,) + m.shape)
+    out[0] = np.eye(m.shape[-1]) if right is None else right
+    for a in range(count):
+        np.matmul(m, out[a], out=out[a + 1])
     return out
+
+
+def _trace_powers(m: np.ndarray, count: int) -> np.ndarray:
+    """Tr(m^a) for a = 1..count over a stack of square matrices, shape (..., count)."""
+    return np.moveaxis(np.trace(_powers(m, count)[1:], axis1=-2, axis2=-1), 0, -1)
 
 
 def invariants_K(psi, phi) -> np.ndarray:

@@ -19,11 +19,13 @@ pi[a, i].  Affine spin in the spatial and co-moving pictures:
 
     Sigma = phi @ pi        Sigma_hat = pi @ phi
 
-For the (I, A, B) family the forward map is Sigma = I Omega.T + A Omega
-+ B Tr(Omega) Id; its inverse uses the reciprocal constants stored in
-``TildeConstants``, which stay finite in the pure af-af limit I = 0.
-``l-af``/``r-af`` invert their n^2 x n^2 bilinear forms numerically; vec() is
-the row-major flattening of the velocity matrix.
+Every internal model is one n^2 x n^2 form G on vec(W), the row-major
+flattening of its velocity matrix W (xi, Omega or Omega_hat); vec(S.T) = G w
+gives the conjugate spin S (pi, Sigma or Sigma_hat).  For the (I, A, B)
+family the forward map is Sigma = I Omega.T + A Omega + B Tr(Omega) Id; its
+inverse uses the reciprocal constants stored in ``TildeConstants``, which
+stay finite in the pure af-af limit I = 0.  ``compile_kinetics`` builds G
+and G^-1 once; the public functions below are thin views over it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, MissingParams
 from .kinematics import SystemConfig, VelocityState
-from .matcore import checked_det
+from .matcore import det_inv, stacked_det
 
 TRANSLATIONAL_MODELS = ("dalembert", "is-af", "af-is")
 INTERNAL_MODELS = ("dalembert", "af-J", "af-is", "H-af", "l-af", "r-af", "af-af", "is-af")
@@ -78,14 +80,26 @@ class InertiaParams:
         for name in ("J", "H", "Lten", "Rten"):
             val = getattr(self, name)
             if val is not None:
-                arr = np.asarray(val, dtype=float)
+                arr = np.array(val, dtype=float)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                     raise ValueError(f"{name} must be a square matrix")
                 if not np.allclose(arr, arr.T, atol=1e-12):
                     raise ValueError(f"{name} must be symmetric")
+                arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
         if self.M <= 0:
             raise ValueError("M must be positive")
+
+    def metric(self, internal: str, n: int) -> tuple:
+        """(G, G^-1) of an internal model's kinetic form on row-major vec(W).
+
+        Built on first use for each (internal, n) and kept with these
+        (immutable) constants.  Raises MissingParams or DegenerateMetric.
+        """
+        cache = self.__dict__.setdefault("_metrics", {})
+        if (internal, n) not in cache:
+            cache[internal, n] = _internal_metric(internal, self, n)
+        return cache[internal, n]
 
 
 @dataclass(frozen=True)
@@ -174,73 +188,168 @@ def _iab(params: InertiaParams, internal: str) -> tuple[float, float, float]:
     return float(params.I), float(params.A), float(params.B)
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
+# ---------------------------------------------------------------------------
+# compiled kinetic metric
+
+_SPATIAL = ("is-af", "af-af", "H-af", "r-af")
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
+def _right_form(J: np.ndarray) -> np.ndarray:
+    """Matrix of W -> W J on row-major vec(W), for symmetric J."""
+    n = J.shape[0]
+    return (np.eye(n)[:, None, :, None] * J[None, :, None, :]).reshape(n * n, n * n)
 
 
-def _solve_bimatrix(form: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+def _iab_form(I: float, A: float, B: float, n: int) -> np.ndarray:
+    """Matrix of W -> I W + A W.T + B Tr(W) Id on row-major vec(W)."""
+    e = np.eye(n)
+    return (I * e[:, None, :, None] * e[None, :, None, :]
+            + A * e[:, None, None, :] * e[None, :, :, None]
+            + B * e[:, :, None, None] * e[None, None, :, :]).reshape(n * n, n * n)
+
+
+def _inverse(form: np.ndarray, name: str) -> np.ndarray:
     try:
-        sol = np.linalg.solve(form, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetric(f"{name} bilinear form is not invertible") from exc
-    if not np.all(np.isfinite(sol)):
-        raise DegenerateMetric(f"{name} bilinear form is not invertible")
-    return sol
-
-
-def _spd_inverse(mat: np.ndarray, name: str) -> np.ndarray:
-    try:
-        out = np.linalg.inv(mat)
+        out = np.linalg.inv(form)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"{name} is not invertible") from exc
+    if not np.all(np.isfinite(out)):
+        raise DegenerateMetric(f"{name} is not invertible")
     return out
 
 
+def _internal_metric(internal: str, params: InertiaParams, n: int):
+    """(G, G^-1) of one body's internal kinetic form on row-major vec(W), read-only."""
+    if internal in ("dalembert", "af-J", "H-af"):
+        name = "H" if internal == "H-af" else "J"
+        _require(params, internal, name)
+        J = getattr(params, name)
+        G, Ginv = _right_form(J), _right_form(_inverse(J, name))
+    elif internal in ("l-af", "r-af"):
+        name = "Lten" if internal == "l-af" else "Rten"
+        _require(params, internal, name)
+        G = getattr(params, name)
+        if G.shape != (n * n, n * n):
+            raise ValueError(f"{name} must be {n * n} x {n * n} at n = {n}")
+        Ginv = _inverse(G, name)
+    else:
+        I, A, B = _iab(params, internal)
+        tc = tilde_constants(I, A, B, n)
+        G, Ginv = _iab_form(I, A, B, n), _iab_form(tc.recip_I, tc.recip_A, tc.recip_B, n)
+    for arr in (G, Ginv):
+        arr.flags.writeable = False
+    return G, Ginv
+
+
+@dataclass(frozen=True)
+class KineticForm:
+    """The kinetic energy of N bodies, compiled once by compile_kinetics.
+
+    Every internal model is a quadratic form (1/2) w.G w in w = vec(W), the
+    row-major flattening of a velocity matrix W: xi itself (``fixed``
+    frame, the d'Alembert model), Omega = xi phi^-1 (``spatial``) or
+    Omega_hat = phi^-1 xi (``comoving``).  Its conjugate spin S satisfies
+    vec(S.T) = G w and is pi, Sigma = phi pi or Sigma_hat = pi phi.  G and
+    its inverse are (n*n, n*n) when the bodies share their inertia and
+    (N, n*n, n*n) per body otherwise; M is (N, 1).  The af-is translational
+    sector (``comoving_p``) puts the mass metric on v_hat = phi^-1 v.
+
+    The methods take stacked (N, ...) arrays and return stacked arrays.
+    """
+
+    frame: str
+    comoving_p: bool
+    M: np.ndarray
+    G: np.ndarray
+    Ginv: np.ndarray
+
+    def _op(self, a, b):
+        """a @ b in the spatial frame and b @ a in the co-moving one."""
+        return a @ b if self.frame == "spatial" else b @ a
+
+    def _forward(self, phi_inv, v, xi):
+        """w = vec(W) and G w as (N, n*n, 1), and v or v_hat."""
+        N, n = xi.shape[:2]
+        w = (xi if self.frame == "fixed" else self._op(xi, phi_inv)).reshape(N, n * n, 1)
+        vw = (phi_inv @ v[:, :, None])[:, :, 0] if self.comoving_p else v
+        return w, self.G @ w, vw
+
+    def momenta(self, phi_inv, v, xi):
+        """Legendre map (v, xi) -> (p, pi)."""
+        _, s, vw = self._forward(phi_inv, v, xi)
+        N, n = xi.shape[:2]
+        S = s.reshape(N, n, n).transpose(0, 2, 1)
+        pi = np.ascontiguousarray(S) if self.frame == "fixed" else self._op(phi_inv, S)
+        p = self.M * vw
+        if self.comoving_p:
+            p = (phi_inv.transpose(0, 2, 1) @ p[:, :, None])[:, :, 0]
+        return p, pi
+
+    def energy(self, phi_inv, v, xi) -> np.ndarray:
+        """Kinetic energy per body in the velocity picture."""
+        w, s, vw = self._forward(phi_inv, v, xi)
+        return 0.5 * ((w * s).sum(axis=(1, 2)) + self.M[:, 0] * (vw * vw).sum(axis=1))
+
+    def _spin_velocity(self, phi, pi):
+        """Spin vectors s = vec(S.T) as (N, n*n, 1) and W = unvec(G^-1 s)."""
+        N, n = pi.shape[:2]
+        S = pi if self.frame == "fixed" else self._op(phi, pi)
+        s = S.transpose(0, 2, 1).reshape(N, n * n, 1)
+        return s, (self.Ginv @ s).reshape(N, n, n)
+
+    def _p_hat(self, phi, p):
+        """p, or p_hat = phi.T p in the af-is translational sector."""
+        return (phi.transpose(0, 2, 1) @ p[:, :, None])[:, :, 0] if self.comoving_p else p
+
+    def hamiltonian(self, phi, p, pi) -> np.ndarray:
+        """Kinetic Hamiltonian per body: (1/2) s.G^-1 s + (1/2M) p.p (or p_hat)."""
+        s, W = self._spin_velocity(phi, pi)
+        ph = self._p_hat(phi, p)
+        N = len(p)
+        return 0.5 * ((s[:, :, 0] * W.reshape(N, -1)).sum(axis=1)
+                      + (ph * ph).sum(axis=1) / self.M[:, 0])
+
+    def flow(self, phi, p, pi):
+        """(v, xi, (dT/dphi).T): inverse Legendre map and the transposed
+        kinetic force on phi, (pi Omega).T or (Omega_hat pi).T per body."""
+        _, W = self._spin_velocity(phi, pi)
+        if self.frame == "fixed":
+            xi, gT = W, np.zeros_like(W)
+        else:
+            xi, gT = self._op(W, phi), self._op(pi, W)
+        vw = self._p_hat(phi, p) / self.M
+        if self.comoving_p:
+            # v = phi v_hat, and dT/dphi gains p v_hat.T
+            gT = gT + vw[:, :, None] * p[:, None, :]
+            return (phi @ vw[:, :, None])[:, :, 0], xi, gT
+        return vw, xi, gT
+
+
+def compile_kinetics(model: KineticModel, params, n: int, N: int) -> KineticForm:
+    """Build the metric constants of every body once.
+
+    ``params`` is one InertiaParams shared by all bodies or a sequence with
+    one per body.  Raises MissingParams when the model needs an absent
+    constant and DegenerateMetric when its form is not invertible.
+    """
+    internal = model.internal
+    frame = "spatial" if internal in _SPATIAL else \
+        "fixed" if internal == "dalembert" else "comoving"
+    if isinstance(params, InertiaParams):
+        G, Ginv = params.metric(internal, n)
+        M = np.full((N, 1), float(params.M))
+    else:
+        per_body = [params_for_body(params, K) for K in range(N)]
+        forms = [pk.metric(internal, n) for pk in per_body]
+        G = np.stack([f[0] for f in forms])
+        Ginv = np.stack([f[1] for f in forms])
+        M = np.array([[float(pk.M)] for pk in per_body])
+    return KineticForm(frame=frame, comoving_p=model.translational == "af-is",
+                       M=M, G=G, Ginv=Ginv)
+
+
 # ---------------------------------------------------------------------------
-# kinetic energy (velocity picture)
-
-def _tr_energy(variant: str, params: InertiaParams, phi: np.ndarray, v: np.ndarray) -> float:
-    M = params.M
-    if variant in ("dalembert", "is-af"):
-        return 0.5 * M * float(v @ v)
-    # af-is: the Cauchy tensor plays the spatial metric
-    v_hat = np.linalg.solve(phi, v)
-    return 0.5 * M * float(v_hat @ v_hat)
-
-
-def _int_energy(variant: str, params: InertiaParams, phi: np.ndarray, xi: np.ndarray) -> float:
-    n = phi.shape[0]
-    if variant == "dalembert":
-        _require(params, variant, "J")
-        return 0.5 * float(np.trace(xi @ params.J @ xi.T))
-    phi_inv = np.linalg.inv(phi)
-    if variant == "af-J":
-        _require(params, variant, "J")
-        om_hat = phi_inv @ xi
-        return 0.5 * float(np.trace(om_hat @ params.J @ om_hat.T))
-    if variant == "H-af":
-        _require(params, variant, "H")
-        om = xi @ phi_inv
-        return 0.5 * float(np.trace(om @ params.H @ om.T))
-    if variant == "l-af":
-        _require(params, variant, "Lten")
-        w = _vec(phi_inv @ xi)
-        return 0.5 * float(w @ params.Lten @ w)
-    if variant == "r-af":
-        _require(params, variant, "Rten")
-        w = _vec(xi @ phi_inv)
-        return 0.5 * float(w @ params.Rten @ w)
-    I, A, B = _iab(params, variant)
-    om = xi @ phi_inv if variant in ("is-af", "af-af") else phi_inv @ xi
-    val = 0.5 * A * float(np.trace(om @ om)) + 0.5 * B * float(np.trace(om)) ** 2
-    if I != 0.0:
-        val += 0.5 * I * float(np.trace(om.T @ om))
-    return val
-
+# public views over the compiled form
 
 def kinetic_energy(model: KineticModel, params, config: SystemConfig,
                    vel: VelocityState, per_body: bool = False):
@@ -248,198 +357,37 @@ def kinetic_energy(model: KineticModel, params, config: SystemConfig,
 
     With ``per_body`` the individual body contributions are returned instead.
     """
-    out = np.empty(config.N)
-    for K in range(config.N):
-        pk = params_for_body(params, K)
-        phi = config.phi[K]
-        checked_det(phi)
-        out[K] = _tr_energy(model.translational, pk, phi, vel.v[K]) \
-            + _int_energy(model.internal, pk, phi, vel.xi[K])
+    form = compile_kinetics(model, params, config.n, config.N)
+    _, phi_inv = det_inv(config.phi)
+    out = form.energy(phi_inv, vel.v, vel.xi)
     return out if per_body else float(out.sum())
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform and its inverse
-
-def _sigma_from_omega(I: float, A: float, B: float, om: np.ndarray) -> np.ndarray:
-    n = om.shape[0]
-    s = A * om + B * np.trace(om) * np.eye(n)
-    if I != 0.0:
-        s = s + I * om.T
-    return s
-
-
-def _omega_from_sigma(tc: TildeConstants, sig: np.ndarray) -> np.ndarray:
-    n = sig.shape[0]
-    om = tc.recip_A * sig + tc.recip_B * np.trace(sig) * np.eye(n)
-    if tc.recip_I != 0.0:
-        om = om + tc.recip_I * sig.T
-    return om
-
-
-def _legendre_body(model, params, phi, v, xi):
-    n = phi.shape[0]
-    phi_inv = np.linalg.inv(phi)
-
-    if model.translational in ("dalembert", "is-af"):
-        p = params.M * v
-    else:  # af-is
-        p = params.M * (phi_inv.T @ (phi_inv @ v))
-
-    internal = model.internal
-    if internal == "dalembert":
-        _require(params, internal, "J")
-        pi = params.J @ xi.T
-    elif internal == "af-J":
-        _require(params, internal, "J")
-        om_hat = phi_inv @ xi
-        pi = (params.J @ om_hat.T) @ phi_inv
-    elif internal == "H-af":
-        _require(params, internal, "H")
-        om = xi @ phi_inv
-        pi = phi_inv @ (params.H @ om.T)
-    elif internal == "l-af":
-        _require(params, internal, "Lten")
-        om_hat = phi_inv @ xi
-        sig_hat = _unvec(params.Lten @ _vec(om_hat), n).T
-        pi = sig_hat @ phi_inv
-    elif internal == "r-af":
-        _require(params, internal, "Rten")
-        om = xi @ phi_inv
-        sig = _unvec(params.Rten @ _vec(om), n).T
-        pi = phi_inv @ sig
-    else:
-        I, A, B = _iab(params, internal)
-        tilde_constants(I, A, B, n)  # validate invertibility up front
-        if internal in ("is-af", "af-af"):
-            om = xi @ phi_inv
-            sig = _sigma_from_omega(I, A, B, om)
-            pi = phi_inv @ sig
-        else:  # af-is
-            om_hat = phi_inv @ xi
-            sig_hat = _sigma_from_omega(I, A, B, om_hat)
-            pi = sig_hat @ phi_inv
-    return p, pi
 
 
 def legendre(model: KineticModel, params, config: SystemConfig,
              vel: VelocityState) -> MomentumState:
     """Map (v, xi) to canonical momenta (p, pi) for the selected model."""
-    p = np.empty_like(vel.v)
-    pi = np.empty_like(vel.xi)
-    for K in range(config.N):
-        pk = params_for_body(params, K)
-        checked_det(config.phi[K])
-        p[K], pi[K] = _legendre_body(model, pk, config.phi[K], vel.v[K], vel.xi[K])
+    form = compile_kinetics(model, params, config.n, config.N)
+    _, phi_inv = det_inv(config.phi)
+    p, pi = form.momenta(phi_inv, vel.v, vel.xi)
     return MomentumState(p=p, pi=pi)
-
-
-def _inverse_legendre_body(model, params, phi, p, pi):
-    if model.translational in ("dalembert", "is-af"):
-        v = p / params.M
-    else:  # af-is: p_hat = M v_hat
-        v = phi @ (phi.T @ p) / params.M
-
-    internal = model.internal
-    if internal == "dalembert":
-        _require(params, internal, "J")
-        xi = pi.T @ _spd_inverse(params.J, "J")
-    elif internal in ("is-af", "af-af", "H-af", "r-af"):
-        xi = _omega_spatial(internal, params, phi @ pi) @ phi
-    else:
-        xi = phi @ _omega_comoving(internal, params, pi @ phi)
-    return v, xi
 
 
 def inverse_legendre(model: KineticModel, params, config: SystemConfig,
                      mom: MomentumState) -> VelocityState:
     """Map canonical momenta back to velocities (exact inverse of legendre)."""
-    v = np.empty_like(mom.p)
-    xi = np.empty_like(mom.pi)
-    for K in range(config.N):
-        pk = params_for_body(params, K)
-        checked_det(config.phi[K])
-        v[K], xi[K] = _inverse_legendre_body(model, pk, config.phi[K], mom.p[K], mom.pi[K])
+    form = compile_kinetics(model, params, config.n, config.N)
+    stacked_det(config.phi)
+    v, xi, _ = form.flow(config.phi, mom.p, mom.pi)
     return VelocityState(v=v, xi=xi)
-
-
-# ---------------------------------------------------------------------------
-# kinetic Hamiltonian (momentum picture)
-
-def _tr_hamiltonian(variant, params, phi, p):
-    M = params.M
-    if variant in ("dalembert", "is-af"):
-        return 0.5 * float(p @ p) / M
-    p_hat = phi.T @ p
-    return 0.5 * float(p_hat @ p_hat) / M
-
-
-def _int_hamiltonian(variant, params, phi, pi):
-    n = phi.shape[0]
-    if variant == "dalembert":
-        _require(params, variant, "J")
-        return 0.5 * float(np.trace(pi.T @ _spd_inverse(params.J, "J") @ pi))
-    if variant == "af-J":
-        _require(params, variant, "J")
-        sig_hat = pi @ phi
-        return 0.5 * float(np.trace(sig_hat.T @ _spd_inverse(params.J, "J") @ sig_hat))
-    if variant == "H-af":
-        _require(params, variant, "H")
-        sig = phi @ pi
-        return 0.5 * float(np.trace(sig.T @ _spd_inverse(params.H, "H") @ sig))
-    if variant == "l-af":
-        _require(params, variant, "Lten")
-        w = _vec((pi @ phi).T)
-        return 0.5 * float(w @ _solve_bimatrix(params.Lten, w, "Lten"))
-    if variant == "r-af":
-        _require(params, variant, "Rten")
-        w = _vec((phi @ pi).T)
-        return 0.5 * float(w @ _solve_bimatrix(params.Rten, w, "Rten"))
-    I, A, B = _iab(params, variant)
-    tc = tilde_constants(I, A, B, n)
-    sig = phi @ pi if variant in ("is-af", "af-af") else pi @ phi
-    val = 0.5 * tc.recip_A * float(np.trace(sig @ sig)) \
-        + 0.5 * tc.recip_B * float(np.trace(sig)) ** 2
-    if tc.recip_I != 0.0:
-        val += 0.5 * tc.recip_I * float(np.trace(sig.T @ sig))
-    return val
 
 
 def kinetic_hamiltonian(model: KineticModel, params, config: SystemConfig,
                         mom: MomentumState, per_body: bool = False):
     """Kinetic Hamiltonian; satisfies T(legendre(v, xi)) = T(v, xi)."""
-    out = np.empty(config.N)
-    for K in range(config.N):
-        pk = params_for_body(params, K)
-        phi = config.phi[K]
-        checked_det(phi)
-        out[K] = _tr_hamiltonian(model.translational, pk, phi, mom.p[K]) \
-            + _int_hamiltonian(model.internal, pk, phi, mom.pi[K])
+    form = compile_kinetics(model, params, config.n, config.N)
+    stacked_det(config.phi)
+    out = form.hamiltonian(config.phi, mom.p, mom.pi)
     return out if per_body else float(out.sum())
-
-
-def _omega_spatial(internal: str, params: InertiaParams, sig: np.ndarray) -> np.ndarray:
-    n = sig.shape[0]
-    if internal in ("is-af", "af-af"):
-        I, A, B = _iab(params, internal)
-        return _omega_from_sigma(tilde_constants(I, A, B, n), sig)
-    if internal == "H-af":
-        _require(params, internal, "H")
-        return sig.T @ _spd_inverse(params.H, "H")
-    _require(params, internal, "Rten")
-    return _unvec(_solve_bimatrix(params.Rten, _vec(sig.T), "Rten"), n)
-
-
-def _omega_comoving(internal: str, params: InertiaParams, sig_hat: np.ndarray) -> np.ndarray:
-    n = sig_hat.shape[0]
-    if internal == "af-is":
-        I, A, B = _iab(params, internal)
-        return _omega_from_sigma(tilde_constants(I, A, B, n), sig_hat)
-    if internal == "af-J":
-        _require(params, internal, "J")
-        return sig_hat.T @ _spd_inverse(params.J, "J")
-    _require(params, internal, "Lten")
-    return _unvec(_solve_bimatrix(params.Lten, _vec(sig_hat.T), "Lten"), n)
 
 
 def kinetic_phi_gradient(model: KineticModel, params, config: SystemConfig,
@@ -451,23 +399,9 @@ def kinetic_phi_gradient(model: KineticModel, params, config: SystemConfig,
     matrices recovered directly from the affine spins; an af-is translational
     sector adds p p_hat.T / M.
     """
-    grad = np.zeros_like(config.phi)
-    internal = model.internal
-    for K in range(config.N):
-        pk = params_for_body(params, K)
-        phi = config.phi[K]
-        pi = mom.pi[K]
-        if internal in ("is-af", "af-af", "H-af", "r-af"):
-            om = _omega_spatial(internal, pk, phi @ pi)
-            grad[K] += (pi @ om).T
-        elif internal in ("af-is", "af-J", "l-af"):
-            om_hat = _omega_comoving(internal, pk, pi @ phi)
-            grad[K] += (om_hat @ pi).T
-        # dalembert internal has no configuration dependence
-        if model.translational == "af-is":
-            p = mom.p[K]
-            grad[K] += np.outer(p, phi.T @ p) / pk.M
-    return grad
+    form = compile_kinetics(model, params, config.n, config.N)
+    stacked_det(config.phi)
+    return form.flow(config.phi, mom.p, mom.pi)[2].transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +414,6 @@ def positivity_check(I: float, A: float, B: float, n: int) -> tuple[bool, np.nda
     + (B/2)(Tr Om)^2 over vec(Om) and returns (positive_definite, spectrum
     ascending).
     """
-    dim = n * n
-    Q = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            Q[row, row] += I
-            Q[row, j * n + i] += A
-            if i == j:
-                for k in range(n):
-                    Q[row, k * n + k] += B
-    Q = 0.5 * (Q + Q.T)
-    spectrum = np.linalg.eigvalsh(Q)
+    spectrum = np.linalg.eigvalsh(_iab_form(I, A, B, n))
     scale = max(1.0, float(np.max(np.abs(spectrum))))
     return bool(spectrum[0] > 1e-12 * scale), spectrum

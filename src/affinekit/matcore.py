@@ -42,6 +42,25 @@ def checked_det(phi, name: str = "phi", require_positive: bool = False) -> float
     return d
 
 
+def stacked_det(phi: np.ndarray, name: str = "phi") -> np.ndarray:
+    """Determinants of a stack of matrices (N, n, n).
+
+    Raises SingularInput if any |det| sits at the invertibility floor or is
+    not finite.
+    """
+    det = np.linalg.det(phi)
+    if not np.abs(det).min() > DET_FLOOR:
+        K = int(np.argmax(~(np.abs(det) > DET_FLOOR)))
+        raise SingularInput(f"{name}[{K}] is singular "
+                            f"(|det| = {abs(det[K]):.3e} <= {DET_FLOOR})")
+    return det
+
+
+def det_inv(phi: np.ndarray, name: str = "phi") -> tuple[np.ndarray, np.ndarray]:
+    """Checked determinants (see stacked_det) and inverses of a stack of matrices."""
+    return stacked_det(phi, name), np.linalg.inv(phi)
+
+
 def inv(phi, name: str = "phi") -> np.ndarray:
     """Inverse with the singularity floor enforced."""
     checked_det(phi, name)

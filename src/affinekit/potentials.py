@@ -16,23 +16,28 @@ A potential is assembled from three groups:
 Gamma; the symmetrization makes every binary term exactly symmetric in
 (K, L), which the raw Tr Gamma^a is not.
 
-The total is sum(one-body) + (1/2) sum_{K != L} binary + sum(dilatation);
-pair contributions accumulate in ascending (K, L) order for bit determinism.
+The total is sum(one-body) + (1/2) sum_{K != L} binary + sum(dilatation).
+``compile_potential`` parses the channels once per run; its ``evaluate``
+works on stacked (N, ...) body arrays and evaluates all pairs at once as
+(2P, ...) arrays over the ordered pairs (K, L) and (L, K), then scatters the
+pair gradients onto the bodies in a fixed order, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonDifferentiable
-from .kinematics import BodyConfig, SystemConfig
-from .matcore import checked_det
+from .errors import NegativeOrientation, NonDifferentiable
+from .kinematics import BodyConfig, SystemConfig, _powers
+from .matcore import checked_det, det_inv
 
 
 # ---------------------------------------------------------------------------
-# scalar function library: each evaluates to (value, d/ds)
+# scalar function library: each evaluates to (value, d/ds), elementwise on
+# arrays of arguments
 
 @dataclass(frozen=True)
 class PolyFn:
@@ -41,17 +46,17 @@ class PolyFn:
     coeffs: tuple
     shift: float = 0.0
 
-    def eval(self, s: float) -> tuple[float, float]:
+    def eval(self, s):
         t = s - self.shift
-        val = 0.0
-        slope = 0.0
+        val = 0.0 * t
+        slope = 0.0 * t
         for j in range(len(self.coeffs) - 1, 0, -1):
             c = self.coeffs[j]
             val = val * t + c
             slope = slope * t + j * c
         if self.coeffs:
             val = val * t + self.coeffs[0]
-        return float(val), float(slope)
+        return val, slope
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class HarmonicFn:
     stiffness: float
     center: float = 0.0
 
-    def eval(self, s: float) -> tuple[float, float]:
+    def eval(self, s):
         d = s - self.center
         return 0.5 * self.stiffness * d * d, self.stiffness * d
 
@@ -73,8 +78,8 @@ class LogHarmonicFn:
     stiffness: float
     ref: float = 1.0
 
-    def eval(self, s: float) -> tuple[float, float]:
-        if s <= 0.0:
+    def eval(self, s):
+        if np.any(s <= 0.0):
             raise NonDifferentiable("log-harmonic term needs a positive argument")
         u = np.log(s / self.ref)
         return 0.5 * self.stiffness * u * u, self.stiffness * u / s
@@ -87,8 +92,8 @@ class LennardJonesFn:
     epsilon: float
     sigma: float
 
-    def eval(self, s: float) -> tuple[float, float]:
-        if s <= 0.0:
+    def eval(self, s):
+        if np.any(s <= 0.0):
             raise NonDifferentiable("Lennard-Jones term needs a positive argument")
         u6 = (self.sigma / s) ** 6
         val = 4.0 * self.epsilon * (u6 * u6 - u6)
@@ -171,112 +176,188 @@ def _parse_channel(arg: str) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# channel values and gradients
+# compiled evaluation over stacked bodies and ordered pairs
 
-def affine_distance(x_K, phi_K, x_L, phi_L) -> float:
-    """Spatially affine-invariant distance through the mean Cauchy tensor."""
-    checked_det(phi_K, "phi_K")
-    checked_det(phi_L, "phi_L")
-    dx = np.asarray(x_K, dtype=float) - np.asarray(x_L, dtype=float)
-    cbar = _mean_cauchy(np.asarray(phi_K, float), np.asarray(phi_L, float))
-    return float(np.sqrt(dx @ cbar @ dx))
+@lru_cache(maxsize=32)
+def _ordered_pairs(n: int, N: int) -> tuple:
+    """Index arrays of the 2P ordered pairs, (K, L) for every K < L and then (L, K).
 
-
-def _mean_cauchy(phi_K: np.ndarray, phi_L: np.ndarray) -> np.ndarray:
-    ck = np.linalg.inv(phi_K @ phi_K.T)
-    cl = np.linalg.inv(phi_L @ phi_L.T)
-    return 0.5 * (ck + cl)
-
-
-def _single_invariants(phi: np.ndarray) -> np.ndarray:
-    n = phi.shape[0]
-    g = phi.T @ phi
-    out = np.empty(n)
-    acc = np.eye(n)
-    for a in range(n):
-        acc = acc @ g
-        out[a] = np.trace(acc)
+    Returns (first, second, swap, x_index, phi_index): ``swap`` maps each
+    ordered pair to its reverse, and the index arrays scatter per-pair rows
+    of shape (n,) or (n, n) onto the first body of the pair with bincount,
+    which sums in row order and so keeps reruns bit-identical.
+    """
+    K, L = np.triu_indices(N, 1)
+    P = len(K)
+    first = np.concatenate([K, L])
+    out = (first, np.concatenate([L, K]),
+           np.concatenate([np.arange(P, 2 * P), np.arange(P)]),
+           (first[:, None] * n + np.arange(n)).ravel(),
+           (first[:, None] * (n * n) + np.arange(n * n)).ravel())
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
-class _PairChannels:
-    """All scalar channels of one ordered pair, with lazy gradients."""
+@dataclass(frozen=True)
+class PotentialForm:
+    """A PotentialSpec compiled for N bodies in n dimensions.
 
-    def __init__(self, x_K, phi_K, x_L, phi_L):
-        self.n = phi_K.shape[0]
-        self.dx = x_K - x_L
-        self.phi_K = phi_K
-        self.phi_L = phi_L
-        self.inv_K = np.linalg.inv(phi_K)
-        self.inv_L = np.linalg.inv(phi_L)
-        self.C_K = self.inv_K.T @ self.inv_K
-        self.C_L = self.inv_L.T @ self.inv_L
-        self.cbar = 0.5 * (self.C_K + self.C_L)
-        self.r = float(np.linalg.norm(self.dx))
-        self.D = float(np.sqrt(self.dx @ self.cbar @ self.dx))
-        self.Gm = phi_K.T @ phi_L
-        self.Gamma = self.inv_K @ phi_L
-        self.Gamma_inv = np.linalg.inv(self.Gamma)
+    ``binary`` holds (channel, a, fn) per binary term, parsed once; ``pairs``
+    holds the ordered-pair index arrays (None without binary terms or with a
+    single body); the ``*_a`` fields are the highest matrix power each
+    channel family needs.
+    """
 
-    def value(self, channel: str, a: int) -> float:
-        if channel == "r":
-            return self.r
-        if channel == "D":
-            return self.D
-        if channel == "K":
-            return float(np.trace(np.linalg.matrix_power(self.Gm, a)))
-        gp = np.linalg.matrix_power(self.Gamma, a)
-        gm = np.linalg.matrix_power(self.Gamma_inv, a)
-        return 0.5 * float(np.trace(gp) + np.trace(gm))
+    spec: PotentialSpec
+    n: int
+    N: int
+    binary: tuple
+    pairs: tuple | None
+    invariant_a: int
+    K_a: int
+    Mbar_a: int
 
-    def grads(self, channel: str, a: int):
-        """(d/dx_K, d/dphi_K, d/dphi_L); d/dx_L is the negative of d/dx_K."""
-        n = self.n
-        zx = np.zeros(n)
-        if channel == "r":
-            if self.r == 0.0:
+    def evaluate(self, x, phi, det, phi_inv, grad: bool = True):
+        """(V, dV/dx, (dV/dphi).T) on stacked bodies; the gradients are None
+        without ``grad``.  ``det`` and ``phi_inv`` are those of ``phi``."""
+        N, n, spec = self.N, self.n, self.spec
+        value = 0.0
+        dx = np.zeros((N, n)) if grad else None
+        gT = np.zeros((N, n, n)) if grad else None
+        phiT = phi.transpose(0, 2, 1)
+        if self.invariant_a:
+            # G^(a-1) phi.T, a = 1..max: Tr(G^a) and the transposed gradient 2a G^(a-1) phi.T
+            pw = _powers(phiT @ phi, self.invariant_a - 1, right=phiT)
+        for term in spec.one_body:
+            if isinstance(term, TranslationalHarmonic):
+                d = x - term.center_vec(n)
+                value += 0.5 * term.stiffness * float((d * d).sum())
+                if grad:
+                    dx += term.stiffness * d
+            else:
+                val, slope = term.fn.eval((pw[term.a - 1] * phiT).sum(axis=(1, 2)))
+                value += float(val.sum())
+                if grad:
+                    gT += (2.0 * term.a * slope)[:, None, None] * pw[term.a - 1]
+        if spec.dil is not None:
+            if (det <= 0.0).any():
+                raise NegativeOrientation("dilatation term needs det phi > 0")
+            u = np.log(det / spec.dil.d_ref)
+            value += 0.5 * spec.dil.kappa * float((u * u).sum())
+            if grad:
+                gT += (spec.dil.kappa * u)[:, None, None] * phi_inv
+        if self.pairs is not None:
+            value += self._binary(x, phi, phi_inv, dx, gT)
+        return value, dx, gT
+
+    def _binary(self, x, phi, phi_inv, dx, gT) -> float:
+        """Value of the binary terms; with gradient arrays given, adds to them.
+
+        Every channel is evaluated on each ordered pair (I, J) and averaged
+        with its reverse, which makes it exactly swap symmetric.  Row
+        gradients are those of the pair value with respect to the first
+        body, so each pair is counted once in the value and scattered once
+        per body in the gradient.
+        """
+        first, second, swap, x_index, phi_index = self.pairs
+        N, n, P = self.N, self.n, len(first) // 2
+        grad = dx is not None
+        kinds = {kind for kind, _, _ in self.binary}
+        on_x = bool(kinds & {"r", "D"})
+        inv_f = phi_inv[first]
+        phi_s = phi[second]
+        phi_sT = phi_s.transpose(0, 2, 1)
+
+        if on_x:
+            d = x[first] - x[second]
+            gx = np.zeros_like(d)
+        if "r" in kinds:
+            r = np.sqrt((d * d).sum(axis=1))
+            if (r == 0.0).any():
                 raise NonDifferentiable("binary r-term with coincident centers")
-            return self.dx / self.r, np.zeros((n, n)), np.zeros((n, n))
-        if channel == "D":
-            if self.D == 0.0:
+        if "D" in kinds:
+            # u = phi_I^-1 d and c = C_I d: D^2 = (u_IJ.u_IJ + u_JI.u_JI) / 2
+            u = (inv_f @ d[:, :, None])[:, :, 0]
+            c = (inv_f.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
+            q = (u * u).sum(axis=1)
+            D = np.sqrt(0.5 * (q + q[swap]))
+            if grad and (D == 0.0).any():
                 raise NonDifferentiable("binary D-term with coincident centers")
-            gx = (self.cbar @ self.dx) / self.D
-            # d(dx.T C dx)/dphi = -2 (C dx)(phi^-1 dx).T for each body's Cauchy tensor
-            gk = -0.5 * np.outer(self.C_K @ self.dx, self.inv_K @ self.dx) / self.D
-            gl = -0.5 * np.outer(self.C_L @ self.dx, self.inv_L @ self.dx) / self.D
-            return gx, gk, gl
-        if channel == "K":
-            gm_pow = np.linalg.matrix_power(self.Gm, a - 1)
-            gk = a * self.phi_L @ gm_pow
-            gl = a * self.phi_K @ gm_pow.T
-            return zx, gk, gl
-        # Mbar: Gamma = phi_K^-1 phi_L, symmetrized over a and -a
-        gp = np.linalg.matrix_power(self.Gamma, a - 1)
-        gpa = gp @ self.Gamma
-        gm = np.linalg.matrix_power(self.Gamma_inv, a)
-        gma = gm @ self.Gamma_inv
-        # d Tr(Gamma^a): phi_L side a (Gamma^{a-1} phi_K^-1).T, phi_K side -a (Gamma^a phi_K^-1).T
-        gl = 0.5 * a * ((gp @ self.inv_K).T - (gma @ self.inv_K).T)
-        gk = 0.5 * a * (-(gpa @ self.inv_K).T + (gm @ self.inv_K).T)
-        return zx, gk, gl
+        if self.K_a:
+            # H = phi_J.T phi_I, the mutual Gm of the reverse pair: H^j phi_J.T, j < a;
+            # Tr(H^a) = K:a and a H^(a-1) phi_J.T is the transposed row gradient
+            phi_f = phi[first]
+            Kp = _powers(phi_sT @ phi_f, self.K_a - 1, right=phi_sT)
+            t = (Kp * phi_f.transpose(0, 2, 1)).sum(axis=(2, 3))
+            K_val = 0.5 * (t + t[:, swap])
+        if self.Mbar_a:
+            # Gamma = phi_I^-1 phi_J: Gamma^j phi_I^-1, j <= a; Tr(Gamma^a) averaged
+            # with Tr(Gamma^-a) of the reverse pair is Mbar:a
+            Mp = _powers(inv_f @ phi_s, self.Mbar_a, right=inv_f)
+            t = (Mp[:-1] * phi_sT).sum(axis=(2, 3))
+            M_val = 0.5 * (t + t[:, swap])
+            if grad:
+                M_grad = Mp[:-1][:, swap] - Mp[1:]
+        if grad:
+            gphiT = np.zeros((2 * P, n, n))
+        value = 0.0
+        for kind, a, fn in self.binary:
+            if kind == "r":
+                s = r
+            elif kind == "D":
+                s = D
+            else:
+                s = (K_val if kind == "K" else M_val)[a - 1]
+            val, slope = fn.eval(s)
+            value += float(val[:P].sum())
+            if not grad:
+                continue
+            if kind == "r":
+                gx += (slope / r)[:, None] * d
+            elif kind == "D":
+                w = 0.5 * slope / D
+                gx += w[:, None] * (c - c[swap])
+                gphiT -= w[:, None, None] * (u[:, :, None] * c[:, None, :])
+            elif kind == "K":
+                gphiT += (a * slope)[:, None, None] * Kp[a - 1]
+            else:
+                gphiT += (0.5 * a * slope)[:, None, None] * M_grad[a - 1]
+        if grad:
+            if on_x:
+                dx += np.bincount(x_index, weights=gx.ravel(), minlength=N * n).reshape(N, n)
+            gT += np.bincount(phi_index, weights=gphiT.ravel(),
+                              minlength=N * n * n).reshape(N, n, n)
+        return value
+
+
+def compile_potential(spec: PotentialSpec, n: int, N: int) -> PotentialForm:
+    """Parse the binary channels once and build the pair indices for N bodies."""
+    binary = tuple((*_parse_channel(term.arg), term.fn) for term in spec.binary)
+    invariant = [t.a for t in spec.one_body if isinstance(t, InvariantTerm)]
+    return PotentialForm(
+        spec=spec, n=n, N=N, binary=binary,
+        pairs=_ordered_pairs(n, N) if binary and N > 1 else None,
+        invariant_a=max(invariant, default=0),
+        K_a=max((a for k, a, _ in binary if k == "K"), default=0),
+        Mbar_a=max((a for k, a, _ in binary if k == "Mbar"), default=0))
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 
+def affine_distance(x_K, phi_K, x_L, phi_L) -> float:
+    """Spatially affine-invariant distance through the mean Cauchy tensor."""
+    _, phi_inv = det_inv(np.stack([np.asarray(phi_K, float), np.asarray(phi_L, float)]))
+    u = phi_inv @ (np.asarray(x_K, dtype=float) - np.asarray(x_L, dtype=float))
+    q = (u * u).sum(axis=1)
+    return float(np.sqrt(0.5 * (q[0] + q[1])))
+
+
 def binary_potential(spec: PotentialSpec, body_K: BodyConfig, body_L: BodyConfig) -> float:
     """Value of the binary interaction for one unordered pair."""
-    checked_det(body_K.phi, "phi_K")
-    checked_det(body_L.phi, "phi_L")
-    ch = _PairChannels(body_K.x, body_K.phi, body_L.x, body_L.phi)
-    total = 0.0
-    for term in spec.binary:
-        channel, a = _parse_channel(term.arg)
-        s = ch.value(channel, a)
-        if channel == "r" and s == 0.0:
-            raise NonDifferentiable("binary r-term with coincident centers")
-        total += term.fn.eval(s)[0]
-    return total
+    return total_potential(PotentialSpec(binary=spec.binary),
+                           SystemConfig.from_bodies([body_K, body_L]))
 
 
 def dilatation_stabilizer(spec: PotentialSpec, phi) -> float:
@@ -288,63 +369,16 @@ def dilatation_stabilizer(spec: PotentialSpec, phi) -> float:
     return 0.5 * spec.dil.kappa * float(u * u)
 
 
-def _one_body_value(spec: PotentialSpec, x: np.ndarray, phi: np.ndarray) -> float:
-    total = 0.0
-    for term in spec.one_body:
-        if isinstance(term, TranslationalHarmonic):
-            d = x - term.center_vec(len(x))
-            total += 0.5 * term.stiffness * float(d @ d)
-        else:
-            ka = _single_invariants(phi)[term.a - 1]
-            total += term.fn.eval(float(ka))[0]
-    return total
-
-
 def total_potential(spec: PotentialSpec, config: SystemConfig) -> float:
     """Full potential: one-body + (1/2) off-diagonal pair sum + stabilizers."""
-    total = 0.0
-    for K in range(config.N):
-        checked_det(config.phi[K])
-        total += _one_body_value(spec, config.x[K], config.phi[K])
-        total += dilatation_stabilizer(spec, config.phi[K])
-    if spec.binary:
-        for K in range(config.N):
-            for L in range(K + 1, config.N):
-                # the half-sum over ordered pairs collapses to one term per
-                # unordered pair because every binary term is swap symmetric
-                total += binary_potential(spec, config.body(K), config.body(L))
-    return total
+    det, phi_inv = det_inv(config.phi)
+    form = compile_potential(spec, config.n, config.N)
+    return form.evaluate(config.x, config.phi, det, phi_inv, grad=False)[0]
 
 
 def potential_gradient(spec: PotentialSpec, config: SystemConfig):
     """Analytic (dV/dx, dV/dphi), shapes (N, n) and (N, n, n)."""
-    N, n = config.N, config.n
-    dx = np.zeros((N, n))
-    dphi = np.zeros((N, n, n))
-    for K in range(N):
-        phi = config.phi[K]
-        det = checked_det(phi)
-        for term in spec.one_body:
-            if isinstance(term, TranslationalHarmonic):
-                dx[K] += term.stiffness * (config.x[K] - term.center_vec(n))
-            else:
-                g = phi.T @ phi
-                ka = _single_invariants(phi)[term.a - 1]
-                slope = term.fn.eval(float(ka))[1]
-                dphi[K] += slope * 2.0 * term.a * (
-                    phi @ np.linalg.matrix_power(g, term.a - 1))
-        if spec.dil is not None:
-            u = np.log(det / spec.dil.d_ref)
-            dphi[K] += spec.dil.kappa * u * np.linalg.inv(phi).T
-    for K in range(N):
-        for L in range(K + 1, N):
-            ch = _PairChannels(config.x[K], config.phi[K], config.x[L], config.phi[L])
-            for term in spec.binary:
-                channel, a = _parse_channel(term.arg)
-                slope = term.fn.eval(ch.value(channel, a))[1]
-                gx, gk, gl = ch.grads(channel, a)
-                dx[K] += slope * gx
-                dx[L] -= slope * gx
-                dphi[K] += slope * gk
-                dphi[L] += slope * gl
-    return dx, dphi
+    det, phi_inv = det_inv(config.phi)
+    form = compile_potential(spec, config.n, config.N)
+    _, dx, gT = form.evaluate(config.x, config.phi, det, phi_inv)
+    return dx, gT.transpose(0, 2, 1)

@@ -396,3 +396,121 @@ def test_binary_potential_conserves_total_sigma_hat(rng):
     # material action is diagonal across bodies: only the TOTAL is conserved
     sig_hat = traj.charge_series(lambda c: c.sigma_hat_total)
     assert relative_drift(sig_hat) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# compiled, body-batched evaluation
+
+def per_body_params(n):
+    """Three species with distinct inertia, one InertiaParams per body."""
+    out = []
+    for K, (M, I, A, B) in enumerate(((1.4, 2.0, 1.0, 1.0), (0.8, 3.0, 0.5, 0.8),
+                                       (2.1, 2.5, -0.5, 0.4))):
+        rng = np.random.default_rng(K)
+        raw = rng.uniform(-1, 1, (n, n))
+        spd = raw @ raw.T + n * np.eye(n)
+        big = rng.uniform(-0.3, 0.3, (n * n, n * n))
+        bilinear = big @ big.T + n * np.eye(n * n)
+        out.append(InertiaParams(M=M, J=spd, I=I, A=A, B=B, H=spd + np.eye(n),
+                                 Lten=bilinear, Rten=bilinear + np.eye(n * n)))
+    return tuple(out)
+
+
+PAIR_SPEC = PotentialSpec(
+    one_body=(TranslationalHarmonic(stiffness=0.6),
+              InvariantTerm(a=2, fn=HarmonicFn(stiffness=0.1, center=3.0))),
+    binary=(BinaryTerm(arg="r", fn=HarmonicFn(stiffness=0.2, center=2.0)),
+            BinaryTerm(arg="D", fn=HarmonicFn(stiffness=0.3, center=1.5)),
+            BinaryTerm(arg="Mbar:1", fn=HarmonicFn(stiffness=0.5, center=3.0)),
+            BinaryTerm(arg="Mbar:2", fn=HarmonicFn(stiffness=0.5, center=3.0)),
+            BinaryTerm(arg="K:2", fn=HarmonicFn(stiffness=0.1, center=3.0))),
+    dil=DilatationTerm(kappa=0.5))
+
+
+@pytest.mark.parametrize("tr", ["dalembert", "af-is"])
+@pytest.mark.parametrize("it", ["dalembert", "af-J", "af-is", "H-af", "l-af", "r-af",
+                                "af-af", "is-af"])
+def test_rhs_matches_finite_differences_of_h_three_bodies(tr, it, rng):
+    """Per-body inertia and three pairs: every block of the batched rhs
+    against central differences of total_energy."""
+    from affinekit.dynamics import _pack, _unpack
+
+    n, N = 3, 3
+    model = KineticModel(tr, it)
+    params = per_body_params(n)
+    s = random_phase(rng, n, N=N)
+    s = PhaseState(config=SystemConfig(x=s.config.x + 2.0 * np.eye(N, n), phi=s.config.phi),
+                   mom=s.mom)
+    d = hamilton_rhs(model, params, PAIR_SPEC, s)
+    z = _pack(s)
+    num = np.zeros_like(z)
+    for i in range(len(z)):
+        h = 1e-6 * max(1.0, abs(z[i]))
+        zp = z.copy(); zp[i] += h
+        zm = z.copy(); zm[i] -= h
+        num[i] = (total_energy(model, params, PAIR_SPEC, _unpack(zp, N, n, 0.0))
+                  - total_energy(model, params, PAIR_SPEC, _unpack(zm, N, n, 0.0))) / (2 * h)
+    gx, gphi, gp, gpi = np.split(num, np.cumsum([N * n, N * n * n, N * n]))
+    expected = np.concatenate([gp, np.transpose(gpi.reshape(N, n, n), (0, 2, 1)).ravel(),
+                               -gx, -np.transpose(gphi.reshape(N, n, n), (0, 2, 1)).ravel()])
+    got = np.concatenate([d.x_dot.ravel(), d.phi_dot.ravel(), d.p_dot.ravel(),
+                          d.pi_dot.ravel()])
+    assert np.max(np.abs(got - expected)) <= 1e-6 * (1.0 + np.max(np.abs(expected)))
+
+
+def test_singular_last_body_raises_inside_a_batch(rng):
+    from affinekit.errors import SingularInput
+
+    s = random_phase(rng, 3, N=3)
+    phi = s.config.phi.copy()
+    phi[2] = np.diag([1.0, 1.0, 0.0])
+    bad = PhaseState(config=SystemConfig(x=s.config.x, phi=phi), mom=s.mom)
+    model = KineticModel("dalembert", "is-af")
+    params = InertiaParams(M=1.0, I=2.0, A=1.0, B=1.0)
+    with pytest.raises(SingularInput, match=r"phi\[2\]"):
+        hamilton_rhs(model, params, PAIR_SPEC, bad)
+    with pytest.raises(SingularInput, match=r"phi\[2\]"):
+        total_energy(model, params, PAIR_SPEC, bad)
+
+
+def test_degenerate_metric_raises_at_compile_time():
+    from affinekit.dynamics import compile_system
+    from affinekit.errors import DegenerateMetric
+
+    with pytest.raises(DegenerateMetric):
+        compile_system(KineticModel("dalembert", "is-af"),
+                       InertiaParams(M=1.0, I=1.0, A=1.0, B=0.5), PAIR_SPEC, 3, 4)
+
+
+def test_compiled_system_matches_public_functions(rng):
+    """rhs, energy and charges of the compiled form are the public results."""
+    from affinekit.dynamics import _pack, compile_system
+
+    model = KineticModel("af-is", "is-af")
+    params = per_body_params(3)
+    s = random_phase(rng, 3, N=3)
+    system = compile_system(model, params, PAIR_SPEC, 3, 3)
+    z = _pack(s)
+    d = hamilton_rhs(model, params, PAIR_SPEC, s)
+    np.testing.assert_array_equal(system.rhs(z), np.concatenate(
+        [d.x_dot.ravel(), d.phi_dot.ravel(), d.p_dot.ravel(), d.pi_dot.ravel()]))
+    energy = total_energy(model, params, PAIR_SPEC, s)
+    assert system.energy(z) == energy
+    record = system.charges(z)
+    again = noether_charges(s, energy=energy)
+    assert record.energy == again.energy
+    for name in ("sigma_total", "sigma_hat_total", "j_total", "det_phi", "q_log"):
+        np.testing.assert_array_equal(getattr(record, name), getattr(again, name))
+
+
+def test_sample_times_are_multiples_of_dt():
+    """Sample k sits at k dt exactly and the last sample at T, with no
+    accumulated drift over 10k steps."""
+    model = KineticModel("dalembert", "dalembert")
+    params = InertiaParams(M=1.0, J=np.eye(2))
+    s0 = phase_state([0.0, 0.0], np.eye(2), [1.0, 0.0], np.zeros((2, 2)))
+    dt, T = 1e-3, 10.0
+    traj = integrate(model, params, FREE, s0, dt=dt, T=T, method="rk4")
+    assert len(traj.times) == 10_001
+    assert traj.times[-1] == T
+    np.testing.assert_array_equal(traj.times[:-1], np.arange(10_000) * dt)

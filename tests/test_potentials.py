@@ -271,3 +271,76 @@ def test_gradient_r_zero_raises():
     cfg = SystemConfig(x=np.zeros((2, 2)), phi=np.stack([np.eye(2), np.eye(2)]))
     with pytest.raises(NonDifferentiable):
         potential_gradient(spec, cfg)
+
+
+# ---------------------------------------------------------------------------
+# batched pairs: several pairs per body
+
+def lattice_config(rng, n, N, spacing=2.0):
+    """N bodies near the identity, centers on a square lattice with jitter."""
+    side = int(np.ceil(np.sqrt(N)))
+    x = np.zeros((N, n))
+    x[:, 0] = spacing * (np.arange(N) % side)
+    x[:, 1] = spacing * (np.arange(N) // side)
+    x += rng.uniform(-0.2, 0.2, (N, n))
+    phi = np.stack([np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n)) for _ in range(N)])
+    for K in range(N):
+        while np.linalg.det(phi[K]) < 0.25:
+            phi[K] = np.eye(n) + 0.3 * rng.uniform(-1, 1, (n, n))
+    return SystemConfig(x=x, phi=phi)
+
+
+EVERY_CHANNEL = PotentialSpec(
+    one_body=(TranslationalHarmonic(stiffness=0.4, center=(0.5, 0.5, 0.0)),
+              InvariantTerm(a=3, fn=HarmonicFn(stiffness=0.05, center=3.0))),
+    binary=(BinaryTerm(arg="r", fn=LennardJonesFn(epsilon=0.15, sigma=1.4)),
+            BinaryTerm(arg="D", fn=LogHarmonicFn(stiffness=0.5, ref=1.0)),
+            BinaryTerm(arg="K:1", fn=HarmonicFn(stiffness=0.3, center=3.0)),
+            BinaryTerm(arg="K:2", fn=PolyFn(coeffs=(0.0, 0.1, 0.02), shift=3.0)),
+            BinaryTerm(arg="K:3", fn=LogHarmonicFn(stiffness=0.05, ref=3.0)),
+            BinaryTerm(arg="Mbar:1", fn=HarmonicFn(stiffness=0.7, center=3.0)),
+            BinaryTerm(arg="Mbar:2", fn=PolyFn(coeffs=(0.0, 0.3), shift=3.0)),
+            BinaryTerm(arg="Mbar:3", fn=LennardJonesFn(epsilon=0.05, sigma=2.0))),
+    dil=DilatationTerm(kappa=0.6, d_ref=0.9))
+
+
+def test_every_channel_gradient_matches_finite_differences_n3_N4(rng):
+    """Six pairs share each body, so a wrong pair-to-body scatter shows up here
+    where a single pair cannot reveal it."""
+    cfg = lattice_config(rng, 3, 4)
+    gx, gphi = potential_gradient(EVERY_CHANNEL, cfg)
+    h = 1e-6
+    for K in range(4):
+        for i in range(3):
+            xp = cfg.x.copy(); xp[K, i] += h
+            xm = cfg.x.copy(); xm[K, i] -= h
+            fd = (total_potential(EVERY_CHANNEL, SystemConfig(x=xp, phi=cfg.phi))
+                  - total_potential(EVERY_CHANNEL, SystemConfig(x=xm, phi=cfg.phi))) / (2 * h)
+            assert abs(gx[K, i] - fd) <= 1e-6 * (1.0 + abs(fd))
+            for j in range(3):
+                pp = cfg.phi.copy(); pp[K, i, j] += h
+                pm = cfg.phi.copy(); pm[K, i, j] -= h
+                fd = (total_potential(EVERY_CHANNEL, SystemConfig(x=cfg.x, phi=pp))
+                      - total_potential(EVERY_CHANNEL, SystemConfig(x=cfg.x, phi=pm))) / (2 * h)
+                assert abs(gphi[K, i, j] - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
+def test_total_potential_is_the_sum_over_pairs(rng):
+    cfg = lattice_config(rng, 3, 4)
+    spec = PotentialSpec(binary=EVERY_CHANNEL.binary)
+    pairs = sum(binary_potential(spec, cfg.body(K), cfg.body(L))
+                for K in range(4) for L in range(K + 1, 4))
+    total = total_potential(spec, cfg)
+    assert abs(total - pairs) <= 1e-12 * (1.0 + abs(total))
+
+
+@pytest.mark.parametrize("arg", ["r", "D"])
+def test_coincident_centers_inside_a_batch_raise(arg, rng):
+    """Bodies 2 and 3 of four share a center: the distance channels have no
+    derivative there."""
+    cfg = lattice_config(rng, 3, 4)
+    x = cfg.x.copy()
+    x[2] = x[1]
+    spec = PotentialSpec(binary=(BinaryTerm(arg=arg, fn=HarmonicFn(1.0, 1.0)),))
+    with pytest.raises(NonDifferentiable):
+        potential_gradient(spec, SystemConfig(x=x, phi=cfg.phi))
