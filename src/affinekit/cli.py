@@ -73,6 +73,7 @@ def _cmd_spectrum(args) -> int:
     import os
 
     from . import qdesk
+    from .runner import write_csv_table
 
     try:
         V = _parse_potential(args.potential)
@@ -91,12 +92,8 @@ def _cmd_spectrum(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "rho.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("q," + ",".join(f"rho_{j}" for j in range(args.levels)) + "\n")
-        rhos = [qdesk.invariant_distribution(psi) for psi in states]
-        for i, q in enumerate(grid.q):
-            row = [q] + [rho[i] for rho in rhos]
-            fh.write(",".join(f"{v:.17e}" for v in row) + "\n")
+    write_csv_table(csv_path, ["q"] + [f"rho_{j}" for j in range(args.levels)],
+                    [grid.q] + [qdesk.invariant_distribution(psi) for psi in states])
     print(f"density CSV written to {csv_path}", file=sys.stderr)
     _print_json({"levels": [float(e) for e in energies], "defects": defects})
     return 0

@@ -33,10 +33,9 @@ import numpy as np
 from .errors import IterationDiverged, SingularInput, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
-from .matcore import det_inv
+from .matcore import DET_FLOOR, det_inv
 from .potentials import PotentialForm, PotentialSpec, compile_potential
 
-DET_PHI_FLOOR = 1e-12
 MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITER = 50
 
@@ -63,7 +62,8 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class ChargeRecord:
-    """Conserved-quantity snapshot: totals plus per-body skew charges."""
+    """Conserved quantities: totals plus per-body skew charges.  Shapes are
+    those of one state; a trajectory's record adds a leading sample axis."""
 
     energy: float
     p_total: np.ndarray
@@ -77,16 +77,34 @@ class ChargeRecord:
     q_log: np.ndarray           # (N, n) two-polar log invariants
 
 
+def _split(z: np.ndarray, N: int, n: int):
+    """Views (x, phi, p, pi) of flat phase vectors, keeping leading axes."""
+    nx, nphi = N * n, N * n * n
+    vec, mat = z.shape[:-1] + (N, n), z.shape[:-1] + (N, n, n)
+    return (z[..., :nx].reshape(vec), z[..., nx:nx + nphi].reshape(mat),
+            z[..., nx + nphi:2 * nx + nphi].reshape(vec), z[..., 2 * nx + nphi:].reshape(mat))
+
+
 @dataclass
 class Trajectory:
+    """A run of S samples as arrays: ``times`` (S,), the flat phase vectors
+    ``z`` (S, D) with their (S, N, ...) views ``x``, ``phi``, ``p``, ``pi``,
+    and one ChargeRecord with a leading sample axis.  ``state(k)`` gives
+    sample k as a PhaseState."""
+
     times: np.ndarray
-    states: list
-    charges: list
+    z: np.ndarray
+    charges: ChargeRecord
+    n: int
+    N: int
     aborted: bool = False
     abort_reason: str = ""
 
-    def charge_series(self, pick) -> np.ndarray:
-        return np.array([pick(c) for c in self.charges])
+    def __post_init__(self):
+        self.x, self.phi, self.p, self.pi = _split(self.z, self.N, self.n)
+
+    def state(self, k: int) -> PhaseState:
+        return _unpack(self.z[k], self.N, self.n, float(self.times[k]))
 
     def require_complete(self) -> "Trajectory":
         """Raise StateInvalid if the run was cut short at the det-phi floor."""
@@ -95,27 +113,21 @@ class Trajectory:
         return self
 
 
-def _split(z: np.ndarray, N: int, n: int):
-    """Views (x, phi, p, pi) of a flat phase vector."""
-    nx, nphi = N * n, N * n * n
-    return (z[:nx].reshape(N, n), z[nx:nx + nphi].reshape(N, n, n),
-            z[nx + nphi:2 * nx + nphi].reshape(N, n), z[2 * nx + nphi:].reshape(N, n, n))
-
-
-def _charge_record(x, phi, p, pi, det, energy: float) -> ChargeRecord:
+def _charge_record(x, phi, p, pi, det, energy) -> ChargeRecord:
+    """Charges of (..., N, ...) body stacks, summed over the body axis."""
     sigma = phi @ pi
     sigma_hat = pi @ phi
-    sigma_total = sigma.sum(axis=0)
-    lambda_total = (x[:, :, None] * p[:, None, :]).sum(axis=0)
+    sigma_total = sigma.sum(axis=-3)
+    lambda_total = (x[..., :, None] * p[..., None, :]).sum(axis=-3)
     return ChargeRecord(
-        energy=float(energy),
-        p_total=p.sum(axis=0),
+        energy=energy,
+        p_total=p.sum(axis=-2),
         sigma_total=sigma_total,
-        sigma_hat_total=sigma_hat.sum(axis=0),
+        sigma_hat_total=sigma_hat.sum(axis=-3),
         lambda_total=lambda_total,
         j_total=lambda_total + sigma_total,
-        spin=sigma - np.transpose(sigma, (0, 2, 1)),
-        vorticity=sigma_hat - np.transpose(sigma_hat, (0, 2, 1)),
+        spin=sigma - sigma.swapaxes(-1, -2),
+        vorticity=sigma_hat - sigma_hat.swapaxes(-1, -2),
         det_phi=det,
         q_log=np.log(np.linalg.svd(phi, compute_uv=False)),
     )
@@ -149,9 +161,11 @@ class CompiledSystem:
             + self.pot.evaluate(x, phi, det, phi_inv, grad=False)[0]
 
     def charges(self, z: np.ndarray) -> ChargeRecord:
-        """Charge record of z, energy included."""
+        """Charge record of z, energy included; an (S, D) stack of phase
+        vectors gives one record with a leading sample axis."""
         x, phi, p, pi = _split(z, self.N, self.n)
-        return _charge_record(x, phi, p, pi, np.linalg.det(phi), self.energy(z))
+        energy = np.array([self.energy(row) for row in z.reshape(-1, z.shape[-1])])
+        return _charge_record(x, phi, p, pi, np.linalg.det(phi), energy.reshape(z.shape[:-1]))
 
 
 def compile_system(model: KineticModel, params, spec: PotentialSpec,
@@ -173,7 +187,7 @@ def noether_charges(state: PhaseState, energy: float = np.nan) -> ChargeRecord:
     """Per-body and total generators of the affine symmetry actions."""
     phi = state.config.phi
     return _charge_record(state.config.x, phi, state.mom.p, state.mom.pi,
-                          np.linalg.det(phi), energy)
+                          np.linalg.det(phi), float(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +263,8 @@ def _state_problem(system: CompiledSystem, z: np.ndarray) -> str:
     if not np.isfinite(z).all():
         return "non-finite phase-space entries"
     dets = np.linalg.det(_split(z, system.N, system.n)[1])
-    if np.min(dets) <= DET_PHI_FLOOR:
-        return f"det phi fell to {np.min(dets):.3e} (floor {DET_PHI_FLOOR})"
+    if np.min(dets) <= DET_FLOOR:
+        return f"det phi fell to {np.min(dets):.3e} (floor {DET_FLOOR})"
     return ""
 
 
@@ -259,49 +273,46 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     """Propagate s0 over [0, T] in steps of dt, the last one cut to end at T.
 
     Sample k sits at s0.time + k dt and the last one at s0.time + T exactly.
-    Leaving GL+(n) (det phi at the floor) aborts the run and returns the
-    partial trajectory with ``aborted`` set; it is a modeling failure the
-    caller must see, not something to regularize away.
+    The loop only steps and stores phase vectors; the charges of all samples
+    are evaluated once, stacked, at the end.  Leaving GL+(n) (det phi at the
+    floor) aborts the run and returns the partial trajectory with ``aborted``
+    set; it is a modeling failure the caller must see, not something to
+    regularize away.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 <= T < np.inf:
+        raise ValueError("T must be non-negative and finite")
     if method not in INTEGRATION_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {INTEGRATION_METHODS}")
     step = _midpoint_step if method == "implicit_midpoint" else _rk4_step
 
     N, n = s0.N, s0.n
     system = compile_system(model, params, spec, n, N)
-    z = _pack(s0)
-    times = [s0.time]
-    states = [s0]
-    charges = [system.charges(z)]
-
-    problem = _state_problem(system, z)
-    if problem:
-        return Trajectory(np.array(times), states, charges, aborted=True,
-                          abort_reason=problem)
-
     eps = 1e-12 * max(1.0, T)
     steps = int(np.ceil((T - eps) / dt)) if T > eps else 0
-    for k in range(1, steps + 1):
-        last = k == steps
+    z = _pack(s0)
+    zs = np.empty((steps + 1, z.size))
+    times = np.empty(steps + 1)
+    zs[0], times[0] = z, s0.time
+
+    reason = _state_problem(system, z)
+    size = 1
+    while size <= steps and not reason:
+        last = size == steps
         try:
             z = step(system, z, T - (steps - 1) * dt if last else dt)
         except (SingularInput, np.linalg.LinAlgError) as exc:
             # the step itself crossed the det floor: flag, keep the partial run
-            return Trajectory(np.array(times), states, charges, aborted=True,
-                              abort_reason=f"step left GL+(n): {exc}")
-        problem = _state_problem(system, z)
-        if problem:
-            return Trajectory(np.array(times), states, charges, aborted=True,
-                              abort_reason=problem)
-        t = s0.time + (T if last else k * dt)
-        times.append(t)
-        states.append(_unpack(z, N, n, t))
-        charges.append(system.charges(z))
-    return Trajectory(np.array(times), states, charges)
+            reason = f"step left GL+(n): {exc}"
+        else:
+            reason = _state_problem(system, z)
+        if not reason:
+            zs[size], times[size] = z, s0.time + (T if last else size * dt)
+            size += 1
+    zs = zs[:size]
+    return Trajectory(times[:size], zs, system.charges(zs), n, N,
+                      aborted=bool(reason), abort_reason=reason)
 
 
 # ---------------------------------------------------------------------------

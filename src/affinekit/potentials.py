@@ -101,14 +101,6 @@ class LennardJonesFn:
         return val, slope
 
 
-SCALAR_FNS = {
-    "poly": PolyFn,
-    "harmonic": HarmonicFn,
-    "harmonic_log": LogHarmonicFn,
-    "lj": LennardJonesFn,
-}
-
-
 # ---------------------------------------------------------------------------
 # term and spec containers
 

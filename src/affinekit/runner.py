@@ -8,8 +8,10 @@ Artifacts written to the output directory:
   per body: S{K}[a][b], V{K}[a][b], detphi_{K}, q{K}[a]
 * ``summary.json``    final charges, relative drifts, determinism hash
 
-Numbers are written in 17-significant-digit scientific notation and the JSON
-is key-sorted, so identical (scenario, seed) pairs produce byte-identical
+Each CSV is one table, a row per sample, assembled from column blocks of the
+trajectory's stacked arrays (the per-body blocks interleaved body by body)
+and written by ``write_csv_table``.  Numbers are written as %.17e and the
+JSON is key-sorted, so identical (scenario, seed) pairs produce byte-identical
 artifacts.  Wall time is printed by the CLI, never written into them.
 """
 
@@ -25,78 +27,53 @@ from .dynamics import Trajectory, integrate
 from .scenario import Scenario
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17e}"
-
-
-def _mat_labels(prefix: str, n: int):
-    return [f"{prefix}[{i}][{j}]" for i in range(n) for j in range(n)]
+def _labels(prefix: str, *dims: int) -> list:
+    """Column names prefix[i][j].. over every index of an array of shape dims."""
+    return [prefix + "".join(f"[{i}]" for i in idx) for idx in np.ndindex(*dims)]
 
 
 def trajectory_header(n: int, N: int) -> list:
     cols = ["t"]
     for K in range(1, N + 1):
-        cols += [f"x{K}[{i}]" for i in range(n)]
-        cols += _mat_labels(f"phi{K}", n)
-        cols += [f"p{K}[{i}]" for i in range(n)]
-        cols += _mat_labels(f"pi{K}", n)
-    cols += ["E"]
-    cols += _mat_labels("Sigma", n)
-    cols += _mat_labels("SigmaHat", n)
-    cols += [f"detphi_{K}" for K in range(1, N + 1)]
-    return cols
+        cols += _labels(f"x{K}", n) + _labels(f"phi{K}", n, n)
+        cols += _labels(f"p{K}", n) + _labels(f"pi{K}", n, n)
+    cols += ["E"] + _labels("Sigma", n, n) + _labels("SigmaHat", n, n)
+    return cols + [f"detphi_{K}" for K in range(1, N + 1)]
 
 
 def charges_header(n: int, N: int) -> list:
-    cols = ["t", "E"]
-    cols += [f"p[{i}]" for i in range(n)]
-    cols += _mat_labels("Sigma", n)
-    cols += _mat_labels("SigmaHat", n)
-    cols += _mat_labels("J", n)
+    cols = ["t", "E"] + _labels("p", n)
+    cols += _labels("Sigma", n, n) + _labels("SigmaHat", n, n) + _labels("J", n, n)
     for K in range(1, N + 1):
-        cols += _mat_labels(f"S{K}", n)
-        cols += _mat_labels(f"V{K}", n)
-        cols += [f"detphi_{K}"]
-        cols += [f"q{K}[{a}]" for a in range(n)]
+        cols += _labels(f"S{K}", n, n) + _labels(f"V{K}", n, n)
+        cols += [f"detphi_{K}"] + _labels(f"q{K}", n)
     return cols
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    state0 = traj.states[0]
-    n, N = state0.n, state0.N
+def write_csv_table(path, header: list, blocks) -> None:
+    """Write the header, then one row per sample of the (S, ...) column
+    blocks side by side, every value as %.17e."""
+    table = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trajectory_header(n, N)) + "\n")
-        for t, state, charge in zip(traj.times, traj.states, traj.charges):
-            row = [t]
-            for K in range(N):
-                row += list(state.config.x[K])
-                row += list(state.config.phi[K].ravel())
-                row += list(state.mom.p[K])
-                row += list(state.mom.pi[K].ravel())
-            row.append(charge.energy)
-            row += list(charge.sigma_total.ravel())
-            row += list(charge.sigma_hat_total.ravel())
-            row += list(charge.det_phi)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, table, fmt="%.17e", delimiter=",", header=",".join(header),
+                   comments="")
+
+
+def write_trajectory_csv(path, traj: Trajectory) -> None:
+    S, n, N, c = len(traj.times), traj.n, traj.N, traj.charges
+    bodies = np.concatenate([traj.x, traj.phi.reshape(S, N, -1), traj.p,
+                             traj.pi.reshape(S, N, -1)], axis=2)
+    write_csv_table(path, trajectory_header(n, N),
+                    [traj.times, bodies, c.energy, c.sigma_total, c.sigma_hat_total, c.det_phi])
 
 
 def write_charges_csv(path, traj: Trajectory) -> None:
-    state0 = traj.states[0]
-    n, N = state0.n, state0.N
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(charges_header(n, N)) + "\n")
-        for t, charge in zip(traj.times, traj.charges):
-            row = [t, charge.energy]
-            row += list(charge.p_total)
-            row += list(charge.sigma_total.ravel())
-            row += list(charge.sigma_hat_total.ravel())
-            row += list(charge.j_total.ravel())
-            for K in range(N):
-                row += list(charge.spin[K].ravel())
-                row += list(charge.vorticity[K].ravel())
-                row.append(charge.det_phi[K])
-                row += list(charge.q_log[K])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    S, n, N, c = len(traj.times), traj.n, traj.N, traj.charges
+    bodies = np.concatenate([c.spin.reshape(S, N, -1), c.vorticity.reshape(S, N, -1),
+                             c.det_phi[:, :, None], c.q_log], axis=2)
+    write_csv_table(path, charges_header(n, N),
+                    [traj.times, c.energy, c.p_total, c.sigma_total, c.sigma_hat_total,
+                     c.j_total, bodies])
 
 
 def relative_drift(series: np.ndarray) -> float:
@@ -109,17 +86,17 @@ def relative_drift(series: np.ndarray) -> float:
 
 
 def charge_drifts(traj: Trajectory) -> dict:
-    picks = {
-        "energy": lambda c: np.atleast_1d(c.energy),
-        "p_total": lambda c: c.p_total,
-        "sigma_total": lambda c: c.sigma_total,
-        "sigma_hat_total": lambda c: c.sigma_hat_total,
-        "j_total": lambda c: c.j_total,
-        "spin_total": lambda c: c.spin.sum(axis=0),
-        "vorticity_total": lambda c: c.vorticity.sum(axis=0),
+    c = traj.charges
+    series = {
+        "energy": c.energy,
+        "p_total": c.p_total,
+        "sigma_total": c.sigma_total,
+        "sigma_hat_total": c.sigma_hat_total,
+        "j_total": c.j_total,
+        "spin_total": c.spin.sum(axis=1),
+        "vorticity_total": c.vorticity.sum(axis=1),
     }
-    return {name: relative_drift(traj.charge_series(pick))
-            for name, pick in picks.items()}
+    return {name: relative_drift(values) for name, values in series.items()}
 
 
 def _sha256(path) -> str:
@@ -143,7 +120,7 @@ def run(scenario: Scenario, out_dir) -> dict:
     write_trajectory_csv(traj_path, traj)
     write_charges_csv(charges_path, traj)
 
-    final = traj.charges[-1]
+    c = traj.charges
     summary = {
         "name": scenario.name,
         "schema_version": scenario.schema_version,
@@ -157,14 +134,10 @@ def run(scenario: Scenario, out_dir) -> dict:
         "final_time": traj.times[-1],
         "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
-        "initial_energy": traj.charges[0].energy,
-        "final_energy": final.energy,
-        "final_charges": {
-            "p_total": list(final.p_total),
-            "sigma_total": final.sigma_total.tolist(),
-            "sigma_hat_total": final.sigma_hat_total.tolist(),
-            "j_total": final.j_total.tolist(),
-        },
+        "initial_energy": float(c.energy[0]),
+        "final_energy": float(c.energy[-1]),
+        "final_charges": {name: getattr(c, name)[-1].tolist()
+                          for name in ("p_total", "sigma_total", "sigma_hat_total", "j_total")},
         "drifts": charge_drifts(traj),
         "artifacts": ["trajectory.csv", "charges.csv"],
         "determinism_hash": "sha256:" + _sha256(traj_path),

@@ -94,29 +94,69 @@ def generate_initial(n: int, N: int, seed: int, scale: float = 0.2) -> PhaseStat
 # ---------------------------------------------------------------------------
 # dict -> domain objects
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
+_REQUIRED = object()
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _typed(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _need(d, key: str, path: str):
+    if key not in _typed(d, dict, path.rpartition(".")[0] or "scenario"):
         raise ValidationError(f"missing required key {path!r}")
     return d[key]
 
 
+def _num(d, key: str, path: str, default=_REQUIRED, cast=float, minimum=None,
+         positive: bool = False):
+    """d[key] (default when given and the key is absent) as a finite float, or
+    int with cast=int, at least ``minimum`` and, with ``positive``, above 0."""
+    where = f"{path}.{key}" if path else key
+    value = _need(d, key, where) if default is _REQUIRED \
+        else _typed(d, dict, path or "scenario").get(key, default)
+    try:
+        out = cast(value)
+        ok = bool(np.isfinite(out)) and (minimum is None or out >= minimum) \
+            and (not positive or out > 0)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{where!r} must be a finite {cast.__name__}{bound}, "
+                              f"got {value!r}")
+    return out
+
+
+def _array(value, path: str, shape: tuple | None = None) -> np.ndarray:
+    """value as a finite float array of ``shape``, or of any length if None."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        ok = (arr.ndim == 1 if shape is None else arr.shape == shape) and np.isfinite(arr).all()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{path!r} must be a finite array of shape "
+                              f"{shape or '(k,)'}, got {value!r}")
+    return arr
+
+
 def _scalar_fn_from_dict(d: dict, path: str):
     kind = _need(d, "kind", f"{path}.kind")
-    try:
-        if kind == "poly":
-            return PolyFn(coeffs=tuple(float(c) for c in _need(d, "coeffs", f"{path}.coeffs")),
-                          shift=float(d.get("shift", 0.0)))
-        if kind == "harmonic":
-            return HarmonicFn(stiffness=float(_need(d, "stiffness", f"{path}.stiffness")),
-                              center=float(d.get("center", 0.0)))
-        if kind == "harmonic_log":
-            return LogHarmonicFn(stiffness=float(_need(d, "stiffness", f"{path}.stiffness")),
-                                 ref=float(d.get("ref", 1.0)))
-        if kind == "lj":
-            return LennardJonesFn(epsilon=float(_need(d, "epsilon", f"{path}.epsilon")),
-                                  sigma=float(_need(d, "sigma", f"{path}.sigma")))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scalar function under {path!r}: {exc}") from exc
+    if kind == "poly":
+        return PolyFn(coeffs=tuple(_array(_need(d, "coeffs", f"{path}.coeffs"),
+                                          f"{path}.coeffs").tolist()),
+                      shift=_num(d, "shift", path, 0.0))
+    if kind == "harmonic":
+        return HarmonicFn(stiffness=_num(d, "stiffness", path),
+                          center=_num(d, "center", path, 0.0))
+    if kind == "harmonic_log":
+        return LogHarmonicFn(stiffness=_num(d, "stiffness", path),
+                             ref=_num(d, "ref", path, 1.0, positive=True))
+    if kind == "lj":
+        return LennardJonesFn(epsilon=_num(d, "epsilon", path), sigma=_num(d, "sigma", path))
     raise ValidationError(f"unknown scalar function kind {kind!r} at {path!r}")
 
 
@@ -132,38 +172,39 @@ def _scalar_fn_to_dict(fn) -> dict:
     raise TypeError(f"unknown scalar function {fn!r}")
 
 
-def _potential_from_dict(d: dict | None) -> PotentialSpec:
-    if not d:
-        return PotentialSpec()
+def _potential_from_dict(d: dict | None, n: int) -> PotentialSpec:
+    d = _typed(d or {}, dict, "potential")
     one_body = []
-    for i, term in enumerate(d.get("one_body", [])):
+    for i, term in enumerate(_typed(d.get("one_body", []), list, "potential.one_body")):
         path = f"potential.one_body[{i}]"
         kind = _need(term, "kind", f"{path}.kind")
         if kind == "harmonic_x":
-            one_body.append(TranslationalHarmonic(
-                stiffness=float(_need(term, "stiffness", f"{path}.stiffness")),
-                center=tuple(term.get("center", ()))))
+            center = _array(term.get("center", []), f"{path}.center")
+            if len(center) not in (0, n):
+                raise ValidationError(f"{path}.center must have n = {n} entries")
+            one_body.append(TranslationalHarmonic(stiffness=_num(term, "stiffness", path),
+                                                  center=tuple(center.tolist())))
         elif kind == "invariant":
             one_body.append(InvariantTerm(
-                a=int(_need(term, "a", f"{path}.a")),
+                a=_num(term, "a", path, cast=int, minimum=1),
                 fn=_scalar_fn_from_dict(_need(term, "fn", f"{path}.fn"), f"{path}.fn")))
         else:
             raise ValidationError(f"unknown one-body term kind {kind!r} at {path!r}")
     binary = []
-    for i, term in enumerate(d.get("binary", [])):
+    for i, term in enumerate(_typed(d.get("binary", []), list, "potential.binary")):
         path = f"potential.binary[{i}]"
-        try:
-            binary.append(BinaryTerm(
-                arg=str(_need(term, "arg", f"{path}.arg")),
-                fn=_scalar_fn_from_dict(_need(term, "fn", f"{path}.fn"), f"{path}.fn")))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        binary.append(BinaryTerm(
+            arg=_typed(_need(term, "arg", f"{path}.arg"), str, f"{path}.arg"),
+            fn=_scalar_fn_from_dict(_need(term, "fn", f"{path}.fn"), f"{path}.fn")))
     dil = None
-    if "dilatation" in d and d["dilatation"] is not None:
-        dd = d["dilatation"]
-        dil = DilatationTerm(kappa=float(_need(dd, "kappa", "potential.dilatation.kappa")),
-                             d_ref=float(dd.get("d_ref", 1.0)))
-    return PotentialSpec(one_body=tuple(one_body), binary=tuple(binary), dil=dil)
+    if d.get("dilatation") is not None:
+        path = "potential.dilatation"
+        dil = DilatationTerm(kappa=_num(d["dilatation"], "kappa", path, minimum=0.0),
+                             d_ref=_num(d["dilatation"], "d_ref", path, 1.0, positive=True))
+    try:
+        return PotentialSpec(one_body=tuple(one_body), binary=tuple(binary), dil=dil)
+    except ValueError as exc:
+        raise ValidationError(f"potential.binary: {exc}") from exc
 
 
 def _potential_to_dict(spec: PotentialSpec) -> dict:
@@ -185,16 +226,16 @@ def _potential_to_dict(spec: PotentialSpec) -> dict:
     return out
 
 
-def _inertia_from_dict(d: dict, path: str = "inertia") -> InertiaParams:
-    known = {"M", "J", "I", "A", "B", "H", "Lten", "Rten"}
-    unknown = set(d) - known
+def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
+    sides = {"M": 0, "I": 0, "A": 0, "B": 0, "J": n, "H": n, "Lten": n * n, "Rten": n * n}
+    unknown = set(_typed(d, dict, path)) - set(sides)
     if unknown:
         raise ValidationError(f"unknown keys under {path!r}: {sorted(unknown)}")
     kwargs = {}
-    for key in known:
-        if key in d and d[key] is not None:
-            val = d[key]
-            kwargs[key] = np.asarray(val, dtype=float) if isinstance(val, list) else float(val)
+    for key, val in d.items():
+        if val is not None:
+            kwargs[key] = _array(val, f"{path}.{key}", (sides[key],) * 2) if sides[key] \
+                else _num(d, key, path)
     try:
         return InertiaParams(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -202,15 +243,11 @@ def _inertia_from_dict(d: dict, path: str = "inertia") -> InertiaParams:
 
 
 def _inertia_to_dict(p: InertiaParams) -> dict:
-    out: dict = {"M": p.M}
-    for key in ("I", "A", "B"):
+    out: dict = {}
+    for key in ("M", "I", "A", "B", "J", "H", "Lten", "Rten"):
         val = getattr(p, key)
         if val is not None:
-            out[key] = val
-    for key in ("J", "H", "Lten", "Rten"):
-        val = getattr(p, key)
-        if val is not None:
-            out[key] = val.tolist()
+            out[key] = val.tolist() if isinstance(val, np.ndarray) else val
     return out
 
 
@@ -218,38 +255,30 @@ def _initial_from_dict(d: dict | None, n: int, N: int):
     """Returns (PhaseState or None, generate_scale)."""
     if d is None:
         return None, 0.2
-    if "generate" in d:
-        return None, float(d["generate"].get("scale", 0.2))
-    bodies = _need(d, "bodies", "initial.bodies")
+    if "generate" in _typed(d, dict, "initial"):
+        return None, _num(d["generate"], "scale", "initial.generate", 0.2)
+    bodies = _typed(_need(d, "bodies", "initial.bodies"), list, "initial.bodies")
     if len(bodies) != N:
         raise ValidationError(f"initial.bodies has {len(bodies)} entries, expected N = {N}")
-    x = np.zeros((N, n))
-    phi = np.zeros((N, n, n))
-    p = np.zeros((N, n))
-    pi = np.zeros((N, n, n))
+    x, phi, p, pi = [], [], [], []
     for K, b in enumerate(bodies):
         path = f"initial.bodies[{K}]"
-        x[K] = np.asarray(_need(b, "x", f"{path}.x"), dtype=float)
-        phi[K] = np.asarray(_need(b, "phi", f"{path}.phi"), dtype=float)
-        p[K] = np.asarray(b.get("p", np.zeros(n)), dtype=float)
-        pi[K] = np.asarray(b.get("pi", np.zeros((n, n))), dtype=float)
-    try:
-        config = SystemConfig(x=x, phi=phi)
-    except ValueError as exc:
-        raise ValidationError(f"bad initial state: {exc}") from exc
-    return PhaseState(config=config, mom=MomentumState(p=p, pi=pi), time=0.0), 0.2
+        x.append(_array(_need(b, "x", f"{path}.x"), f"{path}.x", (n,)))
+        phi.append(_array(_need(b, "phi", f"{path}.phi"), f"{path}.phi", (n, n)))
+        p.append(_array(b.get("p", np.zeros(n)), f"{path}.p", (n,)))
+        pi.append(_array(b.get("pi", np.zeros((n, n))), f"{path}.pi", (n, n)))
+    return PhaseState(config=SystemConfig(x=np.stack(x), phi=np.stack(phi)),
+                      mom=MomentumState(p=np.stack(p), pi=np.stack(pi)), time=0.0), 0.2
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    version = int(d.get("schema_version", SCHEMA_VERSION))
+    version = _num(d, "schema_version", "", SCHEMA_VERSION, cast=int)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version}")
-    n = int(_need(d, "n", "n"))
-    N = int(_need(d, "N", "N"))
+    n = _num(d, "n", "", cast=int)
     if not 1 <= n <= 4:
         raise ValidationError("n must be between 1 and 4")
-    if N < 1:
-        raise ValidationError("N must be at least 1")
+    N = _num(d, "N", "", cast=int, minimum=1)
     kin = _need(d, "kinetic", "kinetic")
     translational = _need(kin, "translational", "kinetic.translational")
     internal = _need(kin, "internal", "kinetic.internal")
@@ -257,32 +286,28 @@ def scenario_from_dict(d: dict) -> Scenario:
         model = KineticModel(translational=translational, internal=internal)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    inertia = _need(d, "inertia", "inertia")
+    inertia = _typed(_need(d, "inertia", "inertia"), dict, "inertia")
     if "per_body" in inertia:
-        entries = inertia["per_body"]
+        entries = _typed(inertia["per_body"], list, "inertia.per_body")
         if len(entries) != N:
             raise ValidationError(f"inertia.per_body has {len(entries)} entries, expected N = {N}")
-        params = tuple(_inertia_from_dict(e, f"inertia.per_body[{i}]")
+        params = tuple(_inertia_from_dict(e, n, f"inertia.per_body[{i}]")
                        for i, e in enumerate(entries))
     else:
-        params = _inertia_from_dict(inertia)
-    potential = _potential_from_dict(d.get("potential"))
+        params = _inertia_from_dict(inertia, n)
+    potential = _potential_from_dict(d.get("potential"), n)
     initial, scale = _initial_from_dict(d.get("initial"), n, N)
-    integ = d.get("integrator", {})
+    integ = _typed(d.get("integrator", {}), dict, "integrator")
     method = integ.get("method", "implicit_midpoint")
     if method not in INTEGRATION_METHODS:
         raise ValidationError(f"integrator.method must be one of {INTEGRATION_METHODS}")
-    dt = float(integ.get("dt", 1e-3))
-    T = float(integ.get("T", 1.0))
-    if dt <= 0:
-        raise ValidationError("integrator.dt must be positive")
-    if T < 0:
-        raise ValidationError("integrator.T must be non-negative")
+    dt = _num(integ, "dt", "integrator", 1e-3, positive=True)
+    T = _num(integ, "T", "integrator", 1.0, minimum=0.0)
     out_dir = str(d.get("output", {}).get("dir", "")) if isinstance(d.get("output"), dict) else ""
     return Scenario(n=n, N=N, model=model, params=params, potential=potential,
                     initial=initial, generate_scale=scale, method=method, dt=dt,
-                    T=T, seed=int(d.get("seed", 0)), name=str(d.get("name", "")),
-                    out_dir=out_dir, schema_version=version)
+                    T=T, seed=_num(d, "seed", "", 0, cast=int, minimum=0),
+                    name=str(d.get("name", "")), out_dir=out_dir, schema_version=version)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -117,7 +117,7 @@ def test_criterion_4_conservation(geodetic_run):
     spec = PotentialSpec(one_body=(InvariantTerm(a=1, fn=HarmonicFn(0.5, 2.0)),))
     s = parse_scenario(bundled_scenario_path("dalembert_free_internal"))
     traj2 = integrate(model, params, spec, s.initial_state(), dt=1e-3, T=10.0)
-    spin_drift = relative_drift(traj2.charge_series(lambda c: c.spin.sum(axis=0)))
+    spin_drift = relative_drift(traj2.charges.spin.sum(axis=1))
     elapsed = time.perf_counter() - start
     record(4, geo_ok and spin_drift <= 1e-8 and elapsed < 60.0,
            f"geodetic drifts H {drifts['energy']:.1e}, Sigma {drifts['sigma_total']:.1e}, "
@@ -127,10 +127,10 @@ def test_criterion_4_conservation(geodetic_run):
 
 def test_criterion_5_dilatational_behavior(geodetic_run):
     s, traj = geodetic_run
-    lndet = np.log(np.array([c.det_phi[0] for c in traj.charges]))
+    lndet = np.log(traj.charges.det_phi[:, 0])
     t = traj.times
     tc = tilde_constants(0.0, s.params.A, s.params.B, 2)
-    sig0 = traj.states[0].config.phi[0] @ traj.states[0].mom.pi[0]
+    sig0 = traj.phi[0, 0] @ traj.pi[0, 0]
     slope_expected = float(np.trace(tc.recip_A * sig0
                                     + tc.recip_B * np.trace(sig0) * np.eye(2)))
     fit = np.polyfit(t, lndet, 1)
@@ -140,7 +140,7 @@ def test_criterion_5_dilatational_behavior(geodetic_run):
     stab = parse_scenario(bundled_scenario_path("afaf_dilatation_stabilized"))
     traj_s = integrate(stab.model, stab.params, stab.potential, stab.initial_state(),
                        dt=stab.dt, T=stab.T, method=stab.method)
-    lndet_s = np.log(np.array([c.det_phi[0] for c in traj_s.charges]))
+    lndet_s = np.log(traj_s.charges.det_phi[:, 0])
     dln = np.diff(lndet_s)
     dln = dln[np.abs(dln) > 1e-14]
     sign_changes = int(np.sum(np.abs(np.diff(np.sign(dln))) > 1))
@@ -149,8 +149,8 @@ def test_criterion_5_dilatational_behavior(geodetic_run):
     pair = parse_scenario(bundled_scenario_path("two_body_affine_pair"))
     traj_p = integrate(pair.model, pair.params, pair.potential, pair.initial_state(),
                        dt=pair.dt, T=pair.T, method=pair.method)
-    det1 = np.array([c.det_phi[0] for c in traj_p.charges])
-    det2 = np.array([c.det_phi[1] for c in traj_p.charges])
+    det1 = traj_p.charges.det_phi[:, 0]
+    det2 = traj_p.charges.det_phi[:, 1]
     ln_gamma = np.log(det2 / det1)
     pair_ok = (float(np.max(np.abs(ln_gamma))) <= 3.0
                and abs(np.log(det1[-1])) >= 1.0 and abs(np.log(det2[-1])) >= 1.0)

@@ -57,8 +57,8 @@ def test_dalembert_geodetic_internal_motion_is_linear(rng):
     traj = integrate(model, params, FREE, s0, dt=1e-3, T=T)
     xi = pi0.T @ np.linalg.inv(np.diag([2.0, 1.0]))
     expected = np.eye(2) + T * xi
-    np.testing.assert_allclose(traj.states[-1].config.phi[0], expected, atol=1e-10)
-    np.testing.assert_allclose(traj.states[-1].mom.pi[0], pi0, atol=1e-12)
+    np.testing.assert_allclose(traj.phi[-1, 0], expected, atol=1e-10)
+    np.testing.assert_allclose(traj.pi[-1, 0], pi0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tr,it", [("dalembert", "is-af"), ("af-is", "af-af"),
@@ -104,7 +104,7 @@ def test_harmonic_oscillator_period():
     s0 = phase_state([1.0, 0.0], np.eye(2), [0.0, 0.0], np.zeros((2, 2)))
     period = 2.0 * np.pi * np.sqrt(M / k)
     traj = integrate(model, params, spec, s0, dt=1e-2, T=10 * period + 0.5)
-    x = np.array([s.config.x[0, 0] for s in traj.states])
+    x = traj.x[:, 0, 0]
     t = traj.times
     idx = np.where((x[:-1] < 0) & (x[1:] >= 0))[0]
     crossings = t[idx] - x[idx] * (t[idx + 1] - t[idx]) / (x[idx + 1] - x[idx])
@@ -135,7 +135,7 @@ def test_rk4_order_of_convergence():
 
     def final_error(dt):
         traj = integrate(model, params, spec, s0, dt=dt, T=2.0, method="rk4")
-        return abs(traj.states[-1].config.x[0, 0] - np.cos(omega * traj.times[-1]))
+        return abs(traj.x[-1, 0, 0] - np.cos(omega * traj.times[-1]))
 
     ratio = final_error(0.02) / final_error(0.01)
     assert 12.0 <= ratio <= 20.0
@@ -146,8 +146,8 @@ def test_zero_length_run():
     params = InertiaParams(M=1.0, J=np.eye(2))
     s0 = phase_state([0.3, 0.1], np.eye(2), [0.2, 0.0], np.zeros((2, 2)))
     traj = integrate(model, params, FREE, s0, dt=1e-3, T=0.0)
-    assert len(traj.states) == 1
-    np.testing.assert_allclose(traj.states[0].config.x, s0.config.x)
+    assert len(traj.z) == 1
+    np.testing.assert_allclose(traj.x[0], s0.config.x)
     assert not traj.aborted
 
 
@@ -171,7 +171,7 @@ def test_det_floor_aborts_with_partial_trajectory():
     assert traj.aborted
     assert "det phi" in traj.abort_reason
     assert 0.9 <= traj.times[-1] <= 1.0
-    assert len(traj.states) == len(traj.times)
+    assert len(traj.z) == len(traj.times)
     with pytest.raises(StateInvalid):
         traj.require_complete()
 
@@ -186,7 +186,7 @@ def test_singular_midpoint_evaluation_aborts():
     traj = integrate(model, params, FREE, s0, dt=2.0, T=2.0)
     assert traj.aborted
     assert "GL+" in traj.abort_reason
-    assert len(traj.states) == 1
+    assert len(traj.z) == 1
 
 
 def test_midpoint_divergence_raises():
@@ -282,11 +282,12 @@ def test_charge_record_consistency_with_snapshots(rng):
     params = InertiaParams(M=1.0, A=1.0, B=1.0)
     s0 = phase_state([0.1, 0.0], np.eye(2), [0.2, 0.0], [[0.4, 0.1], [0.0, 0.3]])
     traj = integrate(model, params, FREE, s0, dt=1e-2, T=0.2)
-    for state, charge in zip(traj.states, traj.charges):
+    for k in range(len(traj.times)):
+        state = traj.state(k)
         again = noether_charges(state, energy=total_energy(model, params, FREE, state))
-        np.testing.assert_allclose(charge.sigma_total, again.sigma_total, atol=1e-14)
-        assert abs(charge.energy - again.energy) <= 1e-14
-        np.testing.assert_allclose(charge.det_phi, again.det_phi, atol=1e-14)
+        np.testing.assert_allclose(traj.charges.sigma_total[k], again.sigma_total, atol=1e-14)
+        assert abs(traj.charges.energy[k] - again.energy) <= 1e-14
+        np.testing.assert_allclose(traj.charges.det_phi[k], again.det_phi, atol=1e-14)
     assert np.all(np.diff(traj.times) > 0)
 
 
@@ -300,8 +301,8 @@ def test_isaf_geodetic_conserves_spin_and_sigma_hat(rng):
     params = InertiaParams(M=1.0, I=2.0, A=1.0, B=1.0)
     s0 = random_phase(rng, 2, scale=0.4)
     traj = integrate(model, params, FREE, s0, dt=1e-3, T=3.0)
-    spin = traj.charge_series(lambda c: c.spin.sum(axis=0))
-    sig_hat = traj.charge_series(lambda c: c.sigma_hat_total)
+    spin = traj.charges.spin.sum(axis=1)
+    sig_hat = traj.charges.sigma_hat_total
     assert relative_drift(spin) <= 1e-8
     assert relative_drift(sig_hat) <= 1e-8
 
@@ -316,14 +317,14 @@ def test_afis_geodetic_conserves_sigma(rng):
     quiet = PhaseState(config=quiet.config,
                        mom=MomentumState(p=np.zeros((1, 2)), pi=quiet.mom.pi))
     traj = integrate(model, params, FREE, quiet, dt=1e-3, T=3.0)
-    sig = traj.charge_series(lambda c: c.sigma_total)
-    vor = traj.charge_series(lambda c: c.vorticity.sum(axis=0))
+    sig = traj.charges.sigma_total
+    vor = traj.charges.vorticity.sum(axis=1)
     assert relative_drift(sig) <= 1e-8
     assert relative_drift(vor) <= 1e-8
 
     active = random_phase(rng, 2, scale=0.4)
     traj = integrate(model, params, FREE, active, dt=1e-3, T=3.0)
-    jtot = traj.charge_series(lambda c: c.j_total)
+    jtot = traj.charges.j_total
     assert relative_drift(jtot) <= 1e-8
 
 
@@ -335,8 +336,8 @@ def test_dalembert_with_invariant_potential_conserves_spin(rng):
     spec = PotentialSpec(one_body=(InvariantTerm(a=1, fn=HarmonicFn(0.5, 2.0)),))
     s0 = random_phase(rng, 2, scale=0.4)
     traj = integrate(model, params, spec, s0, dt=1e-3, T=3.0)
-    spin = traj.charge_series(lambda c: c.spin.sum(axis=0))
-    vorticity = traj.charge_series(lambda c: c.vorticity.sum(axis=0))
+    spin = traj.charges.spin.sum(axis=1)
+    vorticity = traj.charges.vorticity.sum(axis=1)
     assert relative_drift(spin) <= 1e-8
     assert relative_drift(vorticity) <= 1e-8
 
@@ -358,9 +359,9 @@ def test_trace_free_geodetic_exploration():
         s0 = phase_state([0.0, 0.0], np.eye(2), [0.0, 0.0], sig0)
         traj = integrate(model, params, FREE, s0, dt=2e-3, T=20.0)
         assert not traj.aborted
-        lndet = np.log(np.array([c.det_phi[0] for c in traj.charges]))
+        lndet = np.log(traj.charges.det_phi[:, 0])
         np.testing.assert_allclose(lndet, 0.0, atol=1e-9)
-        spread = np.array([c.q_log[0][0] - c.q_log[0][1] for c in traj.charges])
+        spread = traj.charges.q_log[:, 0, 0] - traj.charges.q_log[:, 0, 1]
         assert np.all(np.isfinite(spread))
         spreads[name] = spread
         print(f"incompressible geodesic ({name}): q1 - q2 in "
@@ -394,7 +395,7 @@ def test_binary_potential_conserves_total_sigma_hat(rng):
     s0 = random_phase(rng, 2, N=2, scale=0.3)
     traj = integrate(model, params, spec, s0, dt=1e-3, T=3.0)
     # material action is diagonal across bodies: only the TOTAL is conserved
-    sig_hat = traj.charge_series(lambda c: c.sigma_hat_total)
+    sig_hat = traj.charges.sigma_hat_total
     assert relative_drift(sig_hat) <= 1e-8
 
 

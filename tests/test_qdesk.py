@@ -202,7 +202,7 @@ def test_classical_quantum_dilatational_frequency_agrees():
                     mom=MomentumState(p=np.zeros((1, 1)), pi=np.zeros((1, 1, 1))))
     period = 2 * np.pi / omega
     traj = integrate(model, params, spec, s0, dt=5e-3, T=4 * period + 0.5)
-    q_t = np.log(np.array([c.det_phi[0] for c in traj.charges]))
+    q_t = np.log(traj.charges.det_phi[:, 0])
     t = traj.times
     idx = np.where((q_t[:-1] < 0) & (q_t[1:] >= 0))[0]
     crossings = t[idx] - q_t[idx] * (t[idx + 1] - t[idx]) / (q_t[idx + 1] - q_t[idx])

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinekit.cli import main as cli_main
 from affinekit.errors import ParseError, ValidationError
@@ -94,6 +96,81 @@ def test_generated_initial_is_seed_deterministic():
     assert np.max(np.abs(a.config.phi - c.config.phi)) > 1e-6
 
 
+def _bundled_dict(name):
+    return json.loads(bundled_scenario_path(name).read_text())
+
+
+def _set_at(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "center": 2.0}}
+
+
+@pytest.mark.parametrize("path,value,match", [
+    pytest.param(("potential", "one_body", 0), dict(INVARIANT, a=0), r"one_body\[0\]\.a",
+                 id="invariant_a_zero"),
+    pytest.param(("potential", "one_body", 0), dict(INVARIANT, a=-1), r"one_body\[0\]\.a",
+                 id="invariant_a_negative"),
+    pytest.param(("potential", "one_body", 0, "center"), [5.0], r"one_body\[0\]\.center",
+                 id="center_too_short"),
+    pytest.param(("potential", "one_body", 0, "center"), [0.0, 0.0, 0.0],
+                 r"one_body\[0\]\.center", id="center_too_long"),
+    pytest.param(("integrator", "dt"), float("nan"), "integrator.dt", id="dt_nan"),
+    pytest.param(("integrator", "dt"), float("inf"), "integrator.dt", id="dt_inf"),
+    pytest.param(("integrator", "T"), float("inf"), "integrator.T", id="T_inf"),
+    pytest.param(("n",), "two", "'n'", id="n_string"),
+    pytest.param(("initial",), {"generate": 3}, "initial.generate", id="generate_number"),
+    pytest.param(("initial", "bodies", 0, "phi", 1, 0), float("nan"), r"bodies\[0\]\.phi",
+                 id="phi_nan"),
+    pytest.param(("initial", "bodies", 0, "p", 0), float("-inf"), r"bodies\[0\]\.p",
+                 id="p_minus_inf"),
+    pytest.param(("initial", "bodies", 0, "x"), [1.0], r"bodies\[0\]\.x", id="x_too_short"),
+    pytest.param(("seed",), -1, "seed", id="seed_negative"),
+])
+def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
+    """Each defect is a ValidationError at parse time, also through a JSON
+    file (Python's json reads NaN and Infinity)."""
+    d = _bundled_dict("harmonic_oscillator")
+    _set_at(d, path, value)
+    with pytest.raises(ValidationError, match=match):
+        scenario_from_dict(d)
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    with pytest.raises(ValidationError, match=match):
+        parse_scenario(tmp_path / "bad.json")
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+BAD_LEAVES = (None, "bad", float("nan"), float("inf"), float("-inf"), -1, [], {})
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_bad_leaf_raises_only_typed_errors(data):
+    """One leaf of a bundled scenario replaced by a bad value: parsing either
+    succeeds and round-trips through JSON, or raises ParseError or
+    ValidationError."""
+    d = _bundled_dict(data.draw(st.sampled_from(BUNDLED)))
+    _set_at(d, data.draw(st.sampled_from(list(_leaf_paths(d)))),
+            data.draw(st.sampled_from(BAD_LEAVES)))
+    try:
+        s = scenario_from_dict(d)
+    except (ParseError, ValidationError):
+        return
+    back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))
+    assert scenario_to_dict(back) == scenario_to_dict(s)
+
+
 # ---------------------------------------------------------------------------
 # runner artifacts
 
@@ -149,6 +226,94 @@ def test_aborted_run_exit_code(tmp_path):
     assert summary["aborted"]
     assert summary["exit_code"] == 2
     assert "det phi" in summary["abort_reason"]
+
+
+def _read_columns(path):
+    """A CSV artifact as {header name: column array}."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(set(header)) == len(header)
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert table.shape[1] == len(header)
+    return dict(zip(header, table.T))
+
+
+def _gather(columns, name, shape):
+    """Columns name(*idx) over every idx of shape, stacked to (S, *shape)."""
+    stacked = np.stack([columns[name(*idx)] for idx in np.ndindex(*shape)], axis=1)
+    return stacked.reshape(-1, *shape)
+
+
+def test_csv_columns_hold_what_their_names_say(tmp_path):
+    """At n = 3, N = 2 every column of trajectory.csv and charges.csv, found
+    by header name, equals the value it names exactly (%.17e round-trips
+    float64): the phase columns against the scenario's initial bodies and each
+    other, the charge columns against noether_charges of each parsed sample."""
+    from affinekit.dynamics import PhaseState, noether_charges, total_energy
+    from affinekit.kinematics import SystemConfig
+    from affinekit.kinetics import MomentumState
+
+    n, N = 3, 2
+    rng = np.random.default_rng(7)
+    bodies = [{"x": (3.0 * K + 0.1 * rng.standard_normal(n)).tolist(),
+               "phi": (np.eye(n) + 0.1 * rng.standard_normal((n, n))).tolist(),
+               "p": (0.2 * rng.standard_normal(n)).tolist(),
+               "pi": (0.2 * rng.standard_normal((n, n))).tolist()} for K in range(N)]
+    d = {
+        "schema_version": 1, "n": n, "N": N,
+        "kinetic": {"translational": "dalembert", "internal": "af-af"},
+        "inertia": {"M": 1.0, "A": 1.0, "B": 1.0},
+        "potential": {"binary": [{"arg": "D", "fn": {"kind": "harmonic",
+                                                     "stiffness": 0.3, "center": 2.0}}]},
+        "initial": {"bodies": bodies},
+        "integrator": {"dt": 0.01, "T": 0.05},
+    }
+    s = scenario_from_dict(d)
+    summary = run(s, tmp_path)
+    traj = _read_columns(tmp_path / "trajectory.csv")
+    charges = _read_columns(tmp_path / "charges.csv")
+    S = summary["steps"] + 1
+    assert S == 6 and len(traj["t"]) == len(charges["t"]) == S
+    np.testing.assert_array_equal(charges["t"], traj["t"])
+    assert traj["t"][-1] == summary["final_time"]
+
+    # per-body phase columns; pi{K}[a][i] is pi[a, i]
+    assert traj["x2[1]"][0] == bodies[1]["x"][1]
+    assert traj["phi2[0][2]"][0] == bodies[1]["phi"][0][2]
+    assert traj["pi1[2][0]"][0] == bodies[0]["pi"][2][0]
+    assert traj["p2[2]"][0] == bodies[1]["p"][2]
+    x = _gather(traj, lambda K, i: f"x{K + 1}[{i}]", (N, n))
+    phi = _gather(traj, lambda K, i, j: f"phi{K + 1}[{i}][{j}]", (N, n, n))
+    p = _gather(traj, lambda K, i: f"p{K + 1}[{i}]", (N, n))
+    pi = _gather(traj, lambda K, a, i: f"pi{K + 1}[{a}][{i}]", (N, n, n))
+    for arr, ref in ((x, s.initial.config.x), (phi, s.initial.config.phi),
+                     (p, s.initial.mom.p), (pi, s.initial.mom.pi)):
+        np.testing.assert_array_equal(arr[0], ref)
+        assert not np.array_equal(arr[-1], arr[0])
+
+    for k in range(S):
+        state = PhaseState(config=SystemConfig(x=x[k], phi=phi[k]),
+                           mom=MomentumState(p=p[k], pi=pi[k]), time=traj["t"][k])
+        c = noether_charges(state, total_energy(s.model, s.params, s.potential, state))
+        assert traj["E"][k] == charges["E"][k] == c.energy
+        for i in range(n):
+            assert charges[f"p[{i}]"][k] == c.p_total[i]
+        for a, b in np.ndindex(n, n):
+            assert traj[f"Sigma[{a}][{b}]"][k] == charges[f"Sigma[{a}][{b}]"][k] \
+                == c.sigma_total[a, b]
+            assert traj[f"SigmaHat[{a}][{b}]"][k] == charges[f"SigmaHat[{a}][{b}]"][k] \
+                == c.sigma_hat_total[a, b]
+            assert charges[f"J[{a}][{b}]"][k] == c.j_total[a, b]
+            for K in range(N):
+                assert charges[f"S{K + 1}[{a}][{b}]"][k] == c.spin[K, a, b]
+                assert charges[f"V{K + 1}[{a}][{b}]"][k] == c.vorticity[K, a, b]
+        for K in range(N):
+            assert traj[f"detphi_{K + 1}"][k] == charges[f"detphi_{K + 1}"][k] \
+                == c.det_phi[K]
+            for a in range(n):
+                assert charges[f"q{K + 1}[{a}]"][k] == c.q_log[K, a]
+    assert charges["S2[0][1]"][-1] != 0.0 and charges["V1[1][2]"][-1] != 0.0
+    assert charges["q2[1]"][-1] != 0.0
 
 
 def test_bundled_geodetic_run_conserves_energy(tmp_path):
