@@ -254,7 +254,8 @@ class KineticForm:
     (N, n*n, n*n) per body otherwise; M is (N, 1).  The af-is translational
     sector (``comoving_p``) puts the mass metric on v_hat = phi^-1 v.
 
-    The methods take stacked (N, ...) arrays and return stacked arrays.
+    The methods take stacked (N, ...) arrays and return stacked arrays;
+    ``hamiltonian`` also takes a leading sample axis, (S, N, ...).
     """
 
     frame: str
@@ -291,23 +292,22 @@ class KineticForm:
         return 0.5 * ((w * s).sum(axis=(1, 2)) + self.M[:, 0] * (vw * vw).sum(axis=1))
 
     def _spin_velocity(self, phi, pi):
-        """Spin vectors s = vec(S.T) as (N, n*n, 1) and W = unvec(G^-1 s)."""
-        N, n = pi.shape[:2]
+        """Spin vectors s = vec(S.T) as (..., N, n*n, 1) and W = unvec(G^-1 s)."""
         S = pi if self.frame == "fixed" else self._op(phi, pi)
-        s = S.transpose(0, 2, 1).reshape(N, n * n, 1)
-        return s, (self.Ginv @ s).reshape(N, n, n)
+        s = S.swapaxes(-1, -2).reshape(S.shape[:-2] + (-1, 1))
+        return s, (self.Ginv @ s).reshape(S.shape)
 
     def _p_hat(self, phi, p):
         """p, or p_hat = phi.T p in the af-is translational sector."""
-        return (phi.transpose(0, 2, 1) @ p[:, :, None])[:, :, 0] if self.comoving_p else p
+        return (phi.swapaxes(-1, -2) @ p[..., None])[..., 0] if self.comoving_p else p
 
     def hamiltonian(self, phi, p, pi) -> np.ndarray:
-        """Kinetic Hamiltonian per body: (1/2) s.G^-1 s + (1/2M) p.p (or p_hat)."""
+        """Kinetic Hamiltonian per body, shape (..., N):
+        (1/2) s.G^-1 s + (1/2M) p.p (or p_hat)."""
         s, W = self._spin_velocity(phi, pi)
         ph = self._p_hat(phi, p)
-        N = len(p)
-        return 0.5 * ((s[:, :, 0] * W.reshape(N, -1)).sum(axis=1)
-                      + (ph * ph).sum(axis=1) / self.M[:, 0])
+        return 0.5 * ((s[..., 0] * W.reshape(s.shape[:-1])).sum(axis=-1)
+                      + (ph * ph).sum(axis=-1) / self.M[:, 0])
 
     def flow(self, phi, p, pi):
         """(v, xi, (dT/dphi).T): inverse Legendre map and the transposed

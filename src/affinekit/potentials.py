@@ -212,38 +212,40 @@ class PotentialForm:
 
     def evaluate(self, x, phi, det, phi_inv, grad: bool = True):
         """(V, dV/dx, (dV/dphi).T) on stacked bodies; the gradients are None
-        without ``grad``.  ``det`` and ``phi_inv`` are those of ``phi``."""
+        without ``grad``.  ``det`` and ``phi_inv`` are those of ``phi``.
+        Without ``grad`` the arrays may carry a leading sample axis,
+        (S, N, ...), and V is then the (S,) values."""
         N, n, spec = self.N, self.n, self.spec
         value = 0.0
         dx = np.zeros((N, n)) if grad else None
         gT = np.zeros((N, n, n)) if grad else None
-        phiT = phi.transpose(0, 2, 1)
+        phiT = phi.swapaxes(-1, -2)
         if self.invariant_a:
             # G^(a-1) phi.T, a = 1..max: Tr(G^a) and the transposed gradient 2a G^(a-1) phi.T
             pw = _powers(phiT @ phi, self.invariant_a - 1, right=phiT)
         for term in spec.one_body:
             if isinstance(term, TranslationalHarmonic):
                 d = x - term.center_vec(n)
-                value += 0.5 * term.stiffness * float((d * d).sum())
+                value += 0.5 * term.stiffness * (d * d).sum(axis=(-2, -1))
                 if grad:
                     dx += term.stiffness * d
             else:
-                val, slope = term.fn.eval((pw[term.a - 1] * phiT).sum(axis=(1, 2)))
-                value += float(val.sum())
+                val, slope = term.fn.eval((pw[term.a - 1] * phiT).sum(axis=(-2, -1)))
+                value += val.sum(axis=-1)
                 if grad:
                     gT += (2.0 * term.a * slope)[:, None, None] * pw[term.a - 1]
         if spec.dil is not None:
             if (det <= 0.0).any():
                 raise NegativeOrientation("dilatation term needs det phi > 0")
             u = np.log(det / spec.dil.d_ref)
-            value += 0.5 * spec.dil.kappa * float((u * u).sum())
+            value += 0.5 * spec.dil.kappa * (u * u).sum(axis=-1)
             if grad:
                 gT += (spec.dil.kappa * u)[:, None, None] * phi_inv
         if self.pairs is not None:
             value += self._binary(x, phi, phi_inv, dx, gT)
         return value, dx, gT
 
-    def _binary(self, x, phi, phi_inv, dx, gT) -> float:
+    def _binary(self, x, phi, phi_inv, dx, gT):
         """Value of the binary terms; with gradient arrays given, adds to them.
 
         Every channel is evaluated on each ordered pair (I, J) and averaged
@@ -257,38 +259,38 @@ class PotentialForm:
         grad = dx is not None
         kinds = {kind for kind, _, _ in self.binary}
         on_x = bool(kinds & {"r", "D"})
-        inv_f = phi_inv[first]
-        phi_s = phi[second]
-        phi_sT = phi_s.transpose(0, 2, 1)
+        inv_f = phi_inv[..., first, :, :]
+        phi_s = phi[..., second, :, :]
+        phi_sT = phi_s.swapaxes(-1, -2)
 
         if on_x:
-            d = x[first] - x[second]
+            d = x[..., first, :] - x[..., second, :]
             gx = np.zeros_like(d)
         if "r" in kinds:
-            r = np.sqrt((d * d).sum(axis=1))
+            r = np.sqrt((d * d).sum(axis=-1))
             if (r == 0.0).any():
                 raise NonDifferentiable("binary r-term with coincident centers")
         if "D" in kinds:
             # u = phi_I^-1 d and c = C_I d: D^2 = (u_IJ.u_IJ + u_JI.u_JI) / 2
-            u = (inv_f @ d[:, :, None])[:, :, 0]
-            c = (inv_f.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
-            q = (u * u).sum(axis=1)
-            D = np.sqrt(0.5 * (q + q[swap]))
+            u = (inv_f @ d[..., None])[..., 0]
+            c = (inv_f.swapaxes(-1, -2) @ u[..., None])[..., 0]
+            q = (u * u).sum(axis=-1)
+            D = np.sqrt(0.5 * (q + q[..., swap]))
             if grad and (D == 0.0).any():
                 raise NonDifferentiable("binary D-term with coincident centers")
         if self.K_a:
             # H = phi_J.T phi_I, the mutual Gm of the reverse pair: H^j phi_J.T, j < a;
             # Tr(H^a) = K:a and a H^(a-1) phi_J.T is the transposed row gradient
-            phi_f = phi[first]
+            phi_f = phi[..., first, :, :]
             Kp = _powers(phi_sT @ phi_f, self.K_a - 1, right=phi_sT)
-            t = (Kp * phi_f.transpose(0, 2, 1)).sum(axis=(2, 3))
-            K_val = 0.5 * (t + t[:, swap])
+            t = (Kp * phi_f.swapaxes(-1, -2)).sum(axis=(-2, -1))
+            K_val = 0.5 * (t + t[..., swap])
         if self.Mbar_a:
             # Gamma = phi_I^-1 phi_J: Gamma^j phi_I^-1, j <= a; Tr(Gamma^a) averaged
             # with Tr(Gamma^-a) of the reverse pair is Mbar:a
             Mp = _powers(inv_f @ phi_s, self.Mbar_a, right=inv_f)
-            t = (Mp[:-1] * phi_sT).sum(axis=(2, 3))
-            M_val = 0.5 * (t + t[:, swap])
+            t = (Mp[:-1] * phi_sT).sum(axis=(-2, -1))
+            M_val = 0.5 * (t + t[..., swap])
             if grad:
                 M_grad = Mp[:-1][:, swap] - Mp[1:]
         if grad:
@@ -302,7 +304,7 @@ class PotentialForm:
             else:
                 s = (K_val if kind == "K" else M_val)[a - 1]
             val, slope = fn.eval(s)
-            value += float(val[:P].sum())
+            value += val[..., :P].sum(axis=-1)
             if not grad:
                 continue
             if kind == "r":
@@ -365,7 +367,7 @@ def total_potential(spec: PotentialSpec, config: SystemConfig) -> float:
     """Full potential: one-body + (1/2) off-diagonal pair sum + stabilizers."""
     det, phi_inv = det_inv(config.phi)
     form = compile_potential(spec, config.n, config.N)
-    return form.evaluate(config.x, config.phi, det, phi_inv, grad=False)[0]
+    return float(form.evaluate(config.x, config.phi, det, phi_inv, grad=False)[0])
 
 
 def potential_gradient(spec: PotentialSpec, config: SystemConfig):

@@ -6,7 +6,8 @@ Artifacts written to the output directory:
   p{K}[i], pi{K}[a][i], then E, Sigma[a][b], SigmaHat[a][b], detphi_{K}
 * ``charges.csv``     t, E, p[i], Sigma[a][b], SigmaHat[a][b], J[a][b], then
   per body: S{K}[a][b], V{K}[a][b], detphi_{K}, q{K}[a]
-* ``summary.json``    final charges, relative drifts, determinism hash
+* ``summary.json``    final charges, relative drifts, solver telemetry (RHS
+  evaluations of the accepted steps, in total and per step), determinism hash
 
 Each CSV is one table, a row per sample, assembled from column blocks of the
 trajectory's stacked arrays (the per-body blocks interleaved body by body)
@@ -121,6 +122,7 @@ def run(scenario: Scenario, out_dir) -> dict:
     write_charges_csv(charges_path, traj)
 
     c = traj.charges
+    steps = len(traj.times) - 1
     summary = {
         "name": scenario.name,
         "schema_version": scenario.schema_version,
@@ -130,7 +132,7 @@ def run(scenario: Scenario, out_dir) -> dict:
                   "internal": scenario.model.internal},
         "integrator": {"method": scenario.method, "dt": scenario.dt, "T": scenario.T},
         "seed": scenario.seed,
-        "steps": len(traj.times) - 1,
+        "steps": steps,
         "final_time": traj.times[-1],
         "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
@@ -139,6 +141,8 @@ def run(scenario: Scenario, out_dir) -> dict:
         "final_charges": {name: getattr(c, name)[-1].tolist()
                           for name in ("p_total", "sigma_total", "sigma_hat_total", "j_total")},
         "drifts": charge_drifts(traj),
+        "solver": {"rhs_evals": traj.rhs_evals,
+                   "rhs_evals_per_step": traj.rhs_evals / steps if steps else 0.0},
         "artifacts": ["trajectory.csv", "charges.csv"],
         "determinism_hash": "sha256:" + _sha256(traj_path),
         "exit_code": 2 if traj.aborted else 0,

@@ -515,3 +515,81 @@ def test_sample_times_are_multiples_of_dt():
     assert len(traj.times) == 10_001
     assert traj.times[-1] == T
     np.testing.assert_array_equal(traj.times[:-1], np.arange(10_000) * dt)
+
+
+def test_stacked_energy_equals_per_row_energies(rng):
+    """An (S, D) stack evaluates H in one call, equal to the per-row values."""
+    from affinekit.dynamics import _pack, compile_system
+
+    for it in ("dalembert", "is-af", "l-af"):
+        system = compile_system(KineticModel("af-is", it), per_body_params(3), PAIR_SPEC, 3, 3)
+        z = np.stack([_pack(random_phase(rng, 3, N=3)) for _ in range(6)])
+        z[:, :9] += 2.0 * np.eye(3).ravel()
+        rows = np.array([system.energy(row) for row in z])
+        stacked = system.energy(z)
+        assert stacked.shape == (6,)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# extrapolated start of the midpoint solve
+
+DYNAMIC_SCENARIOS = ("harmonic_oscillator", "dalembert_free_internal", "afaf_geodetic_gl2",
+                     "afaf_dilatation_stabilized", "two_body_affine_pair")
+
+
+def _bundled_system(name):
+    from affinekit.dynamics import compile_system
+    from affinekit.scenario import bundled_scenario_path, parse_scenario
+
+    s = parse_scenario(bundled_scenario_path(name))
+    s0 = s.initial_state()
+    return s, s0, compile_system(s.model, s.params, s.potential, s0.n, s0.N)
+
+
+@pytest.mark.parametrize("name", DYNAMIC_SCENARIOS)
+def test_extrapolated_start_lands_on_the_euler_start_fixed_point(name):
+    """Ten consecutive steps: the solve started from the extrapolation of the
+    last five samples ends where the one started from Euler does, and is the
+    step integrate takes."""
+    from affinekit.dynamics import _extrapolate, _midpoint_step
+
+    s, s0, system = _bundled_system(name)
+    traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=15 * s.dt)
+    for k in range(4, 14):
+        z = traj.z[k]
+        extrapolated, evals = _midpoint_step(system, z, s.dt, _extrapolate(traj.z, k))
+        euler, euler_evals = _midpoint_step(system, z, s.dt)
+        assert np.max(np.abs(extrapolated - euler)) <= 1e-13 * max(1.0, np.max(np.abs(z)))
+        assert evals < euler_evals
+        np.testing.assert_array_equal(extrapolated, traj.z[k + 1])
+
+
+@pytest.mark.parametrize("T_steps", [1, 2, 3, 4, 5, 6, 40.5])
+def test_short_and_cut_runs_match_an_euler_start_loop(T_steps):
+    """Runs of 1-6 steps, where the history is short or absent, and a run
+    whose last step is cut, follow a plain Euler-start midpoint loop and keep
+    their sample times."""
+    from affinekit.dynamics import _midpoint_step, _pack
+
+    s, s0, system = _bundled_system("two_body_affine_pair")
+    dt = s.dt
+    T = T_steps * dt
+    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
+    steps = int(np.ceil(T_steps))
+    assert len(traj.times) == steps + 1
+    np.testing.assert_array_equal(traj.times[:-1], np.arange(steps) * dt)
+    assert traj.times[-1] == T
+    z = _pack(s0)
+    for k in range(steps):
+        z = _midpoint_step(system, z, T - (steps - 1) * dt if k == steps - 1 else dt)[0]
+        np.testing.assert_allclose(traj.z[k + 1], z, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair"])
+def test_midpoint_rhs_evaluations_per_step(name):
+    """Regression guard on the solver cost: the Euler-start solve took 5 and 4
+    RHS evaluations per step on these scenarios."""
+    s, s0, _ = _bundled_system(name)
+    traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=200 * s.dt)
+    assert traj.rhs_evals / (len(traj.times) - 1) <= 2.5

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinekit.cli import main as cli_main
+from affinekit.dynamics import integrate
 from affinekit.errors import ParseError, ValidationError
 from affinekit.runner import run, trajectory_header
 from affinekit.scenario import (Scenario, bundled_scenario_path, parse_scenario,
@@ -129,6 +130,10 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
                  id="p_minus_inf"),
     pytest.param(("initial", "bodies", 0, "x"), [1.0], r"bodies\[0\]\.x", id="x_too_short"),
     pytest.param(("seed",), -1, "seed", id="seed_negative"),
+    pytest.param(("initial", "bodies", 0, "phi"), [[1.0, 0.0], [0.0, 0.0]],
+                 r"bodies\[0\]\.phi", id="phi_singular"),
+    pytest.param(("initial", "bodies", 0, "phi"), [[-1.0, 0.0], [0.0, 1.0]],
+                 r"bodies\[0\]\.phi", id="phi_negative_det"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -211,6 +216,17 @@ def test_run_determinism_byte_identical(tmp_path):
     run(sc, tmp_path / "b")
     for name in ("trajectory.csv", "charges.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_summary_reports_solver_telemetry(tmp_path):
+    sc = scenario_from_dict(_short_scenario())
+    summary = run(sc, tmp_path / "out")
+    solver = summary["solver"]
+    traj = integrate(sc.model, sc.params, sc.potential, sc.initial_state(), dt=sc.dt, T=sc.T)
+    assert solver["rhs_evals"] == traj.rhs_evals > 0
+    assert solver["rhs_evals_per_step"] == solver["rhs_evals"] / summary["steps"]
+    on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert on_disk["solver"] == solver
 
 
 def test_aborted_run_exit_code(tmp_path):
