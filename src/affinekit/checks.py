@@ -3,6 +3,12 @@
 Each suite returns a report dict {"suite", "checks": [...], "passed"}; a
 check is {"name", "max_error", "tolerance", "passed"}.  Checks run in
 order on the calling thread.
+
+The invariance and legendre suites draw their samples one at a time in
+seed order, group them by n, and evaluate every relation once per group on
+stacks: (S, n, n) matrices for the kinematic functions and S bodies of one
+system for the kinetic energies.  An error is relative per sample,
+max|delta_s| / (1 + max|ref_s|), and a check reports the worst sample.
 """
 
 from __future__ import annotations
@@ -12,15 +18,15 @@ import numpy as np
 from . import measures, qdesk
 from .dynamics import (PhaseState, poisson_bracket, sigma_component,
                        sigma_hat_component)
-from .kinematics import (SystemConfig, VelocityState, act_material, act_spatial,
-                         affine_velocity, deformation_tensors, invariants_K,
-                         invariants_M, mutual_tensors)
+from .kinematics import (SystemConfig, VelocityState, _T, affine_velocity,
+                         deformation_tensors, invariants_K, invariants_M,
+                         mutual_tensors)
 from .kinetics import (InertiaParams, KineticModel, MomentumState,
                        inverse_legendre, kinetic_energy, kinetic_hamiltonian,
                        legendre)
-from .matcore import two_polar_decompose
+from .matcore import det_inv, two_polar_decompose
 from .potentials import (BinaryTerm, HarmonicFn, PotentialSpec, affine_distance,
-                         total_potential)
+                         compile_potential)
 from .sampling import random_glplus, random_invertible, random_orthogonal, rng_from_seed
 
 SUITES = ("invariance", "brackets", "measures", "legendre", "qdesk")
@@ -42,8 +48,36 @@ def _report(suite: str, checks: list) -> dict:
 
 
 def _rel(delta: np.ndarray, ref) -> float:
-    scale = 1.0 + float(np.max(np.abs(ref)))
-    return float(np.max(np.abs(delta))) / scale
+    """Worst per-sample relative error over the leading sample axis:
+    max_s max|delta_s| / (1 + max|ref_s|)."""
+    err = np.abs(delta).reshape(len(delta), -1).max(axis=1)
+    scale = 1.0 + np.abs(ref).reshape(len(ref), -1).max(axis=1)
+    return float(np.max(err / scale))
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_s @ v_s over stacks A (S, n, n) and v (S, n)."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _stack_rows(rows: list) -> tuple:
+    """Per-sample tuples of arrays -> one (S, ...) stack per tuple item."""
+    return tuple(np.stack(item) for item in zip(*rows))
+
+
+def _draw_by_n(samples: int, seed: int, draw) -> list:
+    """Draw samples one at a time in seed order, each n = rng.integers(2, 4)
+    followed by draw(rng, n), and stack the draws of each n.
+
+    Returns one tuple of (S_n, ...) arrays per n drawn, one array per item
+    that draw returns.
+    """
+    rng = rng_from_seed(seed)
+    rows = {2: [], 3: []}
+    for _ in range(samples):
+        n = int(rng.integers(2, 4))
+        rows[n].append(draw(rng, n))
+    return [_stack_rows(group) for group in rows.values() if group]
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +100,26 @@ def _model_params(n: int):
 
 def legendre_roundtrip_error(samples: int = 1000, seed: int = 11) -> float:
     """Worst relative mismatch of T(v, xi) vs its Hamiltonian round trip,
-    plus the velocity round trip through inverse_legendre."""
+    plus the velocity round trip through inverse_legendre.  Each model's
+    samples are evaluated as the bodies of one system."""
     worst = 0.0
     for n in (2, 3):
         combos = _model_params(n)
         rng = rng_from_seed(seed + n)
         per_combo = max(1, samples // len(combos))
         for model, params in combos:
-            for _ in range(per_combo):
-                config = SystemConfig(x=np.zeros((1, n)),
-                                      phi=random_glplus(rng, n)[None])
-                vel = VelocityState(v=rng.uniform(-1, 1, (1, n)),
-                                    xi=rng.uniform(-1, 1, (1, n, n)))
-                mom = legendre(model, params, config, vel)
-                t_v = kinetic_energy(model, params, config, vel)
-                t_p = kinetic_hamiltonian(model, params, config, mom)
-                worst = max(worst, abs(t_p - t_v) / max(1.0, abs(t_v)))
-                back = inverse_legendre(model, params, config, mom)
-                worst = max(worst, _rel(back.v - vel.v, vel.v))
-                worst = max(worst, _rel(back.xi - vel.xi, vel.xi))
+            phi, v, xi = _stack_rows([
+                (random_glplus(rng, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, n)))
+                for _ in range(per_combo)])
+            config = SystemConfig(x=np.zeros((per_combo, n)), phi=phi)
+            vel = VelocityState(v=v, xi=xi)
+            mom = legendre(model, params, config, vel)
+            t_v = kinetic_energy(model, params, config, vel, per_body=True)
+            t_p = kinetic_hamiltonian(model, params, config, mom, per_body=True)
+            back = inverse_legendre(model, params, config, mom)
+            worst = max(worst,
+                        float(np.max(np.abs(t_p - t_v) / np.maximum(1.0, np.abs(t_v)))),
+                        _rel(back.v - vel.v, vel.v), _rel(back.xi - vel.xi, vel.xi))
     return worst
 
 
@@ -95,156 +130,150 @@ def legendre_suite(samples: int = 1000) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# invariance suite
+# invariance suite: every family draws its samples in seed order and checks
+# each n group as one stack
 
 def _deformation_transform_error(samples, seed):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return (random_glplus(rng, n), random_orthogonal(rng, n, special=False),
+                random_invertible(rng, n))
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        phi = random_glplus(rng, n)
-        A = random_orthogonal(rng, n, special=False)
-        B = random_invertible(rng, n)
+    for phi, A, B in _draw_by_n(samples, seed, draw):
         t = deformation_tensors(phi)
-        worst = max(worst, _rel(deformation_tensors(A @ phi).G - t.G, t.G))
-        worst = max(worst, _rel(deformation_tensors(phi @ A).C - t.C, t.C))
-        worst = max(worst, _rel(deformation_tensors(phi @ B).G - B.T @ t.G @ B, t.G))
         Binv = np.linalg.inv(B)
-        worst = max(worst, _rel(deformation_tensors(B @ phi).C - Binv.T @ t.C @ Binv, t.C))
+        worst = max(worst,
+                    _rel(deformation_tensors(A @ phi).G - t.G, t.G),
+                    _rel(deformation_tensors(phi @ A).C - t.C, t.C),
+                    _rel(deformation_tensors(phi @ B).G - _T(B) @ t.G @ B, t.G),
+                    _rel(deformation_tensors(B @ phi).C - _T(Binv) @ t.C @ Binv, t.C))
     return worst
 
 
 def _mutual_transform_error(samples, seed):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return (random_invertible(rng, n), random_invertible(rng, n),
+                random_orthogonal(rng, n, special=False), random_invertible(rng, n))
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        psi, phi = random_invertible(rng, n), random_invertible(rng, n)
-        A = random_orthogonal(rng, n, special=False)
-        B = random_invertible(rng, n)
+    for psi, phi, A, B in _draw_by_n(samples, seed, draw):
         m = mutual_tensors(psi, phi)
-        worst = max(worst, _rel(mutual_tensors(A @ psi, A @ phi).Gm - m.Gm, m.Gm))
-        worst = max(worst, _rel(mutual_tensors(psi @ A, phi @ A).Cm - m.Cm, m.Cm))
-        worst = max(worst, _rel(mutual_tensors(psi @ B, phi @ B).Gm - B.T @ m.Gm @ B, m.Gm))
         Binv = np.linalg.inv(B)
-        worst = max(worst, _rel(mutual_tensors(B @ psi, B @ phi).Cm
-                                - Binv.T @ m.Cm @ Binv, m.Cm))
-        worst = max(worst, _rel(mutual_tensors(B @ psi, B @ phi).Gamma - m.Gamma, m.Gamma))
-        worst = max(worst, _rel(mutual_tensors(B @ psi, B @ phi).SigmaM
-                                - B @ m.SigmaM @ Binv, m.SigmaM))
-        worst = max(worst, _rel(mutual_tensors(psi @ B, phi @ B).Gamma
-                                - Binv @ m.Gamma @ B, m.Gamma))
-        worst = max(worst, _rel(mutual_tensors(psi @ B, phi @ B).SigmaM - m.SigmaM, m.SigmaM))
+        left = mutual_tensors(B @ psi, B @ phi)
+        right = mutual_tensors(psi @ B, phi @ B)
+        worst = max(worst,
+                    _rel(mutual_tensors(A @ psi, A @ phi).Gm - m.Gm, m.Gm),
+                    _rel(mutual_tensors(psi @ A, phi @ A).Cm - m.Cm, m.Cm),
+                    _rel(right.Gm - _T(B) @ m.Gm @ B, m.Gm),
+                    _rel(left.Cm - _T(Binv) @ m.Cm @ Binv, m.Cm),
+                    _rel(left.Gamma - m.Gamma, m.Gamma),
+                    _rel(left.SigmaM - B @ m.SigmaM @ Binv, m.SigmaM),
+                    _rel(right.Gamma - Binv @ m.Gamma @ B, m.Gamma),
+                    _rel(right.SigmaM - m.SigmaM, m.SigmaM))
     return worst
 
 
 def _scalar_invariant_error(samples, seed):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return (random_invertible(rng, n), random_invertible(rng, n),
+                random_orthogonal(rng, n, special=False),
+                random_orthogonal(rng, n, special=False),
+                random_invertible(rng, n), random_invertible(rng, n))
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        psi, phi = random_invertible(rng, n), random_invertible(rng, n)
-        A = random_orthogonal(rng, n, special=False)
-        B = random_orthogonal(rng, n, special=False)
+    for psi, phi, A, B, Ag, Bg in _draw_by_n(samples, seed, draw):
         k0 = invariants_K(psi, phi)
-        worst = max(worst, _rel(invariants_K(A @ psi @ B, A @ phi @ B) - k0, k0))
-        Ag = random_invertible(rng, n)
-        Bg = random_invertible(rng, n)
         m0 = invariants_M(psi, phi)
-        worst = max(worst, _rel(invariants_M(Ag @ psi @ Bg, Ag @ phi @ Bg) - m0, m0))
+        worst = max(worst,
+                    _rel(invariants_K(A @ psi @ B, A @ phi @ B) - k0, k0),
+                    _rel(invariants_M(Ag @ psi @ Bg, Ag @ phi @ Bg) - m0, m0))
     return worst
 
 
 def _velocity_transform_error(samples, seed):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return (random_glplus(rng, n), rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n),
+                random_invertible(rng, n))
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        phi = random_glplus(rng, n)
-        xi = rng.uniform(-1, 1, (n, n))
-        v = rng.uniform(-1, 1, n)
-        A = random_invertible(rng, n)
+    for phi, xi, v, A in _draw_by_n(samples, seed, draw):
+        Ainv = np.linalg.inv(A)
         om, om_hat, _ = affine_velocity(phi, xi, v)
-        om_l, om_hat_l, _ = affine_velocity(A @ phi, A @ xi, A @ v)
-        worst = max(worst, _rel(om_l - A @ om @ np.linalg.inv(A), om))
-        worst = max(worst, _rel(om_hat_l - om_hat, om_hat))
+        om_l, om_hat_l, _ = affine_velocity(A @ phi, A @ xi, _matvec(A, v))
         om_r, om_hat_r, _ = affine_velocity(phi @ A, xi @ A, v)
-        worst = max(worst, _rel(om_r - om, om))
-        worst = max(worst, _rel(om_hat_r - np.linalg.inv(A) @ om_hat @ A, om_hat))
+        worst = max(worst,
+                    _rel(om_l - A @ om @ Ainv, om),
+                    _rel(om_hat_l - om_hat, om_hat),
+                    _rel(om_r - om, om),
+                    _rel(om_hat_r - Ainv @ om_hat @ A, om_hat))
     return worst
 
 
 def _affine_distance_error(samples, seed):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                random_glplus(rng, n), random_glplus(rng, n), random_invertible(rng, n))
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        xk, xl = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
-        pk, pl = random_glplus(rng, n), random_glplus(rng, n)
-        A = random_invertible(rng, n)
+    for xk, xl, pk, pl, A in _draw_by_n(samples, seed, draw):
         d0 = affine_distance(xk, pk, xl, pl)
-        d1 = affine_distance(A @ xk, A @ pk, A @ xl, A @ pl)
-        worst = max(worst, abs(d1 - d0) / (1.0 + abs(d0)))
+        d1 = affine_distance(_matvec(A, xk), A @ pk, _matvec(A, xl), A @ pl)
+        worst = max(worst, _rel(d1 - d0, d0))
     return worst
 
 
 def _kinetic_invariance_error(samples, seed):
-    rng = rng_from_seed(seed)
-    worst = 0.0
+    """Kinetic energies of each n group, evaluated as the bodies of one system."""
     params = InertiaParams(M=1.3, I=2.0, A=1.0, B=0.7)
     is_af = KineticModel("dalembert", "is-af")
     af_is = KineticModel("af-is", "af-is")
     af_af = KineticModel("dalembert", "af-af")
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        config = SystemConfig(x=rng.uniform(-1, 1, (1, n)),
-                              phi=random_glplus(rng, n)[None])
-        vel = VelocityState(v=rng.uniform(-1, 1, (1, n)),
-                            xi=rng.uniform(-1, 1, (1, n, n)))
+
+    def draw(rng, n):
         # GL+ transforms keep the configurations inside the working domain
-        B = random_glplus(rng, n)
-        O = random_orthogonal(rng, n)
-        A = random_glplus(rng, n)
+        return (rng.uniform(-1, 1, n), random_glplus(rng, n), rng.uniform(-1, 1, n),
+                rng.uniform(-1, 1, (n, n)), random_glplus(rng, n),
+                random_orthogonal(rng, n), random_glplus(rng, n))
 
-        def moved(cfg, vl, mat, side):
-            if side == "spatial":
-                return (act_spatial(mat, cfg),
-                        VelocityState(v=vl.v @ mat.T, xi=mat @ vl.xi))
-            return (act_material(mat, cfg), VelocityState(v=vl.v, xi=vl.xi @ mat))
+    def moved(config, vel, mat, side):
+        if side == "spatial":
+            return (SystemConfig(x=(config.x[:, None] @ _T(mat))[:, 0], phi=mat @ config.phi),
+                    VelocityState(v=(vel.v[:, None] @ _T(mat))[:, 0], xi=mat @ vel.xi))
+        return (SystemConfig(x=config.x, phi=config.phi @ mat),
+                VelocityState(v=vel.v, xi=vel.xi @ mat))
 
-        t0 = kinetic_energy(is_af, params, config, vel)
-        cfg2, vel2 = moved(config, vel, B, "material")
-        worst = max(worst, abs(kinetic_energy(is_af, params, cfg2, vel2) - t0)
-                    / (1.0 + abs(t0)))
-        cfg2, vel2 = moved(config, vel, O, "spatial")
-        worst = max(worst, abs(kinetic_energy(is_af, params, cfg2, vel2) - t0)
-                    / (1.0 + abs(t0)))
+    def energy(model, cfg, vl):
+        return kinetic_energy(model, params, cfg, vl, per_body=True)
 
-        t0 = kinetic_energy(af_is, params, config, vel)
-        cfg2, vel2 = moved(config, vel, A, "spatial")
-        worst = max(worst, abs(kinetic_energy(af_is, params, cfg2, vel2) - t0)
-                    / (1.0 + abs(t0)))
-        mom = legendre(af_is, params, config, vel)
-        h0 = kinetic_hamiltonian(af_is, params, config, mom)
-        mom2 = legendre(af_is, params, cfg2, vel2)
-        worst = max(worst, abs(kinetic_hamiltonian(af_is, params, cfg2, mom2) - h0)
-                    / (1.0 + abs(h0)))
+    def hamiltonian(model, cfg, vl):
+        return kinetic_hamiltonian(model, params, cfg, legendre(model, params, cfg, vl),
+                                   per_body=True)
 
+    worst = 0.0
+    for x, phi, v, xi, B, O, A in _draw_by_n(samples, seed, draw):
+        config = SystemConfig(x=x, phi=phi)
+        vel = VelocityState(v=v, xi=xi)
         # af-af is an internal-sector statement: drop translational velocity
-        vel_int = VelocityState(v=np.zeros((1, n)), xi=vel.xi)
-        t0 = kinetic_energy(af_af, params, config, vel_int)
-        cfg2, vel2 = moved(config, vel_int, A, "spatial")
-        worst = max(worst, abs(kinetic_energy(af_af, params, cfg2, vel2) - t0)
-                    / (1.0 + abs(t0)))
-        cfg2, vel2 = moved(config, vel_int, B, "material")
-        worst = max(worst, abs(kinetic_energy(af_af, params, cfg2, vel2) - t0)
-                    / (1.0 + abs(t0)))
+        vel_int = VelocityState(v=np.zeros_like(v), xi=xi)
+        t_is_af = energy(is_af, config, vel)
+        t_af_is = energy(af_is, config, vel)
+        h_af_is = hamiltonian(af_is, config, vel)
+        t_af_af = energy(af_af, config, vel_int)
+        worst = max(worst,
+                    _rel(energy(is_af, *moved(config, vel, B, "material")) - t_is_af, t_is_af),
+                    _rel(energy(is_af, *moved(config, vel, O, "spatial")) - t_is_af, t_is_af),
+                    _rel(energy(af_is, *moved(config, vel, A, "spatial")) - t_af_is, t_af_is),
+                    _rel(hamiltonian(af_is, *moved(config, vel, A, "spatial")) - h_af_is,
+                         h_af_is),
+                    _rel(energy(af_af, *moved(config, vel_int, A, "spatial")) - t_af_af,
+                         t_af_af),
+                    _rel(energy(af_af, *moved(config, vel_int, B, "material")) - t_af_af,
+                         t_af_af))
     return worst
 
 
 def _potential_invariance_error(samples, seed):
-    rng = rng_from_seed(seed)
-    worst = 0.0
+    """Two-body potentials of each n group, evaluated with a leading sample axis."""
     affine_spec = PotentialSpec(binary=(
         BinaryTerm(arg="Mbar:1", fn=HarmonicFn(stiffness=1.0, center=2.0)),
         BinaryTerm(arg="D", fn=HarmonicFn(stiffness=0.5, center=1.0)),
@@ -253,22 +282,26 @@ def _potential_invariance_error(samples, seed):
         BinaryTerm(arg="r", fn=HarmonicFn(stiffness=0.3, center=1.0)),
         BinaryTerm(arg="K:1", fn=HarmonicFn(stiffness=0.2, center=2.0)),
     ))
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        config = SystemConfig(
-            x=rng.uniform(-1, 1, (2, n)) + np.array([[0.0] * n, [2.0] + [0.0] * (n - 1)]),
-            phi=np.stack([random_glplus(rng, n), random_glplus(rng, n)]))
-        A = random_glplus(rng, n)
-        O = random_orthogonal(rng, n)
-        Om = random_orthogonal(rng, n)
 
-        v0 = total_potential(affine_spec, config)
-        v1 = total_potential(affine_spec, act_spatial(A, config))
-        worst = max(worst, abs(v1 - v0) / (1.0 + abs(v0)))
+    def draw(rng, n):
+        x = rng.uniform(-1, 1, (2, n)) + np.array([[0.0] * n, [2.0] + [0.0] * (n - 1)])
+        phi = np.stack([random_glplus(rng, n), random_glplus(rng, n)])
+        return (x, phi, random_glplus(rng, n), random_orthogonal(rng, n),
+                random_orthogonal(rng, n))
 
-        v0 = total_potential(generic_spec, config)
-        v1 = total_potential(generic_spec, act_material(Om, act_spatial(O, config)))
-        worst = max(worst, abs(v1 - v0) / (1.0 + abs(v0)))
+    def potential(spec, x, phi):
+        det, phi_inv = det_inv(phi)
+        return compile_potential(spec, x.shape[-1], 2).evaluate(
+            x, phi, det, phi_inv, grad=False)[0]
+
+    worst = 0.0
+    for x, phi, A, O, Om in _draw_by_n(samples, seed, draw):
+        # x (S, 2, n) @ A.T (S, n, n); phi (S, 2, n, n) against (S, 1, n, n)
+        v0 = potential(affine_spec, x, phi)
+        v1 = potential(affine_spec, x @ _T(A), A[:, None] @ phi)
+        g0 = potential(generic_spec, x, phi)
+        g1 = potential(generic_spec, x @ _T(O), O[:, None] @ phi @ Om[:, None])
+        worst = max(worst, _rel(v1 - v0, v0), _rel(g1 - g0, g0))
     return worst
 
 

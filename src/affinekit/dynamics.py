@@ -310,10 +310,11 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     extrapolation of the last five stored samples: on the bundled scenarios
     and a 2000-step separable run, five take 1.0-2.2 RHS evaluations per
     step and four take 2.0-3.0.  The first four steps, which lack that
-    history, and a last step not exactly dt long start from the Euler
-    predictor.  Leaving GL+(n) (det phi at the floor) aborts the run and
-    returns the partial trajectory with ``aborted`` set; it is a modeling
-    failure the caller must see, not something to regularize away.
+    history, and a last step cut short of dt (by more than the rounding
+    allowance eps = 1e-12 max(1, T)) start from the Euler predictor.
+    Leaving GL+(n) (det phi at the floor) aborts the run and returns the
+    partial trajectory with ``aborted`` set; it is a modeling failure the
+    caller must see, not something to regularize away.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -339,9 +340,10 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
         h = T - (steps - 1) * dt if last else dt
         try:
             if midpoint:
-                # extrapolate only across samples spaced by h
+                # extrapolate only across samples spaced by h: T - (steps-1) dt
+                # misses dt by a few ulps on a last step that is not cut
                 guess = _extrapolate(zs, size - 1) \
-                    if size >= _HISTORY and h == dt else None
+                    if size >= _HISTORY and abs(h - dt) <= eps else None
                 z, evals = _midpoint_step(system, z, h, guess)
             else:
                 z, evals = _rk4_step(system, z, h)

@@ -10,6 +10,11 @@ Conventions (all matrices are plain numpy arrays):
 * affine velocity (gyration): Omega = xi phi^-1 (spatial),
   Omega_hat = phi^-1 xi (co-moving), v_hat = phi^-1 v
 
+``deformation_tensors``, ``mutual_tensors``, ``invariants_K``,
+``invariants_M`` and ``affine_velocity`` take one (n, n) matrix per argument
+or stacks (..., n, n) (and (..., n) for v), and evaluate every member of a
+stack in one call; a singular member is named by its index.
+
 ``Sigma_mut`` is deliberately not called plain Sigma: that symbol is reserved
 for the canonical affine spin phi @ pi in the kinetics module.
 """
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import as_matrix, checked_det, inv
+from .matcore import as_matrices, as_matrix, checked_det, inv
 
 
 @dataclass(frozen=True)
@@ -117,40 +122,45 @@ class MutualTensors:
     em: np.ndarray = field(repr=False, default=None)
 
 
+def _T(m: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
     # guards roundoff: these tensors are symmetric by construction
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + _T(m))
 
 
 def deformation_tensors(phi) -> DeformationTensors:
-    """Green/Cauchy tensors of a single internal configuration."""
-    phi = as_matrix(phi)
+    """Green/Cauchy tensors of an internal configuration (n, n), or of each
+    of a stack (..., n, n)."""
+    phi = as_matrices(phi)
     checked_det(phi)
     phi_inv = np.linalg.inv(phi)
-    G = _sym(phi.T @ phi)
-    C = _sym(phi_inv.T @ phi_inv)
-    n = phi.shape[0]
-    eye = np.eye(n)
+    G = _sym(_T(phi) @ phi)
+    C = _sym(_T(phi_inv) @ phi_inv)
+    eye = np.eye(phi.shape[-1])
     return DeformationTensors(
         G=G,
         C=C,
-        Gtilde=_sym(phi_inv @ phi_inv.T),
-        Ctilde=_sym(phi @ phi.T),
+        Gtilde=_sym(phi_inv @ _T(phi_inv)),
+        Ctilde=_sym(phi @ _T(phi)),
         E=0.5 * (G - eye),
         e=0.5 * (eye - C),
     )
 
 
 def mutual_tensors(psi, phi) -> MutualTensors:
-    """Mutual comparison tensors of an ordered pair (psi, phi)."""
-    psi = as_matrix(psi, "psi")
-    phi = as_matrix(phi, "phi")
+    """Mutual comparison tensors of an ordered pair (psi, phi), or of each
+    pair of two stacks (..., n, n)."""
+    psi = as_matrices(psi, "psi")
+    phi = as_matrices(phi, "phi")
     psi_inv = inv(psi, "psi")
     phi_inv = inv(phi, "phi")
-    n = phi.shape[0]
-    eye = np.eye(n)
-    Gm = psi.T @ phi
-    Cm = phi_inv.T @ psi_inv
+    eye = np.eye(phi.shape[-1])
+    Gm = _T(psi) @ phi
+    Cm = _T(phi_inv) @ psi_inv
     Gamma = psi_inv @ phi
     SigmaM = phi @ psi_inv
     return MutualTensors(
@@ -183,19 +193,21 @@ def _trace_powers(m: np.ndarray, count: int) -> np.ndarray:
 
 
 def invariants_K(psi, phi) -> np.ndarray:
-    """Orthogonally invariant scalars K_a = Tr((psi.T phi)^a), a = 1..n."""
-    psi = as_matrix(psi, "psi")
-    phi = as_matrix(phi, "phi")
+    """Orthogonally invariant scalars K_a = Tr((psi.T phi)^a), a = 1..n,
+    shape (n,), or (..., n) for stacks (..., n, n)."""
+    psi = as_matrices(psi, "psi")
+    phi = as_matrices(phi, "phi")
     checked_det(psi, "psi")
     checked_det(phi, "phi")
-    return _trace_powers(psi.T @ phi, phi.shape[0])
+    return _trace_powers(_T(psi) @ phi, phi.shape[-1])
 
 
 def invariants_M(psi, phi) -> np.ndarray:
-    """Fully affinely invariant scalars M_a = Tr((psi^-1 phi)^a), a = 1..n."""
-    psi = as_matrix(psi, "psi")
-    phi = as_matrix(phi, "phi")
-    return _trace_powers(inv(psi, "psi") @ phi, phi.shape[0])
+    """Fully affinely invariant scalars M_a = Tr((psi^-1 phi)^a), a = 1..n,
+    shape (n,), or (..., n) for stacks (..., n, n)."""
+    psi = as_matrices(psi, "psi")
+    phi = as_matrices(phi, "phi")
+    return _trace_powers(inv(psi, "psi") @ phi, phi.shape[-1])
 
 
 def eig_invariants(phi) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +227,13 @@ def eig_invariants(phi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def affine_velocity(phi, xi, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spatial and co-moving gyration plus co-moving translational velocity."""
-    phi = as_matrix(phi)
-    xi = as_matrix(xi, "xi")
+    """Spatial and co-moving gyration plus co-moving translational velocity,
+    for one body or for stacks phi, xi (..., n, n) and v (..., n)."""
+    phi = as_matrices(phi)
+    xi = as_matrices(xi, "xi")
     v = np.asarray(v, dtype=float)
     phi_inv = inv(phi)
-    return xi @ phi_inv, phi_inv @ xi, phi_inv @ v
+    return xi @ phi_inv, phi_inv @ xi, (phi_inv @ v[..., None])[..., 0]
 
 
 def act_spatial(A, config: SystemConfig) -> SystemConfig:

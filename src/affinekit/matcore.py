@@ -1,6 +1,8 @@
 """Dense small-matrix kernels: polar and two-polar decompositions.
 
-Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4.
+Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4;
+``checked_det``, ``stacked_det``, ``det_inv`` and ``inv`` also take stacks
+(..., n, n) and name a singular member by its index.
 Configuration matrices must lie in GL+(n): positive determinant, with
 |det| > 1e-12 as the working invertibility floor.
 """
@@ -18,12 +20,13 @@ DEGENERACY_TOL = 1e-10
 MAX_DIM = 4
 
 
-def as_matrix(phi, name: str = "phi") -> np.ndarray:
-    """Validate and return a square float matrix of supported dimension."""
+def as_matrices(phi, name: str = "phi") -> np.ndarray:
+    """Validate and return a float array of square matrices of supported
+    dimension: one (n, n) matrix or a stack (..., n, n) of them."""
     m = np.asarray(phi, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    n = m.shape[-1]
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"{name} must have dimension 1..{MAX_DIM}, got {n}")
     if not np.all(np.isfinite(m)):
@@ -31,9 +34,33 @@ def as_matrix(phi, name: str = "phi") -> np.ndarray:
     return m
 
 
-def checked_det(phi, name: str = "phi", require_positive: bool = False) -> float:
-    """Determinant of ``phi``, raising if it sits at the invertibility floor."""
-    m = as_matrix(phi, name)
+def as_matrix(phi, name: str = "phi") -> np.ndarray:
+    """Validate and return a square float matrix of supported dimension."""
+    m = np.asarray(phi, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    return as_matrices(m, name)
+
+
+def _first(name: str, flags: np.ndarray) -> tuple[str, tuple]:
+    """``name[i, ...]`` and the index of the first True entry of ``flags``."""
+    idx = np.unravel_index(int(np.argmax(flags)), flags.shape)
+    return f"{name}[{', '.join(str(int(i)) for i in idx)}]", idx
+
+
+def checked_det(phi, name: str = "phi", require_positive: bool = False):
+    """Determinant of ``phi``, raising if it sits at the invertibility floor.
+
+    A stack (..., n, n) gives the array of its determinants; a singular or
+    (with ``require_positive``) negative member is named by its index.
+    """
+    m = as_matrices(phi, name)
+    if m.ndim > 2:
+        d = stacked_det(m, name)
+        if require_positive and (d < 0.0).any():
+            label, idx = _first(name, d < 0.0)
+            raise NegativeOrientation(f"{label} has det = {d[idx]:.3e} < 0 (outside GL+)")
+        return d
     d = float(np.linalg.det(m))
     if abs(d) <= DET_FLOOR:
         raise SingularInput(f"{name} is singular (|det| = {abs(d):.3e} <= {DET_FLOOR})")
@@ -43,16 +70,16 @@ def checked_det(phi, name: str = "phi", require_positive: bool = False) -> float
 
 
 def stacked_det(phi: np.ndarray, name: str = "phi") -> np.ndarray:
-    """Determinants of a stack of matrices (N, n, n).
+    """Determinants of a stack of matrices (..., n, n).
 
-    Raises SingularInput if any |det| sits at the invertibility floor or is
-    not finite.
+    Raises SingularInput, naming the first such member by its index, if any
+    |det| sits at the invertibility floor or is not finite.
     """
     det = np.linalg.det(phi)
     if not np.abs(det).min() > DET_FLOOR:
-        K = int(np.argmax(~(np.abs(det) > DET_FLOOR)))
-        raise SingularInput(f"{name}[{K}] is singular "
-                            f"(|det| = {abs(det[K]):.3e} <= {DET_FLOOR})")
+        label, idx = _first(name, ~(np.abs(det) > DET_FLOOR))
+        raise SingularInput(f"{label} is singular "
+                            f"(|det| = {abs(det[idx]):.3e} <= {DET_FLOOR})")
     return det
 
 
@@ -62,7 +89,8 @@ def det_inv(phi: np.ndarray, name: str = "phi") -> tuple[np.ndarray, np.ndarray]
 
 
 def inv(phi, name: str = "phi") -> np.ndarray:
-    """Inverse with the singularity floor enforced."""
+    """Inverse of a matrix or of each of a stack (..., n, n), with the
+    singularity floor enforced."""
     checked_det(phi, name)
     return np.linalg.inv(phi)
 

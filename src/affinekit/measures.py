@@ -19,6 +19,12 @@ pairs i < j and the constant to 2^(n(n-1)/2):
 
 Sampling uses the Philox counter-based generator so every stream is
 reproducible from its seed alone.
+
+``rotation_from_angles`` takes chart parameters (..., k) and returns a stack
+(..., n, n); ``_chart_map`` maps parameter rows (..., n*n) to flattened phi.
+``measure_check_report`` draws its points one at a time and then takes all
+their finite-difference chart Jacobians in one batched chart map and one
+stacked det.
 """
 
 from __future__ import annotations
@@ -45,13 +51,10 @@ def haar_density(phi, kind: str) -> float:
     return 1.0
 
 
-def _sinh_product(q: np.ndarray) -> float:
-    out = 1.0
-    n = len(q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= abs(np.sinh(q[i] - q[j]))
-    return out
+def _sinh_product(q: np.ndarray):
+    """prod_{i<j} |sinh(q_i - q_j)| over the last axis of q (..., n)."""
+    i, j = np.triu_indices(q.shape[-1], 1)
+    return np.abs(np.sinh(q[..., i] - q[..., j])).prod(axis=-1)
 
 
 def twopolar_densities(factors: TwoPolarFactors) -> tuple[float, float]:
@@ -71,31 +74,40 @@ def twopolar_densities(factors: TwoPolarFactors) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # SO(n) charts
 
-def rotation_2d(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def _rot_z(t: float) -> np.ndarray:
+def _plane_rotation(t, n: int, i: int, j: int) -> np.ndarray:
+    """Rotation by t from axis i towards axis j of R^n; t of any shape gives a
+    contiguous stack (..., n, n)."""
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    out = np.empty(np.shape(t) + (n, n))
+    out[...] = np.eye(n)
+    out[..., i, i] = c
+    out[..., j, j] = c
+    out[..., i, j] = -s
+    out[..., j, i] = s
+    return out
 
 
-def _rot_y(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rotation_2d(theta) -> np.ndarray:
+    return _plane_rotation(theta, 2, 0, 1)
 
 
 def rotation_from_angles(n: int, angles) -> np.ndarray:
-    """SO(n) element from chart parameters: () / (theta,) / z-y-z (a, b, g)."""
+    """SO(n) element from chart parameters: () / (theta,) / z-y-z (a, b, g).
+
+    ``angles`` of shape (..., k) give a stack (..., n, n), one rotation per
+    parameter row.
+    """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if n == 1:
-        return np.eye(1)
+        return np.broadcast_to(np.eye(1), angles.shape[:-1] + (1, 1)).copy()
     if n == 2:
-        return rotation_2d(angles[0])
+        return rotation_2d(angles[..., 0])
     if n == 3:
-        a, b, g = angles
-        return _rot_z(a) @ _rot_y(b) @ _rot_z(g)
+        if angles.shape[-1] != 3:
+            raise ValueError(f"z-y-z chart needs 3 angles, got {angles.shape[-1]}")
+        a, b, g = np.moveaxis(angles, -1, 0)
+        return _plane_rotation(a, 3, 0, 1) @ _plane_rotation(b, 3, 2, 0) \
+            @ _plane_rotation(g, 3, 0, 1)
     raise ValueError("rotation charts support n <= 3")
 
 
@@ -122,50 +134,81 @@ def angles_from_rotation(R) -> np.ndarray:
     raise ValueError("rotation charts support n <= 3")
 
 
-def chart_weight(n: int, angles) -> float:
-    """Density of the SO(n) chart measure mu w.r.t. the flat angle measure."""
+def chart_weight(n: int, angles):
+    """Density of the SO(n) chart measure mu w.r.t. the flat angle measure;
+    angle rows (..., 3) give the weights (...)."""
     if n in (1, 2):
         return 1.0
-    return float(np.sin(np.atleast_1d(angles)[1]))
+    weight = np.sin(np.atleast_1d(angles)[..., 1])
+    return float(weight) if weight.ndim == 0 else weight
 
 
 def sample_orthogonal(n: int, seed: int, count: int | None = None) -> np.ndarray:
     """Haar-distributed SO(n) samples, n <= 3, Philox stream per seed.
 
     Returns one (n, n) matrix, or a (count, n, n) stack when count is given.
+    The chart angles are drawn one sample at a time and mapped to rotations
+    in one stacked call.
     """
     if not 1 <= n <= 3:
         raise ValueError("sample_orthogonal supports 1 <= n <= 3")
     rng = np.random.Generator(np.random.Philox(seed))
     m = 1 if count is None else int(count)
-    out = np.empty((m, n, n))
-    for k in range(m):
-        out[k] = _sample_one(n, rng)
+    angles = np.array([_sample_angles(n, rng) for _ in range(m)]).reshape(m, n * (n - 1) // 2)
+    out = rotation_from_angles(n, angles)
     return out[0] if count is None else out
 
 
-def _sample_one(n: int, rng) -> np.ndarray:
+def _sample_angles(n: int, rng) -> tuple:
+    """Chart angles of one Haar-distributed SO(n) element."""
     if n == 1:
-        return np.eye(1)
+        return ()
     if n == 2:
-        return rotation_2d(rng.uniform(0.0, 2.0 * np.pi))
+        return (rng.uniform(0.0, 2.0 * np.pi),)
     while True:
         a = rng.uniform(0.0, 2.0 * np.pi)
         g = rng.uniform(0.0, 2.0 * np.pi)
         b = np.arccos(rng.uniform(-1.0, 1.0))
         if np.sin(b) > 1e-12:  # resample off the chart boundary
-            return rotation_from_angles(3, (a, b, g))
+            return (a, b, g)
 
 
 # ---------------------------------------------------------------------------
 # numeric chart Jacobian
 
 def _chart_map(n: int, params: np.ndarray) -> np.ndarray:
-    n_ang = 0 if n == 1 else (1 if n == 2 else 3)
-    left = rotation_from_angles(n, params[:n_ang]) if n_ang else np.eye(1)
-    q = params[n_ang:n_ang + n]
-    right = rotation_from_angles(n, params[n_ang + n:]) if n_ang else np.eye(1)
-    return (left @ np.diag(np.exp(q)) @ right.T).ravel()
+    """phi = L(angles) diag(e^q) R(angles).T, flattened, of parameter rows
+    (..., n*n) ordered (L-angles, q, R-angles)."""
+    n_ang = n * (n - 1) // 2
+    left = rotation_from_angles(n, params[..., :n_ang])
+    diag = np.zeros(params.shape[:-1] + (n, n))
+    diag[..., range(n), range(n)] = np.exp(params[..., n_ang:n_ang + n])
+    right = rotation_from_angles(n, params[..., n_ang + n:])
+    return (left @ diag @ right.swapaxes(-1, -2)).reshape(params.shape[:-1] + (n * n,))
+
+
+def _jacobian_dets(n: int, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """|det| of the central-difference Jacobians of _chart_map at parameter
+    rows (P, n*n), shape (P,).  Raises DegenerateSpectrum at coincident q."""
+    n_ang = n * (n - 1) // 2
+    if n > 1:
+        q = params[:, n_ang:n_ang + n]
+        i, j = np.triu_indices(n, 1)
+        gaps = np.abs(q[:, i] - q[:, j]).min(axis=1)
+        if (gaps < 1e-8).any():
+            k = int(np.argmax(gaps < 1e-8))
+            raise DegenerateSpectrum(f"coincident q entries at point {k}: "
+                                     "two-polar chart degenerate")
+    dp = step * np.eye(params.shape[-1])
+    cols = (_chart_map(n, params[:, None, :] + dp)
+            - _chart_map(n, params[:, None, :] - dp)) / (2 * step)
+    return np.abs(np.linalg.det(cols.swapaxes(-1, -2)))
+
+
+def _chart_params(L, q, R) -> np.ndarray:
+    """Parameter row (L-angles, q, R-angles) of two-polar factors."""
+    return np.concatenate([angles_from_rotation(L), np.asarray(q, float),
+                           angles_from_rotation(R)])
 
 
 def jacobian_oracle(factors: TwoPolarFactors, step: float = 1e-6) -> float:
@@ -174,23 +217,8 @@ def jacobian_oracle(factors: TwoPolarFactors, step: float = 1e-6) -> float:
     Brute-force validator for the two-polar densities; requires distinct q
     entries (and, at n = 3, factors away from the Euler chart boundary).
     """
-    q = np.asarray(factors.q, dtype=float)
-    n = len(q)
-    if n > 1 and np.min(np.abs(np.subtract.outer(q, q)[np.triu_indices(n, 1)])) < 1e-8:
-        raise DegenerateSpectrum("coincident q entries: two-polar chart degenerate")
-    n_ang = 0 if n == 1 else (1 if n == 2 else 3)
-    params = np.concatenate([
-        angles_from_rotation(factors.L) if n_ang else np.zeros(0),
-        q,
-        angles_from_rotation(factors.R) if n_ang else np.zeros(0),
-    ])
-    dim = len(params)
-    jac = np.empty((n * n, dim))
-    for i in range(dim):
-        dp = np.zeros(dim)
-        dp[i] = step
-        jac[:, i] = (_chart_map(n, params + dp) - _chart_map(n, params - dp)) / (2 * step)
-    return float(abs(np.linalg.det(jac)))
+    params = _chart_params(factors.L, factors.q, factors.R)
+    return float(_jacobian_dets(len(factors.q), params[None], step)[0])
 
 
 def chart_density(factors: TwoPolarFactors) -> float:
@@ -208,9 +236,15 @@ def chart_density(factors: TwoPolarFactors) -> float:
 
 def measure_check_report(n: int, points: int = 100, seed: int = 0) -> dict:
     """Fit the sinh exponent and constant of the two-polar Haar density
-    against the numeric Jacobian at random points."""
+    against the numeric Jacobian at random points.
+
+    The points are drawn one at a time in seed order; their Jacobians and
+    densities are then evaluated as (points, ...) stacks.
+    """
     if not 1 <= n <= 3:
         raise ValueError("measure-check supports 1 <= n <= 3")
+    if points < 1:
+        raise ValueError("points must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     rows = []
     attempts = 0
@@ -219,25 +253,22 @@ def measure_check_report(n: int, points: int = 100, seed: int = 0) -> dict:
         q = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
         if n > 1 and np.min(-np.diff(q)) < 5e-2:
             continue
-        L = _sample_one(n, rng)
-        R = _sample_one(n, rng)
-        if n == 3:
-            try:
-                angles_from_rotation(L)
-                angles_from_rotation(R)
-            except DegenerateSpectrum:
-                continue
-        factors = TwoPolarFactors(L=L, D=np.diag(np.exp(q)), R=R, q=q)
-        base = {
-            e: _sinh_product(q) ** e * float(np.exp(n * q.sum()))
-            * (chart_weight(n, angles_from_rotation(L)) * chart_weight(n, angles_from_rotation(R))
-               if n == 3 else 1.0)
-            for e in (1, 2)
-        }
-        rows.append((jacobian_oracle(factors), base))
+        L = rotation_from_angles(n, _sample_angles(n, rng))
+        R = rotation_from_angles(n, _sample_angles(n, rng))
+        try:  # only the z-y-z chart (n = 3) has a boundary
+            rows.append(_chart_params(L, q, R))
+        except DegenerateSpectrum:
+            continue
+    params = np.array(rows)
+    n_ang = n * (n - 1) // 2
+    q = params[:, n_ang:n_ang + n]
+    sinh = _sinh_product(q)
+    volume = np.exp(n * q.sum(axis=1))
+    weight = chart_weight(n, params[:, :n_ang]) * chart_weight(n, params[:, n_ang + n:])
+    jac = _jacobian_dets(n, params)
     best = None
     for e in (1, 2):
-        ratios = np.array([j / b[e] for j, b in rows])
+        ratios = jac / (sinh ** e * volume * weight)
         c = float(np.median(ratios))
         rel = float(np.max(np.abs(ratios / c - 1.0))) if c != 0 else np.inf
         if best is None or rel < best[2]:

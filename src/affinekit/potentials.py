@@ -211,12 +211,13 @@ class PotentialForm:
     Mbar_a: int
 
     def evaluate(self, x, phi, det, phi_inv, grad: bool = True):
-        """(V, dV/dx, (dV/dphi).T) on stacked bodies; the gradients are None
-        without ``grad``.  ``det`` and ``phi_inv`` are those of ``phi``.
+        """(V, dV/dx, (dV/dphi).T) on stacked bodies: with ``grad`` only the
+        gradients are computed and V is None, without it only V and the
+        gradients are None.  ``det`` and ``phi_inv`` are those of ``phi``.
         Without ``grad`` the arrays may carry a leading sample axis,
         (S, N, ...), and V is then the (S,) values."""
         N, n, spec = self.N, self.n, self.spec
-        value = 0.0
+        value = None if grad else 0.0
         dx = np.zeros((N, n)) if grad else None
         gT = np.zeros((N, n, n)) if grad else None
         phiT = phi.swapaxes(-1, -2)
@@ -226,27 +227,33 @@ class PotentialForm:
         for term in spec.one_body:
             if isinstance(term, TranslationalHarmonic):
                 d = x - term.center_vec(n)
-                value += 0.5 * term.stiffness * (d * d).sum(axis=(-2, -1))
                 if grad:
                     dx += term.stiffness * d
+                else:
+                    value += 0.5 * term.stiffness * (d * d).sum(axis=(-2, -1))
             else:
                 val, slope = term.fn.eval((pw[term.a - 1] * phiT).sum(axis=(-2, -1)))
-                value += val.sum(axis=-1)
                 if grad:
                     gT += (2.0 * term.a * slope)[:, None, None] * pw[term.a - 1]
+                else:
+                    value += val.sum(axis=-1)
         if spec.dil is not None:
             if (det <= 0.0).any():
                 raise NegativeOrientation("dilatation term needs det phi > 0")
             u = np.log(det / spec.dil.d_ref)
-            value += 0.5 * spec.dil.kappa * (u * u).sum(axis=-1)
             if grad:
                 gT += (spec.dil.kappa * u)[:, None, None] * phi_inv
+            else:
+                value += 0.5 * spec.dil.kappa * (u * u).sum(axis=-1)
         if self.pairs is not None:
-            value += self._binary(x, phi, phi_inv, dx, gT)
+            pair_value = self._binary(x, phi, phi_inv, dx, gT)
+            if not grad:
+                value += pair_value
         return value, dx, gT
 
     def _binary(self, x, phi, phi_inv, dx, gT):
-        """Value of the binary terms; with gradient arrays given, adds to them.
+        """Value of the binary terms; with gradient arrays given, adds to them
+        instead and returns None.
 
         Every channel is evaluated on each ordered pair (I, J) and averaged
         with its reverse, which makes it exactly swap symmetric.  Row
@@ -295,7 +302,7 @@ class PotentialForm:
                 M_grad = Mp[:-1][:, swap] - Mp[1:]
         if grad:
             gphiT = np.zeros((2 * P, n, n))
-        value = 0.0
+        value = None if grad else 0.0
         for kind, a, fn in self.binary:
             if kind == "r":
                 s = r
@@ -304,8 +311,8 @@ class PotentialForm:
             else:
                 s = (K_val if kind == "K" else M_val)[a - 1]
             val, slope = fn.eval(s)
-            value += val[..., :P].sum(axis=-1)
             if not grad:
+                value += val[..., :P].sum(axis=-1)
                 continue
             if kind == "r":
                 gx += (slope / r)[:, None] * d
@@ -340,12 +347,20 @@ def compile_potential(spec: PotentialSpec, n: int, N: int) -> PotentialForm:
 # ---------------------------------------------------------------------------
 # public evaluation
 
-def affine_distance(x_K, phi_K, x_L, phi_L) -> float:
-    """Spatially affine-invariant distance through the mean Cauchy tensor."""
-    _, phi_inv = det_inv(np.stack([np.asarray(phi_K, float), np.asarray(phi_L, float)]))
-    u = phi_inv @ (np.asarray(x_K, dtype=float) - np.asarray(x_L, dtype=float))
-    q = (u * u).sum(axis=1)
-    return float(np.sqrt(0.5 * (q[0] + q[1])))
+def affine_distance(x_K, phi_K, x_L, phi_L):
+    """Spatially affine-invariant distance through the mean Cauchy tensor.
+
+    One pair gives a float.  Stacks x (..., n) and phi (..., n, n) give the
+    distance of each pair, shape (...); a singular phi is named by its
+    index, ``phi[..., 0]`` for phi_K and ``phi[..., 1]`` for phi_L.
+    """
+    _, phi_inv = det_inv(np.stack([np.asarray(phi_K, float), np.asarray(phi_L, float)],
+                                  axis=-3))
+    d = np.asarray(x_K, dtype=float) - np.asarray(x_L, dtype=float)
+    u = (phi_inv @ d[..., None, :, None])[..., 0]
+    q = (u * u).sum(axis=-1)
+    dist = np.sqrt(0.5 * (q[..., 0] + q[..., 1]))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def binary_potential(spec: PotentialSpec, body_K: BodyConfig, body_L: BodyConfig) -> float:

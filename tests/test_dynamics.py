@@ -593,3 +593,28 @@ def test_midpoint_rhs_evaluations_per_step(name):
     s, s0, _ = _bundled_system(name)
     traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=200 * s.dt)
     assert traj.rhs_evals / (len(traj.times) - 1) <= 2.5
+
+
+def test_last_full_step_takes_the_extrapolated_start(monkeypatch):
+    """T = 10 dt leaves a last step T - 9 dt that misses dt by an ulp; it is a
+    full step, so it starts from the extrapolation, not from Euler, and ends
+    on the Euler-start fixed point to roundoff."""
+    from affinekit import dynamics
+
+    s, s0, system = _bundled_system("two_body_affine_pair")
+    dt, T = s.dt, 10 * s.dt
+    h = T - 9 * dt
+    assert h != dt and abs(h - dt) <= 1e-12
+    starts = []
+    step = dynamics._midpoint_step
+
+    def recording(system, z, dt, guess=None):
+        starts.append(guess is not None)
+        return step(system, z, dt, guess)
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", recording)
+    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
+    assert starts == [False] * 4 + [True] * 6
+    assert traj.times[-1] == T
+    euler = step(system, traj.z[-2], h)[0]
+    assert np.max(np.abs(traj.z[-1] - euler)) <= 1e-13 * max(1.0, np.max(np.abs(traj.z[-2])))

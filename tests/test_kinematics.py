@@ -299,3 +299,52 @@ def test_mutual_invariants_match_between_orderings(seed):
     gamma_ab = mutual_tensors(psi, phi).Gamma
     gamma_ba = mutual_tensors(phi, psi).Gamma
     np.testing.assert_allclose(gamma_ba, np.linalg.inv(gamma_ab), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stacks (..., n, n)
+
+def _stack(make, n, S=7):
+    return np.stack([make(n) for _ in range(S)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_inputs_equal_per_matrix_loops(n, glplus, invertible, rng):
+    """Each function evaluates a 7-member stack exactly as a loop over its
+    members does, bit for bit."""
+    phi, psi = _stack(glplus, n), _stack(invertible, n)
+    xi, v = rng.uniform(-1, 1, (7, n, n)), rng.uniform(-1, 1, (7, n))
+    stacked = deformation_tensors(phi)
+    mutual = mutual_tensors(psi, phi)
+    K_stack, M_stack = invariants_K(psi, phi), invariants_M(psi, phi)
+    vel_stack = affine_velocity(phi, xi, v)
+    assert K_stack.shape == M_stack.shape == (7, n)
+    for s in range(7):
+        single = deformation_tensors(phi[s])
+        for name in ("G", "C", "Gtilde", "Ctilde", "E", "e"):
+            np.testing.assert_array_equal(getattr(stacked, name)[s], getattr(single, name))
+        single = mutual_tensors(psi[s], phi[s])
+        for name in ("Gm", "Cm", "Gamma", "SigmaM", "gamma_small", "sigma_small", "Em", "em"):
+            np.testing.assert_array_equal(getattr(mutual, name)[s], getattr(single, name))
+        np.testing.assert_array_equal(K_stack[s], invariants_K(psi[s], phi[s]))
+        np.testing.assert_array_equal(M_stack[s], invariants_M(psi[s], phi[s]))
+        for got, want in zip(vel_stack, affine_velocity(phi[s], xi[s], v[s])):
+            np.testing.assert_array_equal(got[s], want)
+
+
+def test_singular_stack_member_is_named(glplus):
+    phi = _stack(glplus, 3)
+    bad = phi.copy()
+    bad[4] = 0.0
+    calls = [
+        lambda: deformation_tensors(bad),
+        lambda: mutual_tensors(phi, bad),
+        lambda: invariants_K(phi, bad),
+        lambda: affine_velocity(bad, phi, np.zeros((7, 3))),
+    ]
+    for call in calls:
+        with pytest.raises(SingularInput, match=r"^phi\[4\] is singular"):
+            call()
+    for call in (lambda: mutual_tensors(bad, phi), lambda: invariants_M(bad, phi)):
+        with pytest.raises(SingularInput, match=r"^psi\[4\] is singular"):
+            call()

@@ -211,3 +211,59 @@ def test_angle_roundtrip():
                 continue
             np.testing.assert_allclose(rotation_from_angles(n, ang), mat, atol=1e-12)
             assert chart_weight(n, ang) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked charts and Jacobians
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rotation_stack_equals_per_angle_loop(n, rng):
+    angles = rng.uniform(0, 2 * np.pi, (7, n * (n - 1) // 2))
+    stack = rotation_from_angles(n, angles)
+    assert stack.shape == (7, n, n)
+    for s in range(7):
+        np.testing.assert_array_equal(stack[s], rotation_from_angles(n, angles[s]))
+
+
+def _regular_factors(rng, n, count):
+    out = []
+    while len(out) < count:
+        q = np.sort(rng.uniform(-1, 1, n))[::-1]
+        if n > 1 and np.min(-np.diff(q)) < 5e-2:
+            continue
+        L = sample_orthogonal(n, int(rng.integers(1 << 30)))
+        R = sample_orthogonal(n, int(rng.integers(1 << 30)))
+        try:
+            angles_from_rotation(L)
+            angles_from_rotation(R)
+        except DegenerateSpectrum:
+            continue
+        out.append(factors_from_q(q, L=L, R=R))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_equals_the_batched_jacobian(n, rng):
+    """jacobian_oracle at a point is the batched Jacobian that
+    measure_check_report takes over all its points, bit for bit."""
+    from affinekit.measures import _chart_params, _jacobian_dets
+
+    factors = _regular_factors(rng, n, 7)
+    batched = _jacobian_dets(n, np.stack([_chart_params(f.L, f.q, f.R) for f in factors]))
+    for s, f in enumerate(factors):
+        assert batched[s] == jacobian_oracle(f)
+
+
+def test_batched_jacobian_rejects_coincident_q(rng):
+    from affinekit.measures import _chart_params, _jacobian_dets
+
+    factors = _regular_factors(rng, 2, 7)
+    factors[4] = factors_from_q([0.5, 0.5 + 1e-10])
+    with pytest.raises(DegenerateSpectrum, match="point 4"):
+        _jacobian_dets(2, np.stack([_chart_params(f.L, f.q, f.R) for f in factors]))
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_measure_check_report_rejects_empty_point_sets(points):
+    with pytest.raises(ValueError, match="points must be at least 1"):
+        measure_check_report(2, points=points)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinekit.errors import NonDifferentiable
+from affinekit.errors import NonDifferentiable, SingularInput
 from affinekit.kinematics import BodyConfig, SystemConfig, act_material, act_spatial
 from affinekit.potentials import (BinaryTerm, DilatationTerm, HarmonicFn,
                                   InvariantTerm, LennardJonesFn, LogHarmonicFn,
@@ -344,3 +344,20 @@ def test_coincident_centers_inside_a_batch_raise(arg, rng):
     spec = PotentialSpec(binary=(BinaryTerm(arg=arg, fn=HarmonicFn(1.0, 1.0)),))
     with pytest.raises(NonDifferentiable):
         potential_gradient(spec, SystemConfig(x=x, phi=cfg.phi))
+
+
+def test_affine_distance_stack_equals_pair_loop(rng, glplus):
+    """Stacks (7, n) and (7, n, n) give each pair's distance bit for bit;
+    a singular phi is named by its sample and pair slot."""
+    for n in (2, 3):
+        xk, xl = rng.uniform(-1, 1, (7, n)), rng.uniform(-1, 1, (7, n))
+        pk = np.stack([glplus(n) for _ in range(7)])
+        pl = np.stack([glplus(n) for _ in range(7)])
+        d = affine_distance(xk, pk, xl, pl)
+        assert d.shape == (7,)
+        for s in range(7):
+            assert d[s] == affine_distance(xk[s], pk[s], xl[s], pl[s])
+        bad = pl.copy()
+        bad[4] = 0.0
+        with pytest.raises(SingularInput, match=r"^phi\[4, 1\] is singular"):
+            affine_distance(xk, pk, xl, bad)

@@ -426,10 +426,40 @@ def test_scenario_output_dir_used_as_default(tmp_path, capsys, monkeypatch):
 
 
 def test_suite_reports_are_reproducible():
-    """Two runs of a suite give identical reports."""
-    from affinekit.checks import brackets_suite
+    """Two runs of a suite, or of a measure-check, give identical reports."""
+    from affinekit.checks import SUITES, run_suite
+    from affinekit.measures import measure_check_report
 
-    assert brackets_suite() == brackets_suite()
+    for suite in SUITES:
+        assert run_suite(suite) == run_suite(suite)
+    for n in (1, 2, 3):
+        assert measure_check_report(n, points=20, seed=5) \
+            == measure_check_report(n, points=20, seed=5)
+
+
+def test_relative_error_keeps_each_sample_scale():
+    """A sample with a large reference does not mask another sample's error:
+    the scale is 1 + max|ref| of each sample, not of the whole stack."""
+    from affinekit.checks import _rel
+
+    ref = np.array([[1e6, 0.0], [1.0, 0.5]])
+    delta = np.array([[1e-3, 0.0], [1e-6, 0.0]])
+    assert _rel(delta, ref) == 1e-6 / 2.0
+    assert _rel(delta[:1], ref[:1]) == 1e-3 / (1.0 + 1e6)
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_measure_check_rejects_empty_point_sets(points, capsys):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["measure-check", "--n", "2", "--points", points])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "points must be at least 1" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_per_body_inertia_scenario_end_to_end(tmp_path):
