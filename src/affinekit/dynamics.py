@@ -15,11 +15,15 @@ preserves every quadratic first integral (all the affine-spin charges) to
 solver tolerance.  Each step is a fixed-point solve, started from the
 polynomial through the last five samples evaluated one step ahead (the
 starting approximation of Hairer, Lubich & Wanner, Geometric Numerical
-Integration, section VIII.6).  That guess is O(dt^5) accurate where the
-explicit Euler predictor is O(dt^2), so a step takes 1-2 RHS evaluations
-instead of 4-6, and it lands on the same fixed point to roundoff because
-the stopping rule does not depend on the start.  The left- and
-right-invariant kinetic models (is-af, af-is, af-J, H-af, l-af, r-af)
+Integration, section VIII.6), and stopped by the contraction-rate test of
+Hairer & Wanner, Solving ODEs II, section IV.8, with the rate carried from
+step to step.  The guess is O(dt^5) accurate where the explicit Euler
+predictor is O(dt^2), so on a smooth run a step takes one RHS evaluation
+where the Euler start took 4-6.  Every accepted step z_k -> z_{k+1} is the
+fixed point to roundoff, whatever the start: the change one more evaluation
+would make, rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1,
+max|z_k|), is at most about 1e-15 wherever roundoff allows it.  The left-
+and right-invariant kinetic models (is-af, af-is, af-J, H-af, l-af, r-af)
 couple phi and pi, so H is non-separable for them.
 Explicit splitting would still apply to d'Alembert/d'Alembert with any
 configuration potential, and to af-af internal motion with a d'Alembert
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationDiverged, SingularInput, StateInvalid
+from .errors import AffineKitError, IterationDiverged, SingularInput, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
 from .matcore import DET_FLOOR, det_inv
@@ -97,20 +101,28 @@ class Trajectory:
     """A run of S samples as arrays: ``times`` (S,), the flat phase vectors
     ``z`` (S, D) with their (S, N, ...) views ``x``, ``phi``, ``p``, ``pi``,
     and one ChargeRecord with a leading sample axis.  ``state(k)`` gives
-    sample k as a PhaseState.  ``rhs_evals`` counts the RHS evaluations of
-    the steps kept in the trajectory."""
+    sample k as a PhaseState.  Step k (from sample k to k + 1) took
+    ``step_evals[k]`` RHS evaluations and ended its fixed-point solve at the
+    residual ``step_residuals[k]``, relative to max(1, max|z_k|); rk4 steps
+    have no residual (NaN)."""
 
     times: np.ndarray
     z: np.ndarray
     charges: ChargeRecord
     n: int
     N: int
+    step_evals: np.ndarray
+    step_residuals: np.ndarray
     aborted: bool = False
     abort_reason: str = ""
-    rhs_evals: int = 0
 
     def __post_init__(self):
         self.x, self.phi, self.p, self.pi = _split(self.z, self.N, self.n)
+
+    @property
+    def rhs_evals(self) -> int:
+        """RHS evaluations of the steps kept in the trajectory."""
+        return int(self.step_evals.sum())
 
     def state(self, k: int) -> PhaseState:
         return _unpack(self.z[k], self.N, self.n, float(self.times[k]))
@@ -233,51 +245,105 @@ def _unpack(z: np.ndarray, N: int, n: int, time: float) -> PhaseState:
                       time=time)
 
 
-def _midpoint_step(system: CompiledSystem, z, dt, guess=None):
-    """One implicit-midpoint step from z, and the RHS evaluations it took.
+@dataclass(frozen=True)
+class Step:
+    """One accepted step: the new phase vector, the RHS evaluations it took,
+    its last fixed-point residual relative to the step's scale (NaN for rk4),
+    and the contraction estimate to carry into the next step (None without
+    one)."""
+
+    z: np.ndarray
+    evals: int
+    residual: float = np.nan
+    theta: float | None = None
+
+
+# The contraction estimate of the midpoint solve is _THETA_SAFETY times the
+# largest ratio of successive residuals measured.  The safety factor covers
+# the growth of the rate between measurements.  A run carries the estimate
+# from step to step and drops it every _THETA_REFRESH steps, so a step then
+# measures the rate afresh.
+_THETA_SAFETY = 2.0
+_THETA_REFRESH = 32
+
+
+def _midpoint_step(system: CompiledSystem, z, dt, guess=None, theta=None) -> Step:
+    """One implicit-midpoint step from z.
 
     Fixed-point iteration on z1 = z + dt f((z + z1)/2), started from
     ``guess`` or, without one, from the explicit Euler predictor (one more
-    evaluation).  The guaranteed residual is MIDPOINT_TOL, but iteration
-    continues while it still improves, which keeps the quadratic charges
-    conserved to near machine precision.  The stopping rule does not look at
-    where the iteration started, so any guess near z1 lands on the same fixed
-    point to roundoff; a better one only takes fewer evaluations.
+    evaluation).  With scale = max(1, max|z|), an iterate is accepted when
+    any of three tests holds:
+
+    * its residual (the change the last evaluation made) is below
+      1e-15 scale;
+    * the contraction test of Hairer & Wanner, Solving ODEs II, section IV.8:
+      with theta the contraction rate, theta / (1 - theta) x residual bounds
+      the iterate's distance to the fixed point, and that bound is below
+      1e-15 scale;
+    * the residual is below the guarantee MIDPOINT_TOL and no longer
+      halves: the roundoff floor.
+
+    theta is the larger of the estimate carried in ``theta`` and
+    _THETA_SAFETY times the largest residual ratio of this step.  Without a
+    carried estimate the step needs two ratios before it uses the test: a
+    separable H maps position errors to momentum errors and back, at two
+    different rates, and one ratio can show the smaller.  A carried estimate
+    lets a step stop after its first evaluation.  The returned theta is the
+    estimate to carry on (one ratio is enough for that).
+
+    Every accepted iterate z1 thus has rho = |z + dt f((z + z1)/2) - z1|,
+    the residual one more evaluation would show, at about 1e-15 scale or
+    below wherever roundoff allows it, whatever the start; a better start or
+    a carried theta only takes fewer evaluations.
     """
     evals = 0
     if guess is None:
         guess, evals = z + dt * system.rhs(z), 1
     z_next = guess
     scale = max(1.0, float(np.max(np.abs(z))))
+    tol = 1e-15 * scale
     prev = np.inf
     best = np.inf
+    rate, ratios = 0.0, 0           # largest residual ratio of this step, and count
     for _ in range(MIDPOINT_MAX_ITER):
         proposal = z + dt * system.rhs(0.5 * (z + z_next))
         evals += 1
         residual = float(np.max(np.abs(proposal - z_next)))
         z_next = proposal
         best = min(best, residual)
-        if residual <= 1e-15 * scale:
-            return z_next, evals
-        if residual <= MIDPOINT_TOL and residual > 0.5 * prev:
-            # below the guarantee and no longer contracting: roundoff floor
-            return z_next, evals
+        if prev < np.inf:
+            rate, ratios = max(rate, residual / prev), ratios + 1
+        estimate = max(theta or 0.0, _THETA_SAFETY * rate) \
+            if theta is not None or ratios >= 2 else None
+        if residual <= tol \
+                or (estimate is not None and estimate < 1.0
+                    and estimate * residual <= (1.0 - estimate) * tol) \
+                or (residual <= MIDPOINT_TOL and residual > 0.5 * prev):
+            break
         prev = residual
-    if best > MIDPOINT_TOL:
-        raise IterationDiverged(
-            f"implicit midpoint residual {best:.3e} > {MIDPOINT_TOL} after "
-            f"{MIDPOINT_MAX_ITER} iterations")
-    return z_next, evals
-
-
-_HISTORY = 5  # samples read by _extrapolate
+    else:
+        if best > MIDPOINT_TOL:
+            raise IterationDiverged(
+                f"implicit midpoint residual {best:.3e} > {MIDPOINT_TOL} after "
+                f"{MIDPOINT_MAX_ITER} iterations")
+    carry = max(theta or 0.0, _THETA_SAFETY * rate) if theta is not None or ratios else None
+    return Step(z_next, evals, residual / scale, carry)
 
 
 def _extrapolate(zs: np.ndarray, k: int) -> np.ndarray:
-    """Value one step ahead of the quartic through samples k-4..k:
-    5 z_k - 10 z_{k-1} + 10 z_{k-2} - 5 z_{k-3} + z_{k-4}, in elementwise
+    """Value one step ahead of the polynomial through samples
+    max(0, k-4)..k: for k >= 4 the quartic
+    5 z_k - 10 z_{k-1} + 10 z_{k-2} - 5 z_{k-3} + z_{k-4}, for k = 1..3 the
+    line, parabola and cubic through the samples there are.  Elementwise
     operations (no BLAS reduction), so reruns stay bit-identical."""
-    return 5.0 * (zs[k] - zs[k - 3]) + 10.0 * (zs[k - 2] - zs[k - 1]) + zs[k - 4]
+    if k >= 4:
+        return 5.0 * (zs[k] - zs[k - 3]) + 10.0 * (zs[k - 2] - zs[k - 1]) + zs[k - 4]
+    if k == 3:
+        return 4.0 * (zs[3] + zs[1]) - 6.0 * zs[2] - zs[0]
+    if k == 2:
+        return 3.0 * (zs[2] - zs[1]) + zs[0]
+    return 2.0 * zs[1] - zs[0]
 
 
 def _rk4_step(system: CompiledSystem, z, dt):
@@ -285,19 +351,28 @@ def _rk4_step(system: CompiledSystem, z, dt):
     k2 = system.rhs(z + 0.5 * dt * k1)
     k3 = system.rhs(z + 0.5 * dt * k2)
     k4 = system.rhs(z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4
+    return Step(z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4)
 
 
 INTEGRATION_METHODS = ("implicit_midpoint", "rk4")
 
 
-def _state_problem(system: CompiledSystem, z: np.ndarray) -> str:
-    if not np.isfinite(z).all():
-        return "non-finite phase-space entries"
-    dets = np.linalg.det(_split(z, system.N, system.n)[1])
-    if np.min(dets) <= DET_FLOOR:
-        return f"det phi fell to {np.min(dets):.3e} (floor {DET_FLOOR})"
-    return ""
+_CHECK_CHUNK = 64  # accepted samples checked against the det floor at once
+
+
+def _first_problem(system: CompiledSystem, zs: np.ndarray) -> tuple[int, str]:
+    """Index of the first sample of an (S, D) stack that is non-finite or has
+    a det phi at the floor, and why; (S, "") when every sample is fine."""
+    finite = np.isfinite(zs).all(axis=-1)
+    phi = _split(np.where(finite[:, None], zs, 0.0), system.N, system.n)[1]
+    low = np.linalg.det(phi).min(axis=-1)
+    bad = ~finite | (low <= DET_FLOOR)
+    if not bad.any():
+        return len(zs), ""
+    k = int(np.argmax(bad))
+    if not finite[k]:
+        return k, "non-finite phase-space entries"
+    return k, f"det phi fell to {low[k]:.3e} (floor {DET_FLOOR})"
 
 
 def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
@@ -307,14 +382,20 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     Sample k sits at s0.time + k dt and the last one at s0.time + T exactly.
     The loop only steps and stores phase vectors; the charges of all samples
     are evaluated once, stacked, at the end.  A midpoint step starts from the
-    extrapolation of the last five stored samples: on the bundled scenarios
-    and a 2000-step separable run, five take 1.0-2.2 RHS evaluations per
-    step and four take 2.0-3.0.  The first four steps, which lack that
-    history, and a last step cut short of dt (by more than the rounding
-    allowance eps = 1e-12 max(1, T)) start from the Euler predictor.
-    Leaving GL+(n) (det phi at the floor) aborts the run and returns the
-    partial trajectory with ``aborted`` set; it is a modeling failure the
-    caller must see, not something to regularize away.
+    extrapolation of the stored samples (up to five), and carries the
+    contraction rate its solve measured into the next step, trusted for
+    _THETA_REFRESH steps.  So on a smooth run a step stops after one RHS
+    evaluation: on the bundled scenarios and a 10k-step separable run, runs
+    take 1.00-1.03 evaluations per step.  The first step, and a last step
+    cut short of dt (by more than the rounding allowance
+    eps = 1e-12 max(1, T)), start from the Euler predictor.
+
+    Leaving GL+(n) (a non-finite entry or det phi at the floor) aborts the run
+    and returns the partial trajectory up to the last admissible sample, with
+    ``aborted`` set; it is a modeling failure the caller must see, not
+    something to regularize away.  The samples are checked _CHECK_CHUNK at a
+    time with one stacked det, and before an error of a step from a sample
+    not yet checked is handled, so the result is that of a per-step check.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -331,10 +412,13 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     z = _pack(s0)
     zs = np.empty((steps + 1, z.size))
     times = np.empty(steps + 1)
+    evals = np.zeros(steps, dtype=np.int64)
+    residuals = np.full(steps, np.nan)
     zs[0], times[0] = z, s0.time
 
-    reason = _state_problem(system, z)
-    size, rhs_evals = 1, 0
+    _, reason = _first_problem(system, zs[:1])
+    size = checked = 1              # samples stored, and checked of them
+    theta = None
     while size <= steps and not reason:
         last = size == steps
         h = T - (steps - 1) * dt if last else dt
@@ -342,23 +426,31 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
             if midpoint:
                 # extrapolate only across samples spaced by h: T - (steps-1) dt
                 # misses dt by a few ulps on a last step that is not cut
-                guess = _extrapolate(zs, size - 1) \
-                    if size >= _HISTORY and abs(h - dt) <= eps else None
-                z, evals = _midpoint_step(system, z, h, guess)
+                guess = _extrapolate(zs, size - 1) if size > 1 and abs(h - dt) <= eps else None
+                step = _midpoint_step(system, zs[size - 1], h, guess,
+                                      theta if (size - 1) % _THETA_REFRESH else None)
+                theta = step.theta
             else:
-                z, evals = _rk4_step(system, z, h)
-        except (SingularInput, np.linalg.LinAlgError) as exc:
-            # the step itself crossed the det floor: flag, keep the partial run
-            reason = f"step left GL+(n): {exc}"
-        else:
-            reason = _state_problem(system, z)
-        if not reason:
-            zs[size], times[size] = z, s0.time + (T if last else size * dt)
-            size += 1
-            rhs_evals += evals
+                step = _rk4_step(system, zs[size - 1], h)
+        except (AffineKitError, np.linalg.LinAlgError) as exc:
+            # a per-step check would have stopped at a bad pending sample first
+            bad, reason = _first_problem(system, zs[checked:size])
+            size = checked + bad
+            if not reason:
+                if not isinstance(exc, (SingularInput, np.linalg.LinAlgError)):
+                    raise
+                # the step itself crossed the det floor: flag, keep the partial run
+                reason = f"step left GL+(n): {exc}"
+            break
+        zs[size], times[size] = step.z, s0.time + (T if last else size * dt)
+        evals[size - 1], residuals[size - 1] = step.evals, step.residual
+        size += 1
+        if size - checked == _CHECK_CHUNK or size > steps:
+            bad, reason = _first_problem(system, zs[checked:size])
+            size = checked = checked + bad
     zs = zs[:size]
-    return Trajectory(times[:size], zs, system.charges(zs), n, N,
-                      aborted=bool(reason), abort_reason=reason, rhs_evals=rhs_evals)
+    return Trajectory(times[:size], zs, system.charges(zs), n, N, evals[:size - 1],
+                      residuals[:size - 1], aborted=bool(reason), abort_reason=reason)
 
 
 # ---------------------------------------------------------------------------

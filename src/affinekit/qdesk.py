@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, DomainOverflow, InvalidInertia
 
@@ -146,6 +144,8 @@ def build_hamiltonian_1d(grid: QGrid, V) -> TridiagonalOperator:
 
 def solve_spectrum(op: TridiagonalOperator, k: int) -> tuple[np.ndarray, list]:
     """Lowest k eigenpairs, eigenvectors normalized in the Haar inner product."""
+    from scipy.linalg import eigh_tridiagonal  # scipy loads only when a spectrum is solved
+
     if k < 1 or k > len(op.diag):
         raise ValueError("k must be between 1 and the interior size")
     try:
@@ -221,6 +221,8 @@ def hermiticity_check(grid: QGrid, op_kind: str, measure: str) -> float:
 
 def shift_wavefunction(psi: WaveFunction, z: float) -> WaveFunction:
     """exp((i/hbar) z Sigma) psi realized as cubic-spline translation in q."""
+    from scipy.interpolate import CubicSpline  # scipy loads only when a shift is made
+
     grid = psi.grid
     vals = psi.values
     support = np.abs(vals) > 1e-12 * max(1.0, float(np.max(np.abs(vals))))

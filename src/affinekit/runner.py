@@ -7,7 +7,8 @@ Artifacts written to the output directory:
 * ``charges.csv``     t, E, p[i], Sigma[a][b], SigmaHat[a][b], J[a][b], then
   per body: S{K}[a][b], V{K}[a][b], detphi_{K}, q{K}[a]
 * ``summary.json``    final charges, relative drifts, solver telemetry (RHS
-  evaluations of the accepted steps, in total and per step), determinism hash
+  evaluations of the accepted steps in total, per step and as a histogram,
+  and the largest final fixed-point residual), determinism hash
 
 Each CSV is one table, a row per sample, assembled from column blocks of the
 trajectory's stacked arrays (the per-body blocks interleaved body by body)
@@ -100,6 +101,19 @@ def charge_drifts(traj: Trajectory) -> dict:
     return {name: relative_drift(values) for name, values in series.items()}
 
 
+def solver_telemetry(traj: Trajectory) -> dict:
+    """RHS evaluations of the accepted steps, in total, per step and as a
+    histogram {evaluations: steps}, and the largest last fixed-point residual
+    of a midpoint step relative to its scale (None without one)."""
+    steps = len(traj.step_evals)
+    counts, freq = np.unique(traj.step_evals, return_counts=True)
+    residuals = traj.step_residuals[~np.isnan(traj.step_residuals)]
+    return {"rhs_evals": traj.rhs_evals,
+            "rhs_evals_per_step": traj.rhs_evals / steps if steps else 0.0,
+            "evals_histogram": {str(c): int(f) for c, f in zip(counts, freq)},
+            "max_final_residual": float(residuals.max()) if residuals.size else None}
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -141,8 +155,7 @@ def run(scenario: Scenario, out_dir) -> dict:
         "final_charges": {name: getattr(c, name)[-1].tolist()
                           for name in ("p_total", "sigma_total", "sigma_hat_total", "j_total")},
         "drifts": charge_drifts(traj),
-        "solver": {"rhs_evals": traj.rhs_evals,
-                   "rhs_evals_per_step": traj.rhs_evals / steps if steps else 0.0},
+        "solver": solver_telemetry(traj),
         "artifacts": ["trajectory.csv", "charges.csv"],
         "determinism_hash": "sha256:" + _sha256(traj_path),
         "exit_code": 2 if traj.aborted else 0,

@@ -547,22 +547,42 @@ def _bundled_system(name):
     return s, s0, compile_system(s.model, s.params, s.potential, s0.n, s0.N)
 
 
+def _recorded_steps(monkeypatch, s, s0, dt, T):
+    """integrate's run, and the (z, h, guess, theta) of each midpoint step."""
+    from affinekit import dynamics
+
+    calls = []
+    step = dynamics._midpoint_step
+
+    def recording(system, z, h, guess=None, theta=None):
+        calls.append((z.copy(), h, guess, theta))
+        return step(system, z, h, guess, theta)
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", recording)
+    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
+    monkeypatch.undo()
+    return traj, calls
+
+
 @pytest.mark.parametrize("name", DYNAMIC_SCENARIOS)
-def test_extrapolated_start_lands_on_the_euler_start_fixed_point(name):
-    """Ten consecutive steps: the solve started from the extrapolation of the
-    last five samples ends where the one started from Euler does, and is the
-    step integrate takes."""
+def test_extrapolated_start_lands_on_the_euler_start_fixed_point(name, monkeypatch):
+    """Ten consecutive steps: integrate starts each from the extrapolation of
+    the last five samples and the contraction estimate carried from the
+    steps before; that solve ends where one started from Euler without an
+    estimate does, in fewer evaluations."""
     from affinekit.dynamics import _extrapolate, _midpoint_step
 
     s, s0, system = _bundled_system(name)
-    traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=15 * s.dt)
+    traj, calls = _recorded_steps(monkeypatch, s, s0, s.dt, 15 * s.dt)
     for k in range(4, 14):
-        z = traj.z[k]
-        extrapolated, evals = _midpoint_step(system, z, s.dt, _extrapolate(traj.z, k))
-        euler, euler_evals = _midpoint_step(system, z, s.dt)
-        assert np.max(np.abs(extrapolated - euler)) <= 1e-13 * max(1.0, np.max(np.abs(z)))
-        assert evals < euler_evals
-        np.testing.assert_array_equal(extrapolated, traj.z[k + 1])
+        z, h, guess, theta = calls[k]
+        np.testing.assert_array_equal(z, traj.z[k])
+        np.testing.assert_array_equal(guess, _extrapolate(traj.z, k))
+        extrapolated = _midpoint_step(system, z, s.dt, guess, theta)
+        euler = _midpoint_step(system, z, s.dt)
+        assert np.max(np.abs(extrapolated.z - euler.z)) <= 1e-13 * max(1.0, np.max(np.abs(z)))
+        assert extrapolated.evals < euler.evals
+        np.testing.assert_array_equal(extrapolated.z, traj.z[k + 1])
 
 
 @pytest.mark.parametrize("T_steps", [1, 2, 3, 4, 5, 6, 40.5])
@@ -582,39 +602,171 @@ def test_short_and_cut_runs_match_an_euler_start_loop(T_steps):
     assert traj.times[-1] == T
     z = _pack(s0)
     for k in range(steps):
-        z = _midpoint_step(system, z, T - (steps - 1) * dt if k == steps - 1 else dt)[0]
+        z = _midpoint_step(system, z, T - (steps - 1) * dt if k == steps - 1 else dt).z
         np.testing.assert_allclose(traj.z[k + 1], z, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair"])
+def _scenario(bodies, potential, dt, steps, internal="dalembert", inertia=None):
+    """A dalembert-translational scenario of the given bodies, n from them."""
+    from affinekit.scenario import scenario_from_dict
+
+    n = len(bodies[0]["x"])
+    return scenario_from_dict({
+        "schema_version": 1, "n": n, "N": len(bodies),
+        "kinetic": {"translational": "dalembert", "internal": internal},
+        "inertia": inertia or {"M": 1.0, "J": np.eye(n).tolist()},
+        "potential": potential, "initial": {"bodies": bodies},
+        "integrator": {"dt": dt, "T": steps * dt}})
+
+
+def _body(pi, x=(0.0, 0.0), phi=((1.0, 0.0), (0.0, 1.0)), p=(0.0, 0.0)):
+    return {"x": list(x), "phi": [list(r) for r in phi], "p": list(p),
+            "pi": np.asarray(pi, float).tolist()}
+
+
+def _separable_scenario(steps):
+    """A dalembert/dalembert body in a harmonic well with an invariant term
+    and a dilatation stabilizer: a separable H with a cheap RHS."""
+    return _scenario(
+        [_body([[0.06, -0.02], [0.03, -0.07]], x=(0.03, -0.06),
+               phi=((1.02, 0.04), (-0.05, 0.97)), p=(0.04, 0.01))],
+        {"one_body": [{"kind": "harmonic_x", "stiffness": 1.0, "center": [0.0, 0.0]},
+                      {"kind": "invariant", "a": 1,
+                       "fn": {"kind": "harmonic", "stiffness": 0.5, "center": 2.0}}],
+         "dilatation": {"kappa": 1.0, "d_ref": 1.0}}, dt=0.002, steps=steps)
+
+
+def _pair_scenario(steps, n=3, N=8):
+    """An is-af system of N bodies on a lattice with harmonic Mbar:1, Mbar:2
+    and D pair terms, drawn from a fixed seed."""
+    rng = np.random.default_rng(7)
+    bodies = []
+    for K in range(N):
+        x = np.zeros(n)
+        x[:2] = 2.0 * (K % 3), 2.0 * (K // 3)
+        bodies.append({"x": (x + 0.05 * rng.standard_normal(n)).tolist(),
+                       "phi": (np.eye(n) + 0.05 * rng.standard_normal((n, n))).tolist(),
+                       "p": (0.05 * rng.standard_normal(n)).tolist(),
+                       "pi": (0.05 * rng.standard_normal((n, n))).tolist()})
+    binary = [{"arg": f"Mbar:{a}", "fn": {"kind": "harmonic", "stiffness": 0.5,
+                                          "center": float(n)}} for a in (1, 2)]
+    binary.append({"arg": "D", "fn": {"kind": "harmonic", "stiffness": 0.2, "center": 2.0}})
+    return _scenario(bodies, {"binary": binary}, dt=0.01, steps=steps, internal="is-af",
+                     inertia={"M": 1.0, "I": 6.0, "A": 1.0, "B": 1.0})
+
+
+def _collapsing_scenario():
+    """A body compressed isotropically against a dilatation stabilizer: det phi
+    falls from 1 to about 8e-4 and back, and the contraction rate of the
+    midpoint iteration grows about a hundredfold on the way down."""
+    return _scenario([_body(-5.0 * np.eye(2))], {"dilatation": {"kappa": 1.0, "d_ref": 1.0}},
+                     dt=1e-3, steps=500)
+
+
+def _fixed_point_defects(s, traj):
+    """rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1, max|z_k|)
+    of every step, with h the step integrate took."""
+    from affinekit.dynamics import compile_system
+
+    system = compile_system(s.model, s.params, s.potential, s.n, s.N)
+    steps = len(traj.z) - 1
+    rho = np.empty(steps)
+    for k, (z, z1) in enumerate(zip(traj.z[:-1], traj.z[1:])):
+        h = s.T - (steps - 1) * s.dt if k == steps - 1 else s.dt
+        rho[k] = np.max(np.abs(z + h * system.rhs(0.5 * (z + z1)) - z1)) \
+            / max(1.0, np.max(np.abs(z)))
+    return rho
+
+
+def _with_run(s, dt=None, steps=None):
+    """Scenario s at step dt (default its own) over the given number of steps."""
+    from dataclasses import replace
+
+    dt = s.dt if dt is None else dt
+    return replace(s, dt=dt, T=s.T if steps is None else steps * dt)
+
+
+FIXED_POINT_RUNS = {
+    **{name: lambda name=name: _bundled_system(name)[0] for name in DYNAMIC_SCENARIOS},
+    "pairs_n3_N8": lambda: _pair_scenario(40),
+    "separable": lambda: _separable_scenario(3000),
+    "collapsing": _collapsing_scenario,
+    "two_body_affine_pair_dt0.1": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
+                                                    dt=0.1, steps=200),
+}
+
+
+@pytest.mark.parametrize("run", FIXED_POINT_RUNS)
+def test_accepted_midpoint_steps_are_fixed_points_to_roundoff(run):
+    """Every accepted step is the midpoint fixed point to 1e-15 x scale: one
+    more evaluation would move it by at most that.  The runs are the bundled
+    scenarios at their own dt, an n = 3, N = 8 is-af pair system, a separable
+    run, and two runs whose contraction rate grows along the way (a body
+    compressed toward the det floor, and a coarse dt = 0.1); on the
+    compressed body a carried contraction estimate that is never refreshed
+    misses the bar by up to 5x."""
+    s = FIXED_POINT_RUNS[run]()
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert not traj.aborted
+    rho = _fixed_point_defects(s, traj)
+    assert rho.max() <= 1e-15, f"step {rho.argmax()}: rho = {rho.max():.2e}"
+
+
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair", "separable"])
 def test_midpoint_rhs_evaluations_per_step(name):
     """Regression guard on the solver cost: the Euler-start solve took 5 and 4
-    RHS evaluations per step on these scenarios."""
-    s, s0, _ = _bundled_system(name)
-    traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=200 * s.dt)
-    assert traj.rhs_evals / (len(traj.times) - 1) <= 2.5
+    RHS evaluations per step on the two bundled scenarios, and the
+    extrapolated start without a carried contraction estimate took 2 on the
+    separable run."""
+    s = _separable_scenario(200) if name == "separable" else _with_run(
+        _bundled_system(name)[0], steps=200)
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert traj.rhs_evals / (len(traj.times) - 1) <= 1.2
 
 
 def test_last_full_step_takes_the_extrapolated_start(monkeypatch):
     """T = 10 dt leaves a last step T - 9 dt that misses dt by an ulp; it is a
     full step, so it starts from the extrapolation, not from Euler, and ends
-    on the Euler-start fixed point to roundoff."""
-    from affinekit import dynamics
+    on the Euler-start fixed point to roundoff.  Only the first step, which
+    has no sample history, starts from Euler."""
+    from affinekit.dynamics import _midpoint_step
 
     s, s0, system = _bundled_system("two_body_affine_pair")
     dt, T = s.dt, 10 * s.dt
     h = T - 9 * dt
     assert h != dt and abs(h - dt) <= 1e-12
-    starts = []
-    step = dynamics._midpoint_step
-
-    def recording(system, z, dt, guess=None):
-        starts.append(guess is not None)
-        return step(system, z, dt, guess)
-
-    monkeypatch.setattr(dynamics, "_midpoint_step", recording)
-    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
-    assert starts == [False] * 4 + [True] * 6
+    traj, calls = _recorded_steps(monkeypatch, s, s0, dt, T)
+    assert [guess is not None for _, _, guess, _ in calls] == [False] + [True] * 9
     assert traj.times[-1] == T
-    euler = step(system, traj.z[-2], h)[0]
+    euler = _midpoint_step(system, traj.z[-2], h).z
     assert np.max(np.abs(traj.z[-1] - euler)) <= 1e-13 * max(1.0, np.max(np.abs(traj.z[-2])))
+
+
+@pytest.mark.parametrize("case", [
+    # det phi = 1 - t reaches the floor at sample 100, in the middle of the
+    # second chunk; the run steps past it before the chunk is checked
+    ("free", "implicit_midpoint", 0.01, 100),
+    ("free", "rk4", 0.01, 100),
+    # det phi turns negative at sample 48; the step past it raises
+    # NegativeOrientation in the dilatation term, before any chunk check
+    ("dilatation", "implicit_midpoint", 0.007, 48),
+])
+def test_det_floor_checked_per_chunk_matches_a_per_step_check(case, monkeypatch):
+    """The det floor is checked once per chunk of samples; the partial run,
+    its abort reason and its RHS count are those of a check after every
+    step (a chunk of one)."""
+    from affinekit import dynamics
+
+    kind, method, dt, bad = case
+    s = _scenario([_body(np.diag([-1.0, 0.0]))], {}, dt, steps=200) if kind == "free" \
+        else _scenario([_body(np.diag([-3.0, 0.0]))], {"dilatation": {"kappa": 1e-3}}, dt, 200)
+    args = (s.model, s.params, s.potential, s.initial_state())
+    traj = integrate(*args, dt=dt, T=s.T, method=method)
+    assert bad % dynamics._CHECK_CHUNK != 0
+    monkeypatch.setattr(dynamics, "_CHECK_CHUNK", 1)
+    per_step = integrate(*args, dt=dt, T=s.T, method=method)
+    assert traj.aborted and len(traj.times) == bad
+    assert traj.abort_reason == per_step.abort_reason
+    assert traj.rhs_evals == per_step.rhs_evals
+    np.testing.assert_array_equal(traj.times, per_step.times)
+    np.testing.assert_array_equal(traj.z, per_step.z)

@@ -225,8 +225,34 @@ def test_summary_reports_solver_telemetry(tmp_path):
     traj = integrate(sc.model, sc.params, sc.potential, sc.initial_state(), dt=sc.dt, T=sc.T)
     assert solver["rhs_evals"] == traj.rhs_evals > 0
     assert solver["rhs_evals_per_step"] == solver["rhs_evals"] / summary["steps"]
+    histogram = solver["evals_histogram"]
+    assert sum(histogram.values()) == summary["steps"]
+    assert sum(int(evals) * steps for evals, steps in histogram.items()) == solver["rhs_evals"]
+    assert solver["max_final_residual"] == float(np.max(traj.step_residuals))
+    assert 0.0 <= solver["max_final_residual"] <= 1e-12
     on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert on_disk["solver"] == solver
+    # deterministic: a rerun reports the same telemetry
+    assert run(sc, tmp_path / "again")["solver"] == solver
+
+
+def test_rk4_summary_has_no_fixed_point_residual(tmp_path):
+    d = _short_scenario(T=0.01)
+    d["integrator"]["method"] = "rk4"
+    solver = run(scenario_from_dict(d), tmp_path / "out")["solver"]
+    assert solver["evals_histogram"] == {"4": 10}
+    assert solver["max_final_residual"] is None
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    """``affinekit run`` needs no scipy: importing the CLI must not load the
+    spline and tridiagonal-eigensolver modules that qdesk uses."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, affinekit.cli; "
+         "print(sorted(m for m in ('scipy.interpolate', 'scipy.linalg') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_aborted_run_exit_code(tmp_path):
