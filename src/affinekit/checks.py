@@ -4,11 +4,14 @@ Each suite returns a report dict {"suite", "checks": [...], "passed"}; a
 check is {"name", "max_error", "tolerance", "passed"}.  Checks run in
 order on the calling thread.
 
-The invariance and legendre suites draw their samples one at a time in
-seed order, group them by n, and evaluate every relation once per group on
-stacks: (S, n, n) matrices for the kinematic functions and S bodies of one
-system for the kinetic energies.  An error is relative per sample,
-max|delta_s| / (1 + max|ref_s|), and a check reports the worst sample.
+The invariance, legendre and measures suites draw their samples one at a
+time in seed order, group them by n, and evaluate every relation once per
+group on stacks: (S, n, n) matrices for the kinematic functions and S bodies
+of one system for the kinetic energies.  Rotations are drawn as Gaussian
+matrices, ``rng.standard_normal((n, n))`` where ``random_orthogonal`` would
+draw them, and each group maps them with one ``orthogonal_from_normal``.  An
+error is relative per sample, max|delta_s| / (1 + max|ref_s|), and a check
+reports the worst sample.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .kinetics import (InertiaParams, KineticModel, MomentumState,
 from .matcore import det_inv, two_polar_decompose
 from .potentials import (BinaryTerm, HarmonicFn, PotentialSpec, affine_distance,
                          compile_potential)
-from .sampling import random_glplus, random_invertible, random_orthogonal, rng_from_seed
+from .sampling import (orthogonal_from_normal, random_glplus, random_invertible,
+                       rng_from_seed)
 
 SUITES = ("invariance", "brackets", "measures", "legendre", "qdesk")
 
@@ -135,11 +139,11 @@ def legendre_suite(samples: int = 1000) -> dict:
 
 def _deformation_transform_error(samples, seed):
     def draw(rng, n):
-        return (random_glplus(rng, n), random_orthogonal(rng, n, special=False),
-                random_invertible(rng, n))
+        return (random_glplus(rng, n), rng.standard_normal((n, n)), random_invertible(rng, n))
 
     worst = 0.0
     for phi, A, B in _draw_by_n(samples, seed, draw):
+        A = orthogonal_from_normal(A, special=False)
         t = deformation_tensors(phi)
         Binv = np.linalg.inv(B)
         worst = max(worst,
@@ -153,10 +157,11 @@ def _deformation_transform_error(samples, seed):
 def _mutual_transform_error(samples, seed):
     def draw(rng, n):
         return (random_invertible(rng, n), random_invertible(rng, n),
-                random_orthogonal(rng, n, special=False), random_invertible(rng, n))
+                rng.standard_normal((n, n)), random_invertible(rng, n))
 
     worst = 0.0
     for psi, phi, A, B in _draw_by_n(samples, seed, draw):
+        A = orthogonal_from_normal(A, special=False)
         m = mutual_tensors(psi, phi)
         Binv = np.linalg.inv(B)
         left = mutual_tensors(B @ psi, B @ phi)
@@ -176,12 +181,12 @@ def _mutual_transform_error(samples, seed):
 def _scalar_invariant_error(samples, seed):
     def draw(rng, n):
         return (random_invertible(rng, n), random_invertible(rng, n),
-                random_orthogonal(rng, n, special=False),
-                random_orthogonal(rng, n, special=False),
+                rng.standard_normal((n, n)), rng.standard_normal((n, n)),
                 random_invertible(rng, n), random_invertible(rng, n))
 
     worst = 0.0
     for psi, phi, A, B, Ag, Bg in _draw_by_n(samples, seed, draw):
+        A, B = orthogonal_from_normal(np.stack([A, B]), special=False)
         k0 = invariants_K(psi, phi)
         m0 = invariants_M(psi, phi)
         worst = max(worst,
@@ -233,7 +238,7 @@ def _kinetic_invariance_error(samples, seed):
         # GL+ transforms keep the configurations inside the working domain
         return (rng.uniform(-1, 1, n), random_glplus(rng, n), rng.uniform(-1, 1, n),
                 rng.uniform(-1, 1, (n, n)), random_glplus(rng, n),
-                random_orthogonal(rng, n), random_glplus(rng, n))
+                rng.standard_normal((n, n)), random_glplus(rng, n))
 
     def moved(config, vel, mat, side):
         if side == "spatial":
@@ -251,6 +256,7 @@ def _kinetic_invariance_error(samples, seed):
 
     worst = 0.0
     for x, phi, v, xi, B, O, A in _draw_by_n(samples, seed, draw):
+        O = orthogonal_from_normal(O)
         config = SystemConfig(x=x, phi=phi)
         vel = VelocityState(v=v, xi=xi)
         # af-af is an internal-sector statement: drop translational velocity
@@ -286,8 +292,8 @@ def _potential_invariance_error(samples, seed):
     def draw(rng, n):
         x = rng.uniform(-1, 1, (2, n)) + np.array([[0.0] * n, [2.0] + [0.0] * (n - 1)])
         phi = np.stack([random_glplus(rng, n), random_glplus(rng, n)])
-        return (x, phi, random_glplus(rng, n), random_orthogonal(rng, n),
-                random_orthogonal(rng, n))
+        return (x, phi, random_glplus(rng, n), rng.standard_normal((n, n)),
+                rng.standard_normal((n, n)))
 
     def potential(spec, x, phi):
         det, phi_inv = det_inv(phi)
@@ -296,6 +302,7 @@ def _potential_invariance_error(samples, seed):
 
     worst = 0.0
     for x, phi, A, O, Om in _draw_by_n(samples, seed, draw):
+        O, Om = orthogonal_from_normal(np.stack([O, Om]))
         # x (S, 2, n) @ A.T (S, n, n); phi (S, 2, n, n) against (S, 1, n, n)
         v0 = potential(affine_spec, x, phi)
         v1 = potential(affine_spec, x @ _T(A), A[:, None] @ phi)
@@ -386,35 +393,33 @@ def brackets_suite() -> dict:
 # measures suite
 
 def _haar_invariance_error(samples=50, seed=41):
-    rng = rng_from_seed(seed)
+    def draw(rng, n):
+        return random_glplus(rng, n), random_glplus(rng, n)
+
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        phi = random_glplus(rng, n)
-        A = random_glplus(rng, n)
-        dens = measures.haar_density(phi, "haar_lambda")
+    for phi, A in _draw_by_n(samples, seed, draw):
+        n = phi.shape[-1]
+        left_phi = A @ phi
         det_a = np.linalg.det(A)
-        left = measures.haar_density(A @ phi, "haar_lambda") * det_a ** n
-        right = measures.haar_density(phi @ A, "haar_lambda") * det_a ** n
-        worst = max(worst, abs(left - dens) / dens, abs(right - dens) / dens)
+        det_a_n = measures.pow_each(det_a, n)
+        dens = measures.haar_density(phi, "haar_lambda")
+        left = measures.haar_density(left_phi, "haar_lambda") * det_a_n
+        right = measures.haar_density(phi @ A, "haar_lambda") * det_a_n
         dens_a = measures.haar_density(phi, "haar_alpha")
-        left_a = measures.haar_density(A @ phi, "haar_alpha") * det_a ** (n + 1)
-        worst = max(worst, abs(left_a - dens_a) / dens_a)
+        left_a = measures.haar_density(left_phi, "haar_alpha") * measures.pow_each(det_a, n + 1)
+        for val, ref in ((left, dens), (right, dens), (left_a, dens_a)):
+            worst = max(worst, float(np.max(np.abs(val - ref) / ref)))
     return worst
 
 
 def _twopolar_ratio_error(samples=50, seed=42):
-    rng = rng_from_seed(seed)
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        phi = random_glplus(rng, n)
-        f = two_polar_decompose(phi)
-        haar, lebesgue = measures.twopolar_densities(f)
-        if lebesgue == 0.0:
-            continue
-        expected = np.linalg.det(phi) ** (-n)
-        worst = max(worst, abs(haar / lebesgue - expected) / expected)
+    for (phi,) in _draw_by_n(samples, seed, lambda rng, n: (random_glplus(rng, n),)):
+        haar, lebesgue = measures.twopolar_densities(two_polar_decompose(phi))
+        keep = lebesgue != 0.0  # coincident q: both densities vanish
+        expected = measures.pow_each(np.linalg.det(phi[keep]), -phi.shape[-1])
+        err = np.abs(haar[keep] / lebesgue[keep] - expected) / expected
+        worst = max(worst, float(err.max(initial=0.0)))
     return worst
 
 

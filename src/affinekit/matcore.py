@@ -1,8 +1,9 @@
 """Dense small-matrix kernels: polar and two-polar decompositions.
 
 Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4;
-``checked_det``, ``stacked_det``, ``det_inv`` and ``inv`` also take stacks
-(..., n, n) and name a singular member by its index.
+``checked_det``, ``stacked_det``, ``det_inv``, ``inv`` and
+``two_polar_decompose`` also take stacks (..., n, n) and name a singular
+member by its index.
 Configuration matrices must lie in GL+(n): positive determinant, with
 |det| > 1e-12 as the working invertibility floor.
 """
@@ -101,22 +102,23 @@ class TwoPolarFactors:
 
     ``q`` holds the logarithms of the diagonal of D, descending.  ``degenerate``
     flags coincident diagonal entries (within 1e-10): the factors are still a
-    valid decomposition but L and R are no longer unique.
+    valid decomposition but L and R are no longer unique.  The factors of a
+    stack carry its leading axes, and ``degenerate`` is then a bool array.
     """
 
     L: np.ndarray
     D: np.ndarray
     R: np.ndarray
     q: np.ndarray
-    degenerate: bool = False
+    degenerate: bool | np.ndarray = False
 
     @property
     def d(self) -> np.ndarray:
         """Diagonal of D as a vector."""
-        return np.diag(self.D)
+        return np.diagonal(self.D, axis1=-2, axis2=-1)
 
     def reconstruct(self) -> np.ndarray:
-        return self.L @ self.D @ self.R.T
+        return self.L @ self.D @ np.swapaxes(self.R, -1, -2)
 
 
 def polar_decompose(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,18 +140,21 @@ def two_polar_decompose(phi) -> TwoPolarFactors:
     """Two-polar factors of phi in GL+(n), singular values descending.
 
     Both orthogonal factors are forced into SO(n) by flipping one column pair
-    when needed (legal because det phi > 0 makes det L = det R).
+    when needed (legal because det phi > 0 makes det L = det R).  A stack
+    (..., n, n) is factored with one stacked SVD, each member bit-equal to
+    its own decomposition.
     """
-    m = as_matrix(phi)
+    m = as_matrices(phi)
     checked_det(m, require_positive=True)
     L, s, Vt = np.linalg.svd(m)
-    R = Vt.T
-    if np.linalg.det(L) < 0.0:
-        L = L.copy()
-        R = R.copy()
-        L[:, -1] = -L[:, -1]
-        R[:, -1] = -R[:, -1]
+    R = np.swapaxes(Vt, -1, -2)
+    sign = np.where(np.linalg.det(L) < 0.0, -1.0, 1.0)[..., None]
+    L[..., -1] *= sign
+    R[..., -1] *= sign
+    D = np.zeros(m.shape)
+    D[..., range(m.shape[-1]), range(m.shape[-1])] = s
     # svd returns s descending, so coincidence shows up as an adjacent gap
     # smaller than the tolerance.
-    degenerate = bool(len(s) > 1 and np.min(-np.diff(s)) < DEGENERACY_TOL)
-    return TwoPolarFactors(L=L, D=np.diag(s), R=R, q=np.log(s), degenerate=degenerate)
+    degenerate = (-np.diff(s, axis=-1) < DEGENERACY_TOL).any(axis=-1)
+    return TwoPolarFactors(L=L, D=D, R=R, q=np.log(s),
+                           degenerate=degenerate if m.ndim > 2 else bool(degenerate))

@@ -24,7 +24,9 @@ reproducible from its seed alone.
 (..., n, n); ``_chart_map`` maps parameter rows (..., n*n) to flattened phi.
 ``measure_check_report`` draws its points one at a time and then takes all
 their finite-difference chart Jacobians in one batched chart map and one
-stacked det.
+stacked det.  ``haar_density`` and ``twopolar_densities`` take stacks too;
+powers of a stack's determinants go through ``pow_each``, so each member's
+density is bit-equal to the one it has alone.
 """
 
 from __future__ import annotations
@@ -32,23 +34,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .matcore import TwoPolarFactors, as_matrix, checked_det
+from .matcore import TwoPolarFactors, as_matrices, as_matrix, checked_det
 
 MEASURE_KINDS = ("lebesgue_a", "haar_alpha", "lebesgue_l", "haar_lambda")
 
 
-def haar_density(phi, kind: str) -> float:
-    """Density of the selected measure relative to Lebesgue on entries."""
+def pow_each(x, p: int) -> np.ndarray:
+    """x ** p member by member with the C library's scalar ``pow``.
+
+    numpy's vectorized float64 power rounds differently from it in about 5%
+    of members; this keeps a stack's values bit-equal to those of its
+    members taken one at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.reshape([v ** p for v in x.ravel().tolist()], x.shape)
+
+
+def haar_density(phi, kind: str) -> float | np.ndarray:
+    """Density of the selected measure relative to Lebesgue on entries; a
+    stack (..., n, n) gives the array of its members' densities."""
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
-    phi = as_matrix(phi)
+    phi = as_matrices(phi)
     d = checked_det(phi, require_positive=True)
-    n = phi.shape[0]
-    if kind == "haar_lambda":
-        return float(d ** (-n))
-    if kind == "haar_alpha":
-        return float(d ** (-n - 1))
-    return 1.0
+    n = phi.shape[-1]
+    exponent = {"haar_lambda": -n, "haar_alpha": -n - 1}.get(kind, 0)
+    dens = pow_each(d, exponent)
+    return float(dens) if phi.ndim == 2 else dens
 
 
 def _sinh_product(q: np.ndarray):
@@ -58,16 +70,17 @@ def _sinh_product(q: np.ndarray):
 
 
 def twopolar_densities(factors: TwoPolarFactors) -> tuple[float, float]:
-    """(haar, lebesgue) densities at the given two-polar point.
+    """(haar, lebesgue) densities at the given two-polar point, or arrays of
+    them for factors of a stack.
 
     Both are relative to dq dmu(L) dmu(R); coincident q gives density zero,
     which is a value, not an error.
     """
     q = np.asarray(factors.q, dtype=float)
-    n = len(q)
+    n = q.shape[-1]
     c = 2.0 ** (n * (n - 1) // 2)
     haar = c * _sinh_product(q)
-    lebesgue = haar * float(np.exp(n * q.sum()))
+    lebesgue = haar * np.exp(n * q.sum(axis=-1))
     return haar, lebesgue
 
 

@@ -112,6 +112,28 @@ def test_decomposition_idempotent(glplus):
     np.testing.assert_allclose(f1.L @ f1.R.T, f2.L @ f2.R.T, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_two_polar_stack_equals_per_matrix_factors(glplus, n):
+    """One stacked SVD factors each member bit for bit as it is factored
+    alone, with the SO(n) column flip and the degeneracy flag per member."""
+    # diag(1..n): singular values come out reversed, at n = 3 by a reflection
+    phi = np.stack([glplus(n) for _ in range(30)]
+                   + [np.diag(np.arange(1.0, n + 1)), 2.0 * np.eye(n)])
+    f = two_polar_decompose(phi)
+    singles = [two_polar_decompose(m) for m in phi]
+    for field in ("L", "D", "R", "q", "d"):
+        assert getattr(f, field).tobytes() \
+            == np.stack([getattr(g, field) for g in singles]).tobytes(), field
+    assert f.degenerate.tolist() == [g.degenerate for g in singles]
+    assert f.degenerate[-1] == (n > 1)
+    assert np.max(np.abs(f.reconstruct() - phi)) <= 1e-12
+    if n > 1:  # some members needed the flip into SO(n)
+        raw_left = np.linalg.svd(phi)[0]
+        assert (np.linalg.det(raw_left) < 0).any() and (np.linalg.det(f.L) > 0).all()
+    with pytest.raises(NegativeOrientation, match=r"phi\[1\]"):
+        two_polar_decompose(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
 def test_two_polar_reconstructs_any_wellconditioned_input(n, seed):

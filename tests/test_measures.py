@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from affinekit.errors import DegenerateSpectrum
+from affinekit.errors import DegenerateSpectrum, NegativeOrientation
 from affinekit.matcore import TwoPolarFactors, two_polar_decompose
 from affinekit.measures import (angles_from_rotation, chart_density,
                                 chart_weight, haar_density, jacobian_oracle,
-                                measure_check_report, rotation_from_angles,
+                                measure_check_report, pow_each, rotation_from_angles,
                                 sample_orthogonal, twopolar_densities)
 
 
@@ -90,6 +90,35 @@ def test_twopolar_ratio_identity(glplus):
                 continue
             expected = np.linalg.det(f.reconstruct()) ** (-n)
             assert abs(haar / lebesgue - expected) <= 1e-8 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_densities_equal_per_matrix_values(glplus, n):
+    """A stack's densities equal those of its members alone bit for bit,
+    also where numpy's array power would round differently."""
+    phi = np.stack([glplus(n) for _ in range(40)])
+    for kind in ("haar_lambda", "haar_alpha", "lebesgue_l"):
+        stacked = haar_density(phi, kind)
+        assert stacked.shape == (40,)
+        assert stacked.tolist() == [haar_density(m, kind) for m in phi]
+    haar, lebesgue = twopolar_densities(two_polar_decompose(phi))
+    singles = [twopolar_densities(two_polar_decompose(m)) for m in phi]
+    assert haar.tolist() == [h for h, _ in singles]
+    assert lebesgue.tolist() == [le for _, le in singles]
+    assert haar_density(phi.reshape(4, 10, n, n), "haar_alpha").shape == (4, 10)
+
+
+def test_pow_each_rounds_as_scalar_pow():
+    d = np.random.default_rng(3).uniform(0.01, 5.0, 2000)
+    for p in (-4, -3, -2, 2, 3):
+        assert pow_each(d, p).tolist() == [float(x) ** p for x in d]
+    assert (d ** -3 != pow_each(d, -3)).any()  # the array power rounds otherwise
+
+
+def test_stacked_haar_density_names_a_bad_member():
+    phi = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+    with pytest.raises(NegativeOrientation, match=r"phi\[1\]"):
+        haar_density(phi, "haar_lambda")
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,53 @@ def test_suite_reports_are_reproducible():
             == measure_check_report(n, points=20, seed=5)
 
 
+# sha256 of the stdout of each command line, recorded before the samplers took
+# their accept test in closed form and their rotations from one stacked QR
+# (numpy 2.4, x86-64): a change that moves any draw changes these.
+PINNED_REPORTS = {
+    ("check", "invariance"):
+        "f339fe8e522cb0e4bb53891f1917ec1ba2c97662fbbad1dd3e0980b84ed47cc4",
+    ("check", "legendre"):
+        "d4808fe693de604ffa7dd5cbd2d56de3dd1797b864914802aea4d6df5f539b1f",
+    ("check", "measures"):
+        "5368cca4f2417dfdb65630b74b596ffb977f520f9ae6a1dbcfc2a079d90a47b5",
+    ("measure-check", "--n", "1", "--seed", "12345"):
+        "d332690972f8ba300084a688c352dc1cb63ecca9660e46b1270e14f682900adc",
+    ("measure-check", "--n", "2", "--seed", "12345"):
+        "01edfdfaa19792f8fe3b0bbf03980f890eee5dcf96ec4225eef8d1bb7009d242",
+    ("measure-check", "--n", "3", "--seed", "12345"):
+        "5964b3b39d4a386a342e201908a5a0221b7322e3ea336d6a3cd7c749fde50af1",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
+def test_check_reports_equal_the_pinned_bytes(argv, capsys):
+    import hashlib
+
+    assert cli_main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+def test_main_runs_different_subcommands_in_one_process(capsys):
+    """The parser is built once per process; each main call still parses its
+    own command line, and usage errors keep their exit codes."""
+    from affinekit.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert cli_main(["measure-check", "--n", "1", "--points", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 3
+    assert cli_main(["check", "nonsense"]) == 64
+    assert cli_main(["measure-check", "--n", "2", "--points", "4", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 2 and report["points"] == 4
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["spectrum", "--levels", "many"])
+    assert exc.value.code == 2
+    assert cli_main(["spectrum", "--potential", "what:1"]) == 64
+    assert cli_main(["check", "brackets"]) == 0
+
+
 def test_relative_error_keeps_each_sample_scale():
     """A sample with a large reference does not mask another sample's error:
     the scale is 1 + max|ref| of each sample, not of the whole stack."""
