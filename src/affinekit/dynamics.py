@@ -456,12 +456,12 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
 # ---------------------------------------------------------------------------
 # Poisson brackets
 
-def _phase_gradient(F, state: PhaseState, h_scale: float = 1e-5):
+def _phase_gradient(F, state: PhaseState):
     """Central-difference gradient of a phase function, or its registered one.
 
     Returns (dF/dx, dF/dphi, dF/dp, dF/dpi) with the natural array shapes.
     A callable may carry a ``phase_gradient(state)`` attribute returning the
-    same tuple analytically.
+    same tuple analytically, led by the axes of a stack of functions.
     """
     analytic = getattr(F, "phase_gradient", None)
     if analytic is not None:
@@ -470,55 +470,61 @@ def _phase_gradient(F, state: PhaseState, h_scale: float = 1e-5):
     N, n = state.N, state.n
     grad = np.empty_like(z0)
     for i in range(len(z0)):
-        h = h_scale * max(1.0, abs(z0[i]))
+        h = 1e-5 * max(1.0, abs(z0[i]))
         zp = z0.copy(); zp[i] += h
         zm = z0.copy(); zm[i] -= h
         grad[i] = (F(_unpack(zp, N, n, state.time)) - F(_unpack(zm, N, n, state.time))) / (2 * h)
     return _split(grad, N, n)
 
 
-def poisson_bracket(F, G, state: PhaseState, h_scale: float = 1e-5) -> float:
+def poisson_bracket(F, G, state: PhaseState):
     """Canonical bracket {F, G} over all (x, p) and (phi, pi) pairs.
 
-    The (phi, pi) contribution contracts dF/dphi[K, i, a] with
-    dG/dpi[K, a, i], matching the Tr(pi xi) pairing.
+    The (phi, pi) contribution contracts dF/dphi[..., K, i, a] with
+    dG/dpi[..., K, a, i], matching the Tr(pi xi) pairing.  Every sum runs over
+    the trailing phase axes only and the leading axes of F and G broadcast:
+    one pair gives a float, stacked components give the whole table, and each
+    table entry is bit for bit the bracket of its pair alone.
     """
-    fx, fphi, fp, fpi = _phase_gradient(F, state, h_scale)
-    gx, gphi, gp, gpi = _phase_gradient(G, state, h_scale)
-    val = float(np.sum(fx * gp) - np.sum(fp * gx))
-    val += float(np.einsum("kia,kai->", fphi, gpi) - np.einsum("kai,kia->", fpi, gphi))
-    return val
+    fx, fphi, fp, fpi = _phase_gradient(F, state)
+    gx, gphi, gp, gpi = _phase_gradient(G, state)
+    vec, mat = (-2, -1), (-3, -2, -1)
+    val = (fx * gp).sum(axis=vec) - (fp * gx).sum(axis=vec)
+    val += (fphi * gpi.swapaxes(-1, -2)).sum(axis=mat) \
+        - (fpi * gphi.swapaxes(-1, -2)).sum(axis=mat)
+    return val if np.ndim(val) else float(val)
 
 
-def sigma_component(K: int, a: int, b: int):
+def _spin_component(K: int, a, b, hat: bool):
+    """Phase function S_K[a, b] with analytic gradient, S = left right for (left,
+    right) = (phi_K, pi_K), or (pi_K, phi_K) with ``hat``.  Index arrays a and b
+    that broadcast make it the stack of those components."""
+    def factors(state: PhaseState):
+        phi, pi = state.config.phi[K], state.mom.pi[K]
+        return (pi, phi) if hat else (phi, pi)
+
+    def f(state: PhaseState):
+        left, right = factors(state)
+        return (left @ right)[a, b]
+
+    def grad(state: PhaseState):
+        # dS[a, b]/dleft[i, j] = delta_ai right[j, b]; dS[a, b]/dright[i, j] = left[a, i] delta_jb
+        left, right = factors(state)
+        eye, body = np.eye(state.n), np.eye(state.N)[K][:, None, None]
+        dleft = body * (eye[a][..., :, None] * right.T[b][..., None, :])[..., None, :, :]
+        dright = body * (left[a][..., :, None] * eye[b][..., None, :])[..., None, :, :]
+        zeros = np.zeros(dleft.shape[:-1])
+        return (zeros, dright, zeros, dleft) if hat else (zeros, dleft, zeros, dright)
+
+    f.phase_gradient = grad
+    return f
+
+
+def sigma_component(K: int, a, b):
     """Phase function Sigma_K[a, b] = (phi_K pi_K)[a, b] with analytic gradient."""
-    def f(state: PhaseState) -> float:
-        return float(state.config.phi[K][a] @ state.mom.pi[K][:, b])
-
-    def grad(state: PhaseState):
-        N, n = state.N, state.n
-        dphi = np.zeros((N, n, n))
-        dpi = np.zeros((N, n, n))
-        dphi[K, a, :] = state.mom.pi[K][:, b]
-        dpi[K, :, b] = state.config.phi[K][a]
-        return np.zeros((N, n)), dphi, np.zeros((N, n)), dpi
-
-    f.phase_gradient = grad
-    return f
+    return _spin_component(K, a, b, hat=False)
 
 
-def sigma_hat_component(K: int, a: int, b: int):
+def sigma_hat_component(K: int, a, b):
     """Phase function Sigma_hat_K[a, b] = (pi_K phi_K)[a, b] with analytic gradient."""
-    def f(state: PhaseState) -> float:
-        return float(state.mom.pi[K][a] @ state.config.phi[K][:, b])
-
-    def grad(state: PhaseState):
-        N, n = state.N, state.n
-        dphi = np.zeros((N, n, n))
-        dpi = np.zeros((N, n, n))
-        dpi[K, a, :] = state.config.phi[K][:, b]
-        dphi[K, :, b] = state.mom.pi[K][a]
-        return np.zeros((N, n)), dphi, np.zeros((N, n)), dpi
-
-    f.phase_gradient = grad
-    return f
+    return _spin_component(K, a, b, hat=True)

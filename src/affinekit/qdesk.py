@@ -39,6 +39,10 @@ class QGrid:
     alpha_eff: float = 1.0
 
     def __post_init__(self):
+        for name in ("q_min", "q_max", "hbar", "alpha_eff"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.q_min < self.q_max:
             raise ValueError("q_min must be below q_max")
         if self.m < 16:

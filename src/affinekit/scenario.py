@@ -268,7 +268,7 @@ def _initial_from_dict(d: dict | None, n: int, N: int):
         phi.append(_array(_need(b, "phi", f"{path}.phi"), f"{path}.phi", (n, n)))
         det = np.linalg.det(phi[-1])
         if not det > DET_FLOOR:
-            # the run must start inside GL+(n), where _state_problem keeps it
+            # the run must start inside GL+(n), where dynamics._first_problem keeps it
             raise ValidationError(f"'{path}.phi' must have det > {DET_FLOOR}, got {det:.3e}")
         p.append(_array(b.get("p", np.zeros(n)), f"{path}.p", (n,)))
         pi.append(_array(b.get("pi", np.zeros((n, n))), f"{path}.pi", (n, n)))
@@ -308,11 +308,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValidationError(f"integrator.method must be one of {INTEGRATION_METHODS}")
     dt = _num(integ, "dt", "integrator", 1e-3, positive=True)
     T = _num(integ, "T", "integrator", 1.0, minimum=0.0)
-    out_dir = str(d.get("output", {}).get("dir", "")) if isinstance(d.get("output"), dict) else ""
+    out_dir = _typed(_typed(d.get("output", {}), dict, "output").get("dir", ""), str, "output.dir")
     return Scenario(n=n, N=N, model=model, params=params, potential=potential,
                     initial=initial, generate_scale=scale, method=method, dt=dt,
                     T=T, seed=_num(d, "seed", "", 0, cast=int, minimum=0),
-                    name=str(d.get("name", "")), out_dir=out_dir, schema_version=version)
+                    name=_typed(d.get("name", ""), str, "name"), out_dir=out_dir,
+                    schema_version=version)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

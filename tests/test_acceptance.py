@@ -199,7 +199,7 @@ def test_criterion_7_qdesk():
            f"(tol 1e-6); {elapsed:.1f} s (< 30 s)")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, child_env):
     src = json.loads(bundled_scenario_path("two_body_affine_pair").read_text())
     src["integrator"]["T"] = 0.05
     scenario_path = tmp_path / "scenario.json"
@@ -210,7 +210,7 @@ def test_criterion_8_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "affinekit.cli", "run", str(scenario_path),
              "--out", str(out)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=child_env)
         assert proc.returncode == 0, proc.stderr
         digests.append(tuple((out / name).read_bytes()
                              for name in ("trajectory.csv", "charges.csv", "summary.json")))

@@ -256,6 +256,81 @@ def test_numeric_bracket_agrees_with_analytic_gradients(rng):
     assert abs(analytic - numeric) <= 1e-9
 
 
+SPINS = {"sigma": sigma_component, "sigma_hat": sigma_hat_component}
+PAIRINGS = [(f, g) for f in SPINS for g in SPINS]
+
+
+@pytest.mark.parametrize("n,N,K", [(2, 1, 0), (3, 1, 0), (2, 3, 1), (2, 3, 2),
+                                   (3, 3, 1), (3, 3, 2)])
+def test_bracket_tables_equal_the_component_brackets(rng, n, N, K):
+    """One bracket of stacked components is the table of the per-component
+    brackets, entry for entry and bit for bit, for every pairing of spins."""
+    s = random_phase(rng, n, N)
+    a, b, c, d = np.indices((n,) * 4)
+    for f, g in PAIRINGS:
+        table = poisson_bracket(SPINS[f](K, a, b), SPINS[g](K, c, d), s)
+        assert table.shape == (n,) * 4
+        for idx in np.ndindex(table.shape):
+            single = poisson_bracket(SPINS[f](K, *idx[:2]), SPINS[g](K, *idx[2:]), s)
+            assert type(single) is float
+            assert table[idx] == single, (f, g, idx)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_brackets_of_different_bodies_vanish(rng, n):
+    """Spins of different bodies depend on disjoint phase variables."""
+    s = random_phase(rng, n, N=3)
+    a, b, c, d = np.indices((n,) * 4)
+    for K, L in [(0, 1), (1, 2), (2, 0)]:
+        for f, g in PAIRINGS:
+            assert not np.any(poisson_bracket(SPINS[f](K, a, b), SPINS[g](L, c, d), s)), \
+                (f, g, K, L)
+
+
+def test_numeric_gradient_of_another_body_agrees_with_analytic(rng):
+    """At body 2 of 3, a finite-difference component bracketed with an
+    analytic one agrees with the analytic pair, so the analytic gradient sits
+    in the body's own slots."""
+    s = random_phase(rng, 3, N=3)
+    sig_10 = lambda state: float(state.config.phi[2][1] @ state.mom.pi[2][:, 0])
+    hat_21 = lambda state: float(state.mom.pi[2][2] @ state.config.phi[2][:, 1])
+    for F, G, G_plain in [
+            (sigma_component(2, 0, 1), sigma_component(2, 1, 0), sig_10),
+            (sigma_component(2, 1, 2), sigma_hat_component(2, 2, 1), hat_21),
+            (sigma_hat_component(2, 0, 2), sigma_hat_component(2, 2, 1), hat_21)]:
+        analytic = poisson_bracket(F, G, s)
+        assert abs(poisson_bracket(F, G_plain, s) - analytic) <= 1e-9
+        assert abs(poisson_bracket(G_plain, F, s) + analytic) <= 1e-9
+
+
+def _closure_gradient(K, a, b, hat, state):
+    """Reference Sigma (hat False) and Sigma_hat (hat True) gradients, written
+    out row by row and column by column for one component."""
+    N, n = state.N, state.n
+    phi, pi = state.config.phi[K], state.mom.pi[K]
+    dphi, dpi = np.zeros((N, n, n)), np.zeros((N, n, n))
+    if hat:
+        dpi[K, a, :] = phi[:, b]
+        dphi[K, :, b] = pi[a]
+    else:
+        dphi[K, a, :] = pi[:, b]
+        dpi[K, :, b] = phi[a]
+    return np.zeros((N, n)), dphi, np.zeros((N, n)), dpi
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (3, 1), (2, 3), (3, 3)])
+def test_spin_gradients_at_scalar_indices_equal_the_closures(rng, n, N):
+    s = random_phase(rng, n, N)
+    for K in range(N):
+        for a in range(n):
+            for b in range(n):
+                for hat, spin in [(False, sigma_component), (True, sigma_hat_component)]:
+                    got = spin(K, a, b).phase_gradient(s)
+                    for block, ref in zip(got, _closure_gradient(K, a, b, hat, s)):
+                        assert block.shape == ref.shape
+                        assert np.array_equal(block, ref)
+
+
 # ---------------------------------------------------------------------------
 # Noether charges
 

@@ -38,6 +38,15 @@ def test_invalid_inertia():
         build_hamiltonian_1d(QGrid(-5.0, 5.0, 100, alpha_eff=-1.0), harmonic(1.0))
 
 
+@pytest.mark.parametrize("field", ["q_min", "q_max", "hbar", "alpha_eff"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_grid_rejects_non_finite_values(field, value):
+    kwargs = dict(q_min=-5.0, q_max=5.0, m=100, hbar=1.0, alpha_eff=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        QGrid(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 

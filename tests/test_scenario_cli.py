@@ -134,6 +134,10 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
                  r"bodies\[0\]\.phi", id="phi_singular"),
     pytest.param(("initial", "bodies", 0, "phi"), [[-1.0, 0.0], [0.0, 1.0]],
                  r"bodies\[0\]\.phi", id="phi_negative_det"),
+    pytest.param(("output",), {"dir": None}, "'output.dir'", id="output_dir_null"),
+    pytest.param(("output",), {"dir": ["a"]}, "'output.dir'", id="output_dir_list"),
+    pytest.param(("output",), "x", "'output'", id="output_string"),
+    pytest.param(("name",), None, "'name'", id="name_null"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -244,13 +248,13 @@ def test_rk4_summary_has_no_fixed_point_residual(tmp_path):
     assert solver["max_final_residual"] is None
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
+def test_cli_import_leaves_scipy_interpolate_unloaded(child_env):
     """``affinekit run`` needs no scipy: importing the CLI must not load the
     spline and tridiagonal-eigensolver modules that qdesk uses."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, affinekit.cli; "
          "print(sorted(m for m in ('scipy.interpolate', 'scipy.linalg') if m in sys.modules))"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -411,20 +415,39 @@ def test_cli_measure_check(capsys):
     assert report["max_rel_err"] <= 1e-6
 
 
-def test_cli_entrypoint_subprocess(tmp_path):
+def test_cli_entrypoint_subprocess(tmp_path, child_env):
     """The installed console script path works end to end."""
     scenario_path = tmp_path / "scn.json"
     scenario_path.write_text(json.dumps(_short_scenario(T=0.01)))
     proc = subprocess.run(
         [sys.executable, "-m", "affinekit.cli", "run", str(scenario_path),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aborted"] is False
 
 
 def test_cli_bad_potential_spec_usage_error(capsys):
     assert cli_main(["spectrum", "--potential", "what:1"]) == 64
+
+
+@pytest.mark.parametrize("flag,value,field", [("--qmin", "-inf", "q_min"),
+                                              ("--qmax", "nan", "q_max"),
+                                              ("--hbar", "inf", "hbar"),
+                                              ("--alpha", "nan", "alpha_eff")])
+def test_cli_spectrum_rejects_non_finite_grid_values(tmp_path, capsys, flag, value, field):
+    """A non-finite grid value is an error naming the field, raised before
+    any arithmetic on it could warn."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["spectrum", f"{flag}={value}", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{field} must be finite" in err
+    assert "RuntimeWarning" not in err
+    assert not (tmp_path / "rho.csv").exists()
 
 
 @pytest.mark.parametrize("suite", ["legendre", "invariance", "brackets",
@@ -465,8 +488,13 @@ def test_suite_reports_are_reproducible():
 
 # sha256 of the stdout of each command line, recorded before the samplers took
 # their accept test in closed form and their rotations from one stacked QR
-# (numpy 2.4, x86-64): a change that moves any draw changes these.
+# (numpy 2.4, x86-64): a change that moves any draw changes these.  The
+# brackets report is recorded with the brackets evaluated as whole tables.
 PINNED_REPORTS = {
+    ("check", "brackets"):
+        "45de0006aafac02ff111c5a930be012e1a621ca20bc6491da6b59a76993fa105",
+    ("check", "qdesk"):
+        "51d448162632687a585dd9de503fe3d3fdf08bce067785bdd998543ec13879e1",
     ("check", "invariance"):
         "f339fe8e522cb0e4bb53891f1917ec1ba2c97662fbbad1dd3e0980b84ed47cc4",
     ("check", "legendre"):
