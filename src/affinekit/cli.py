@@ -81,6 +81,10 @@ def _cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EX_USAGE
+    if not 1 <= args.levels <= args.points - 2:
+        print(f"--levels must be between 1 and --points - 2 = {args.points - 2}, "
+              f"got {args.levels}", file=sys.stderr)
+        return EX_USAGE
     grid = qdesk.QGrid(q_min=args.qmin, q_max=args.qmax, m=args.points,
                        hbar=args.hbar, alpha_eff=args.alpha)
     op = qdesk.build_hamiltonian_1d(grid, V)

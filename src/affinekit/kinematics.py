@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import as_matrices, as_matrix, checked_det, inv
+from .matcore import as_matrices, as_matrix, checked_det, det_inv
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def deformation_tensors(phi) -> DeformationTensors:
     """Green/Cauchy tensors of an internal configuration (n, n), or of each
     of a stack (..., n, n)."""
     phi = as_matrices(phi)
-    checked_det(phi)
-    phi_inv = np.linalg.inv(phi)
+    _, phi_inv = det_inv(phi)
     G = _sym(_T(phi) @ phi)
     C = _sym(_T(phi_inv) @ phi_inv)
     eye = np.eye(phi.shape[-1])
@@ -156,8 +155,8 @@ def mutual_tensors(psi, phi) -> MutualTensors:
     pair of two stacks (..., n, n)."""
     psi = as_matrices(psi, "psi")
     phi = as_matrices(phi, "phi")
-    psi_inv = inv(psi, "psi")
-    phi_inv = inv(phi, "phi")
+    _, psi_inv = det_inv(psi, "psi")
+    _, phi_inv = det_inv(phi, "phi")
     eye = np.eye(phi.shape[-1])
     Gm = _T(psi) @ phi
     Cm = _T(phi_inv) @ psi_inv
@@ -207,7 +206,7 @@ def invariants_M(psi, phi) -> np.ndarray:
     shape (n,), or (..., n) for stacks (..., n, n)."""
     psi = as_matrices(psi, "psi")
     phi = as_matrices(phi, "phi")
-    return _trace_powers(inv(psi, "psi") @ phi, phi.shape[-1])
+    return _trace_powers(det_inv(psi, "psi")[1] @ phi, phi.shape[-1])
 
 
 def eig_invariants(phi) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +231,7 @@ def affine_velocity(phi, xi, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi = as_matrices(phi)
     xi = as_matrices(xi, "xi")
     v = np.asarray(v, dtype=float)
-    phi_inv = inv(phi)
+    _, phi_inv = det_inv(phi)
     return xi @ phi_inv, phi_inv @ xi, (phi_inv @ v[..., None])[..., 0]
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, MissingParams
 from .kinematics import SystemConfig, VelocityState
-from .matcore import det_inv, stacked_det
+from .matcore import checked_det, det_inv
 
 TRANSLATIONAL_MODELS = ("dalembert", "is-af", "af-is")
 INTERNAL_MODELS = ("dalembert", "af-J", "af-is", "H-af", "l-af", "r-af", "af-af", "is-af")
@@ -376,7 +376,7 @@ def inverse_legendre(model: KineticModel, params, config: SystemConfig,
                      mom: MomentumState) -> VelocityState:
     """Map canonical momenta back to velocities (exact inverse of legendre)."""
     form = compile_kinetics(model, params, config.n, config.N)
-    stacked_det(config.phi)
+    checked_det(config.phi)
     v, xi, _ = form.flow(config.phi, mom.p, mom.pi)
     return VelocityState(v=v, xi=xi)
 
@@ -385,7 +385,7 @@ def kinetic_hamiltonian(model: KineticModel, params, config: SystemConfig,
                         mom: MomentumState, per_body: bool = False):
     """Kinetic Hamiltonian; satisfies T(legendre(v, xi)) = T(v, xi)."""
     form = compile_kinetics(model, params, config.n, config.N)
-    stacked_det(config.phi)
+    checked_det(config.phi)
     out = form.hamiltonian(config.phi, mom.p, mom.pi)
     return out if per_body else float(out.sum())
 
@@ -400,7 +400,7 @@ def kinetic_phi_gradient(model: KineticModel, params, config: SystemConfig,
     sector adds p p_hat.T / M.
     """
     form = compile_kinetics(model, params, config.n, config.N)
-    stacked_det(config.phi)
+    checked_det(config.phi)
     return form.flow(config.phi, mom.p, mom.pi)[2].transpose(0, 2, 1)
 
 

@@ -1,9 +1,10 @@
 """Dense small-matrix kernels: polar and two-polar decompositions.
 
 Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4;
-``checked_det``, ``stacked_det``, ``det_inv``, ``inv`` and
-``two_polar_decompose`` also take stacks (..., n, n) and name a singular
-member by its index.
+``checked_det``, ``det_inv`` and ``two_polar_decompose`` also take stacks
+(..., n, n).  ``checked_det`` is the one invertibility check, for a matrix
+and for a stack alike; it names a singular member by its index and leaves
+input validation to ``as_matrices``/``as_matrix``.
 Configuration matrices must lie in GL+(n): positive determinant, with
 |det| > 1e-12 as the working invertibility floor.
 """
@@ -44,56 +45,39 @@ def as_matrix(phi, name: str = "phi") -> np.ndarray:
 
 
 def _first(name: str, flags: np.ndarray) -> tuple[str, tuple]:
-    """``name[i, ...]`` and the index of the first True entry of ``flags``."""
+    """``name[i, ...]`` and the index of the first True entry of ``flags``;
+    plain ``name`` when ``flags`` is a scalar (one matrix)."""
+    if flags.ndim == 0:
+        return name, ()
     idx = np.unravel_index(int(np.argmax(flags)), flags.shape)
     return f"{name}[{', '.join(str(int(i)) for i in idx)}]", idx
 
 
-def checked_det(phi, name: str = "phi", require_positive: bool = False):
-    """Determinant of ``phi``, raising if it sits at the invertibility floor.
+def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = False):
+    """Determinant of one matrix (n, n), a float, or of each of a stack
+    (..., n, n), an array.
 
-    A stack (..., n, n) gives the array of its determinants; a singular or
-    (with ``require_positive``) negative member is named by its index.
-    """
-    m = as_matrices(phi, name)
-    if m.ndim > 2:
-        d = stacked_det(m, name)
-        if require_positive and (d < 0.0).any():
-            label, idx = _first(name, d < 0.0)
-            raise NegativeOrientation(f"{label} has det = {d[idx]:.3e} < 0 (outside GL+)")
-        return d
-    d = float(np.linalg.det(m))
-    if abs(d) <= DET_FLOOR:
-        raise SingularInput(f"{name} is singular (|det| = {abs(d):.3e} <= {DET_FLOOR})")
-    if require_positive and d < 0.0:
-        raise NegativeOrientation(f"{name} has det = {d:.3e} < 0 (outside GL+)")
-    return d
-
-
-def stacked_det(phi: np.ndarray, name: str = "phi") -> np.ndarray:
-    """Determinants of a stack of matrices (..., n, n).
-
-    Raises SingularInput, naming the first such member by its index, if any
-    |det| sits at the invertibility floor or is not finite.
+    Raises SingularInput if a |det| sits at the invertibility floor or is not
+    finite and, with ``require_positive``, NegativeOrientation if a det is
+    negative; a stack member is named by its index, ``phi[i, ...]``.  The
+    input is not validated: callers pass it through ``as_matrices`` or
+    ``as_matrix`` first.
     """
     det = np.linalg.det(phi)
     if not np.abs(det).min() > DET_FLOOR:
         label, idx = _first(name, ~(np.abs(det) > DET_FLOOR))
         raise SingularInput(f"{label} is singular "
                             f"(|det| = {abs(det[idx]):.3e} <= {DET_FLOOR})")
-    return det
+    if require_positive and (det < 0.0).any():
+        label, idx = _first(name, det < 0.0)
+        raise NegativeOrientation(f"{label} has det = {det[idx]:.3e} < 0 (outside GL+)")
+    return float(det) if det.ndim == 0 else det
 
 
-def det_inv(phi: np.ndarray, name: str = "phi") -> tuple[np.ndarray, np.ndarray]:
-    """Checked determinants (see stacked_det) and inverses of a stack of matrices."""
-    return stacked_det(phi, name), np.linalg.inv(phi)
-
-
-def inv(phi, name: str = "phi") -> np.ndarray:
-    """Inverse of a matrix or of each of a stack (..., n, n), with the
-    singularity floor enforced."""
-    checked_det(phi, name)
-    return np.linalg.inv(phi)
+def det_inv(phi: np.ndarray, name: str = "phi"):
+    """Checked determinants (see checked_det) and inverses of one matrix or
+    of a stack of matrices."""
+    return checked_det(phi, name), np.linalg.inv(phi)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NegativeOrientation, NonDifferentiable
 from .kinematics import BodyConfig, SystemConfig, _powers
-from .matcore import checked_det, det_inv
+from .matcore import as_matrix, det_inv
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +370,11 @@ def binary_potential(spec: PotentialSpec, body_K: BodyConfig, body_L: BodyConfig
 
 
 def dilatation_stabilizer(spec: PotentialSpec, phi) -> float:
-    """Stabilizer value for a single body."""
-    if spec.dil is None:
-        return 0.0
-    d = checked_det(phi, require_positive=True)
-    u = np.log(d / spec.dil.d_ref)
-    return 0.5 * spec.dil.kappa * float(u * u)
+    """Stabilizer value for a single body: the dilatation term of
+    ``total_potential`` on that body alone."""
+    phi = as_matrix(phi)
+    return total_potential(PotentialSpec(dil=spec.dil),
+                           SystemConfig(x=np.zeros((1, phi.shape[0])), phi=phi[None]))
 
 
 def total_potential(spec: PotentialSpec, config: SystemConfig) -> float:

@@ -114,13 +114,16 @@ def _need(d, key: str, path: str):
 def _num(d, key: str, path: str, default=_REQUIRED, cast=float, minimum=None,
          positive: bool = False):
     """d[key] (default when given and the key is absent) as a finite float, or
-    int with cast=int, at least ``minimum`` and, with ``positive``, above 0."""
+    int with cast=int, at least ``minimum`` and, with ``positive``, above 0.
+    A JSON number is required: booleans and strings are rejected, and so is
+    a number the cast would change (2.5 for an int, but not 2.0)."""
     where = f"{path}.{key}" if path else key
     value = _need(d, key, where) if default is _REQUIRED \
         else _typed(d, dict, path or "scenario").get(key, default)
     try:
         out = cast(value)
-        ok = bool(np.isfinite(out)) and (minimum is None or out >= minimum) \
+        ok = not isinstance(value, (bool, str)) and out == value \
+            and bool(np.isfinite(out)) and (minimum is None or out >= minimum) \
             and (not positive or out > 0)
     except (TypeError, ValueError, OverflowError):
         ok = False

@@ -549,6 +549,40 @@ def test_singular_last_body_raises_inside_a_batch(rng):
         total_energy(model, params, PAIR_SPEC, bad)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"dt": -0.1}, "dt must be positive"),
+    ({"dt": np.inf}, "dt must be positive and finite"),
+    ({"T": -1.0}, "T must be non-negative"),
+    ({"T": np.nan}, "T must be non-negative and finite"),
+    ({"method": "euler"}, "unknown method 'euler'"),
+])
+def test_integrate_rejects_bad_arguments(kwargs, match):
+    model = KineticModel("dalembert", "dalembert")
+    params = InertiaParams(M=1.0, J=np.eye(2))
+    s0 = phase_state([0.0, 0.0], np.eye(2), [1.0, 0.0], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=match):
+        integrate(model, params, FREE, s0, **{"dt": 0.1, "T": 1.0, **kwargs})
+
+
+def test_first_problem_reports_a_non_finite_sample_ahead_of_a_low_det_one():
+    """Samples are scanned in order: a NaN at sample 2 is reported before the
+    det phi at the floor of sample 3, and the low det alone after it."""
+    from affinekit.dynamics import _first_problem, _pack, compile_system
+
+    model = KineticModel("dalembert", "dalembert")
+    system = compile_system(model, InertiaParams(M=1.0, J=np.eye(2)), FREE, 2, 1)
+    good = _pack(phase_state([0.0, 0.0], np.eye(2), [1.0, 0.0], np.zeros((2, 2))))
+    low = _pack(phase_state([0.0, 0.0], np.diag([1.0, 1e-13]), [1.0, 0.0], np.zeros((2, 2))))
+    nan = good.copy()
+    nan[3] = np.nan
+    assert _first_problem(system, np.stack([good, good, nan, low])) \
+        == (2, "non-finite phase-space entries")
+    assert _first_problem(system, np.stack([good, good, good, low])) \
+        == (3, "det phi fell to 1.000e-13 (floor 1e-12)")
+    assert _first_problem(system, np.stack([good, good])) == (2, "")
+
+
 def test_degenerate_metric_raises_at_compile_time():
     from affinekit.dynamics import compile_system
     from affinekit.errors import DegenerateMetric
@@ -768,6 +802,8 @@ FIXED_POINT_RUNS = {
     "collapsing": _collapsing_scenario,
     "two_body_affine_pair_dt0.1": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
                                                     dt=0.1, steps=200),
+    "two_body_affine_pair_dt0.5": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
+                                                    dt=0.5, steps=40),
 }
 
 
@@ -776,10 +812,11 @@ def test_accepted_midpoint_steps_are_fixed_points_to_roundoff(run):
     """Every accepted step is the midpoint fixed point to 1e-15 x scale: one
     more evaluation would move it by at most that.  The runs are the bundled
     scenarios at their own dt, an n = 3, N = 8 is-af pair system, a separable
-    run, and two runs whose contraction rate grows along the way (a body
-    compressed toward the det floor, and a coarse dt = 0.1); on the
-    compressed body a carried contraction estimate that is never refreshed
-    misses the bar by up to 5x."""
+    run, and runs whose contraction rate grows along the way (a body
+    compressed toward the det floor, and coarse steps dt = 0.1 and 0.5); on
+    the compressed body a carried contraction estimate that is never
+    refreshed misses the bar by up to 5x, and at dt = 0.5 a stop on any
+    residual below 1e-12 that no longer halves left rho at 1.2e-13."""
     s = FIXED_POINT_RUNS[run]()
     traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
     assert not traj.aborted

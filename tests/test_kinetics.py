@@ -5,8 +5,8 @@ from affinekit.errors import DegenerateMetric, MissingParams
 from affinekit.kinematics import SystemConfig, VelocityState
 from affinekit.kinetics import (InertiaParams, KineticModel, MomentumState,
                                 inverse_legendre, kinetic_energy,
-                                kinetic_hamiltonian, legendre, positivity_check,
-                                tilde_constants)
+                                kinetic_hamiltonian, kinetic_phi_gradient, legendre,
+                                positivity_check, tilde_constants)
 
 ALL_TRANSLATIONAL = ("dalembert", "is-af", "af-is")
 ALL_INTERNAL = ("dalembert", "af-J", "af-is", "H-af", "l-af", "r-af", "af-af", "is-af")
@@ -87,6 +87,29 @@ def test_missing_params_error(rng):
     with pytest.raises(MissingParams):
         kinetic_energy(KineticModel("dalembert", "H-af"), InertiaParams(M=1.0),
                        config, vel)
+
+
+@pytest.mark.parametrize("translational", ["dalembert", "af-is"])
+@pytest.mark.parametrize("internal", ALL_INTERNAL)
+def test_kinetic_phi_gradient_matches_central_differences(rng, translational, internal):
+    """dT/dphi per body against central differences of the kinetic
+    Hamiltonian in each entry of phi, on two bodies; af-is puts phi into the
+    translational sector through p_hat = phi.T p as well."""
+    n, N, h = 3, 2, 1e-6
+    model, params = KineticModel(translational, internal), full_params(rng, n)
+    phi = np.stack([random_state(rng, n)[0].phi[0] for _ in range(N)])
+    x = rng.uniform(-1, 1, (N, n))
+    mom = MomentumState(p=rng.uniform(-1, 1, (N, n)), pi=rng.uniform(-1, 1, (N, n, n)))
+    grad = kinetic_phi_gradient(model, params, SystemConfig(x=x, phi=phi), mom)
+    fd = np.empty_like(phi)
+    for idx in np.ndindex(phi.shape):
+        step = np.zeros_like(phi)
+        step[idx] = h
+        fd[idx] = (kinetic_hamiltonian(model, params, SystemConfig(x=x, phi=phi + step), mom)
+                   - kinetic_hamiltonian(model, params, SystemConfig(x=x, phi=phi - step),
+                                         mom)) / (2.0 * h)
+    assert grad.shape == (N, n, n)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
 # ---------------------------------------------------------------------------

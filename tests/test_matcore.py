@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinekit.errors import NegativeOrientation, SingularInput
-from affinekit.matcore import polar_decompose, two_polar_decompose
+from affinekit.matcore import checked_det, det_inv, polar_decompose, two_polar_decompose
 
 
 def sqrt_spd(m):
@@ -132,6 +132,30 @@ def test_two_polar_stack_equals_per_matrix_factors(glplus, n):
         assert (np.linalg.det(raw_left) < 0).any() and (np.linalg.det(f.L) > 0).all()
     with pytest.raises(NegativeOrientation, match=r"phi\[1\]"):
         two_polar_decompose(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_checked_det_of_a_matrix_equals_its_stack_of_one(glplus, n):
+    """One body for a matrix and a stack: a single matrix gives the float its
+    stack of one gives, bit for bit, and the inverse det_inv pairs with it;
+    a failing matrix is named ``phi`` and a failing stack member ``phi[i]``."""
+    for m in [glplus(n) for _ in range(20)]:
+        d = checked_det(m, require_positive=True)
+        assert type(d) is float
+        assert np.float64(d).tobytes() == checked_det(m[None])[0].tobytes()
+        det, m_inv = det_inv(m)
+        assert det == d and m_inv.tobytes() == np.linalg.inv(m).tobytes()
+    singular, flipped = np.zeros((n, n)), np.diag([-1.0] + [1.0] * (n - 1))
+    with pytest.raises(SingularInput, match=r"^phi is singular \(\|det\| = 0\.000e\+00"):
+        checked_det(singular)
+    with pytest.raises(NegativeOrientation, match=r"^phi has det = -1\.000e\+00 < 0"):
+        checked_det(flipped, require_positive=True)
+    assert checked_det(flipped) == -1.0
+    eye = np.eye(n)
+    with pytest.raises(SingularInput, match=r"^phi\[1\] is singular"):
+        checked_det(np.stack([eye, singular, flipped]), require_positive=True)
+    with pytest.raises(NegativeOrientation, match=r"^phi\[2\] has det"):
+        checked_det(np.stack([eye, eye, flipped]), require_positive=True)
 
 
 @settings(max_examples=60, deadline=None)

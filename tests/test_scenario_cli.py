@@ -11,8 +11,8 @@ from affinekit.cli import main as cli_main
 from affinekit.dynamics import integrate
 from affinekit.errors import ParseError, ValidationError
 from affinekit.runner import run, trajectory_header
-from affinekit.scenario import (Scenario, bundled_scenario_path, parse_scenario,
-                                scenario_from_dict, scenario_to_dict,
+from affinekit.scenario import (Scenario, bundled_scenario_path, generate_initial,
+                                parse_scenario, scenario_from_dict, scenario_to_dict,
                                 serialize_scenario)
 
 MINIMAL = {
@@ -97,6 +97,24 @@ def test_generated_initial_is_seed_deterministic():
     assert np.max(np.abs(a.config.phi - c.config.phi)) > 1e-6
 
 
+def test_generated_initial_redraws_a_low_det_body():
+    """At seed 0 and scale 1 the first draw of body 2 has det phi = -0.54; it
+    is drawn again until det phi >= 0.2, and the result is still the same on
+    every call."""
+    n, N, seed, scale = 2, 3, 0, 1.0
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.standard_normal((N, n))
+    first = np.stack([np.eye(n) + scale * rng.standard_normal((n, n)) for _ in range(N)])
+    assert np.linalg.det(first[2]) < 0.2 <= np.linalg.det(first[:2]).min()
+    a, b = generate_initial(n, N, seed, scale), generate_initial(n, N, seed, scale)
+    for u, v in ((a.config.x, b.config.x), (a.config.phi, b.config.phi),
+                 (a.mom.p, b.mom.p), (a.mom.pi, b.mom.pi)):
+        np.testing.assert_array_equal(u, v)
+    np.testing.assert_array_equal(a.config.phi[:2], first[:2])
+    assert not np.array_equal(a.config.phi[2], first[2])
+    assert np.linalg.det(a.config.phi).min() >= 0.2
+
+
 def _bundled_dict(name):
     return json.loads(bundled_scenario_path(name).read_text())
 
@@ -138,6 +156,12 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
     pytest.param(("output",), {"dir": ["a"]}, "'output.dir'", id="output_dir_list"),
     pytest.param(("output",), "x", "'output'", id="output_string"),
     pytest.param(("name",), None, "'name'", id="name_null"),
+    pytest.param(("n",), 2.5, "'n'", id="n_fraction"),
+    pytest.param(("N",), 1.9, "'N'", id="N_fraction"),
+    pytest.param(("N",), "1", "'N'", id="N_string"),
+    pytest.param(("seed",), 3.7, "'seed'", id="seed_fraction"),
+    pytest.param(("integrator", "dt"), True, "integrator.dt", id="dt_bool"),
+    pytest.param(("integrator", "dt"), "0.01", "integrator.dt", id="dt_string"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -149,6 +173,16 @@ def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     (tmp_path / "bad.json").write_text(json.dumps(d))
     with pytest.raises(ValidationError, match=match):
         parse_scenario(tmp_path / "bad.json")
+
+
+def test_integral_numbers_parse_in_either_json_form():
+    """An integral float fills an int field and an int a float field."""
+    d = _bundled_dict("harmonic_oscillator")
+    d["n"], d["N"], d["seed"] = float(d["n"]), float(d["N"]), 3.0
+    d["integrator"]["dt"] = 1
+    s = scenario_from_dict(d)
+    assert (s.n, s.N, s.seed, s.dt) == (2, 1, 3, 1.0)
+    assert type(s.n) is int and type(s.seed) is int and type(s.dt) is float
 
 
 def _leaf_paths(node, path=()):
@@ -429,6 +463,43 @@ def test_cli_entrypoint_subprocess(tmp_path, child_env):
 
 def test_cli_bad_potential_spec_usage_error(capsys):
     assert cli_main(["spectrum", "--potential", "what:1"]) == 64
+
+
+@pytest.mark.parametrize("argv,bound", [(["--levels", "0"], 3998),
+                                        (["--levels", "-1"], 3998),
+                                        (["--points", "16", "--levels", "20"], 14)])
+def test_cli_spectrum_levels_out_of_range_is_a_usage_error(tmp_path, capsys, argv, bound):
+    """--levels outside 1..points - 2 exits 64 naming the flag and the bound,
+    before the grid is built, and writes no density CSV."""
+    assert cli_main(["spectrum", *argv, "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert "--levels" in err and f"= {bound}," in err
+    assert not (tmp_path / "rho.csv").exists()
+
+
+def _cli_levels(capsys, *argv):
+    assert cli_main(["spectrum", *argv]) == 0
+    return np.array(json.loads(capsys.readouterr().out)["levels"])
+
+
+def test_cli_spectrum_zero_potential_gives_the_dirichlet_stencil_levels(tmp_path, capsys):
+    """With V = 0 the operator is the Dirichlet stencil, whose levels are
+    2 kin (1 - cos(j pi / (m - 1))), kin = hbar^2 / (2 alpha h^2), j = 1..."""
+    m, alpha, hbar = 40, 2.0, 0.5
+    levels = _cli_levels(capsys, "--potential", "zero", "--qmin", "-1", "--qmax", "1",
+                         "--points", str(m), "--levels", "4", "--alpha", str(alpha),
+                         "--hbar", str(hbar), "--out", str(tmp_path))
+    kin = hbar ** 2 / (2.0 * alpha * (2.0 / (m - 1)) ** 2)
+    exact = 2.0 * kin * (1.0 - np.cos(np.arange(1, 5) * np.pi / (m - 1)))
+    np.testing.assert_allclose(levels, exact, rtol=1e-12)
+
+
+def test_cli_spectrum_poly_potential_matches_harmonic(tmp_path, capsys):
+    """poly:0,0,0.5 is the harmonic:1.0 potential written as a polynomial."""
+    common = ["--points", "400", "--levels", "5", "--out", str(tmp_path)]
+    poly = _cli_levels(capsys, "--potential", "poly:0,0,0.5", *common)
+    harmonic = _cli_levels(capsys, "--potential", "harmonic:1.0", *common)
+    np.testing.assert_allclose(poly, harmonic, rtol=1e-12)
 
 
 @pytest.mark.parametrize("flag,value,field", [("--qmin", "-inf", "q_min"),
