@@ -255,7 +255,8 @@ class KineticForm:
     sector (``comoving_p``) puts the mass metric on v_hat = phi^-1 v.
 
     The methods take stacked (N, ...) arrays and return stacked arrays;
-    ``hamiltonian`` also takes a leading sample axis, (S, N, ...).
+    ``hamiltonian`` and ``flow`` also take leading member axes, (..., N, ...),
+    each member bit-equal to its own evaluation.
     """
 
     frame: str
@@ -320,8 +321,8 @@ class KineticForm:
         vw = self._p_hat(phi, p) / self.M
         if self.comoving_p:
             # v = phi v_hat, and dT/dphi gains p v_hat.T
-            gT = gT + vw[:, :, None] * p[:, None, :]
-            return (phi @ vw[:, :, None])[:, :, 0], xi, gT
+            gT = gT + vw[..., :, None] * p[..., None, :]
+            return (phi @ vw[..., :, None])[..., 0], xi, gT
         return vw, xi, gT
 
 

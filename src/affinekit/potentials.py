@@ -191,6 +191,20 @@ def _ordered_pairs(n: int, N: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=32)
+def _stacked_scatter(n: int, N: int, S: int) -> tuple:
+    """(x_index, phi_index) of ``_ordered_pairs`` for S stacked members, the
+    indices of member s offset by s N n and s N n n: one bincount then
+    scatters every member's pairs, each bin summed in the member's own row
+    order, so each member is bit-equal to its own scatter."""
+    x_index, phi_index = _ordered_pairs(n, N)[3:]
+    out = ((np.arange(S)[:, None] * (N * n) + x_index).ravel(),
+           (np.arange(S)[:, None] * (N * n * n) + phi_index).ravel())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PotentialForm:
     """A PotentialSpec compiled for N bodies in n dimensions.
@@ -211,15 +225,16 @@ class PotentialForm:
     Mbar_a: int
 
     def evaluate(self, x, phi, det, phi_inv, grad: bool = True):
-        """(V, dV/dx, (dV/dphi).T) on stacked bodies: with ``grad`` only the
-        gradients are computed and V is None, without it only V and the
-        gradients are None.  ``det`` and ``phi_inv`` are those of ``phi``.
-        Without ``grad`` the arrays may carry a leading sample axis,
-        (S, N, ...), and V is then the (S,) values."""
+        """(V, dV/dx, (dV/dphi).T) on stacked bodies (..., N, ...): with
+        ``grad`` only the gradients are computed and V is None, without it
+        only V and the gradients are None.  ``det`` and ``phi_inv`` are those
+        of ``phi``.  Leading axes are members evaluated at once, each bit-equal
+        to its own evaluation; V then has their shape."""
         N, n, spec = self.N, self.n, self.spec
+        lead = x.shape[:-2]
         value = None if grad else 0.0
-        dx = np.zeros((N, n)) if grad else None
-        gT = np.zeros((N, n, n)) if grad else None
+        dx = np.zeros(lead + (N, n)) if grad else None
+        gT = np.zeros(lead + (N, n, n)) if grad else None
         phiT = phi.swapaxes(-1, -2)
         if self.invariant_a:
             # G^(a-1) phi.T, a = 1..max: Tr(G^a) and the transposed gradient 2a G^(a-1) phi.T
@@ -234,7 +249,7 @@ class PotentialForm:
             else:
                 val, slope = term.fn.eval((pw[term.a - 1] * phiT).sum(axis=(-2, -1)))
                 if grad:
-                    gT += (2.0 * term.a * slope)[:, None, None] * pw[term.a - 1]
+                    gT += (2.0 * term.a * slope)[..., None, None] * pw[term.a - 1]
                 else:
                     value += val.sum(axis=-1)
         if spec.dil is not None:
@@ -242,7 +257,7 @@ class PotentialForm:
                 raise NegativeOrientation("dilatation term needs det phi > 0")
             u = np.log(det / spec.dil.d_ref)
             if grad:
-                gT += (spec.dil.kappa * u)[:, None, None] * phi_inv
+                gT += (spec.dil.kappa * u)[..., None, None] * phi_inv
             else:
                 value += 0.5 * spec.dil.kappa * (u * u).sum(axis=-1)
         if self.pairs is not None:
@@ -263,6 +278,7 @@ class PotentialForm:
         """
         first, second, swap, x_index, phi_index = self.pairs
         N, n, P = self.N, self.n, len(first) // 2
+        lead = x.shape[:-2]
         grad = dx is not None
         kinds = {kind for kind, _, _ in self.binary}
         on_x = bool(kinds & {"r", "D"})
@@ -299,9 +315,9 @@ class PotentialForm:
             t = (Mp[:-1] * phi_sT).sum(axis=(-2, -1))
             M_val = 0.5 * (t + t[..., swap])
             if grad:
-                M_grad = Mp[:-1][:, swap] - Mp[1:]
+                M_grad = Mp[:-1][..., swap, :, :] - Mp[1:]
         if grad:
-            gphiT = np.zeros((2 * P, n, n))
+            gphiT = np.zeros(lead + (2 * P, n, n))
         value = None if grad else 0.0
         for kind, a, fn in self.binary:
             if kind == "r":
@@ -315,20 +331,22 @@ class PotentialForm:
                 value += val[..., :P].sum(axis=-1)
                 continue
             if kind == "r":
-                gx += (slope / r)[:, None] * d
+                gx += (slope / r)[..., None] * d
             elif kind == "D":
                 w = 0.5 * slope / D
-                gx += w[:, None] * (c - c[swap])
-                gphiT -= w[:, None, None] * (u[:, :, None] * c[:, None, :])
+                gx += w[..., None] * (c - c[..., swap, :])
+                gphiT -= w[..., None, None] * (u[..., :, None] * c[..., None, :])
             elif kind == "K":
-                gphiT += (a * slope)[:, None, None] * Kp[a - 1]
+                gphiT += (a * slope)[..., None, None] * Kp[a - 1]
             else:
-                gphiT += (0.5 * a * slope)[:, None, None] * M_grad[a - 1]
+                gphiT += (0.5 * a * slope)[..., None, None] * M_grad[a - 1]
         if grad:
+            if lead:
+                x_index, phi_index = _stacked_scatter(n, N, gT.size // (N * n * n))
             if on_x:
-                dx += np.bincount(x_index, weights=gx.ravel(), minlength=N * n).reshape(N, n)
+                dx += np.bincount(x_index, weights=gx.ravel(), minlength=dx.size).reshape(dx.shape)
             gT += np.bincount(phi_index, weights=gphiT.ravel(),
-                              minlength=N * n * n).reshape(N, n, n)
+                              minlength=gT.size).reshape(gT.shape)
         return value
 
 

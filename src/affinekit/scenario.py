@@ -134,11 +134,21 @@ def _num(d, key: str, path: str, default=_REQUIRED, cast=float, minimum=None,
     return out
 
 
+def _no_bool_or_str(value) -> bool:
+    """False if a boolean or a string sits anywhere in nested JSON arrays,
+    which np.asarray(..., dtype=float) would coerce to numbers."""
+    if isinstance(value, list):
+        return all(map(_no_bool_or_str, value))
+    return not isinstance(value, (bool, str))
+
+
 def _array(value, path: str, shape: tuple | None = None) -> np.ndarray:
-    """value as a finite float array of ``shape``, or of any length if None."""
+    """value as a finite float array of ``shape``, or of any length if None.
+    JSON numbers are required, as in _num: booleans and strings are rejected."""
     try:
         arr = np.asarray(value, dtype=float)
-        ok = (arr.ndim == 1 if shape is None else arr.shape == shape) and np.isfinite(arr).all()
+        ok = _no_bool_or_str(value) \
+            and (arr.ndim == 1 if shape is None else arr.shape == shape) and np.isfinite(arr).all()
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -9,8 +9,8 @@ from affinekit.errors import IterationDiverged
 from affinekit.kinematics import SystemConfig
 from affinekit.kinetics import InertiaParams, KineticModel, MomentumState
 from affinekit.potentials import (BinaryTerm, DilatationTerm, HarmonicFn,
-                                  InvariantTerm, PotentialSpec,
-                                  TranslationalHarmonic)
+                                  InvariantTerm, LennardJonesFn, LogHarmonicFn,
+                                  PolyFn, PotentialSpec, TranslationalHarmonic)
 from affinekit.runner import charge_drifts, relative_drift
 
 FREE = PotentialSpec()
@@ -640,6 +640,61 @@ def test_stacked_energy_equals_per_row_energies(rng):
         np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=0)
 
 
+# every pair channel and every scalar function kind, on arguments where each
+# is differentiable: lj and harmonic_log on the positive r, D and K:1 channels
+STACK_SPEC = PotentialSpec(
+    one_body=(TranslationalHarmonic(stiffness=0.6, center=(0.1, -0.2, 0.3)),
+              InvariantTerm(a=1, fn=LogHarmonicFn(stiffness=0.2, ref=3.0)),
+              InvariantTerm(a=3, fn=PolyFn(coeffs=(0.0, 0.1, 0.02)))),
+    binary=(BinaryTerm(arg="r", fn=LennardJonesFn(epsilon=0.05, sigma=1.0)),
+            BinaryTerm(arg="D", fn=LogHarmonicFn(stiffness=0.3, ref=1.5)),
+            BinaryTerm(arg="K:1", fn=LogHarmonicFn(stiffness=0.1, ref=2.0)),
+            *(BinaryTerm(arg=f"K:{a}", fn=HarmonicFn(stiffness=0.1, center=3.0)) for a in (2, 3)),
+            *(BinaryTerm(arg=f"Mbar:{a}", fn=PolyFn(coeffs=(0.0, 0.2, 0.05), shift=3.0))
+              for a in (1, 2, 3))),
+    dil=DilatationTerm(kappa=0.5))
+
+
+def _stack(rng, n, N, S):
+    """S phase vectors of N bodies with centers 2 apart along the diagonal."""
+    from affinekit.dynamics import _pack
+
+    z = np.stack([_pack(random_phase(rng, n, N=N)) for _ in range(S)])
+    z[:, :N * n] += 2.0 * np.repeat(np.arange(N), n)
+    return z
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_body"])
+@pytest.mark.parametrize("tr", ["dalembert", "af-is"])
+@pytest.mark.parametrize("it", ["dalembert", "af-J", "af-is", "H-af", "l-af", "r-af",
+                                "af-af", "is-af"])
+def test_stacked_rhs_equals_per_row_rhs(rng, it, tr, shared, N):
+    """An (S, D) stack, and an (S, 1, D) one, evaluate the RHS in one call,
+    each row bit for bit the call on that row alone."""
+    from affinekit.dynamics import compile_system
+
+    params = per_body_params(3)
+    system = compile_system(KineticModel(tr, it), params[0] if shared else params[:N],
+                            STACK_SPEC, 3, N)
+    z = _stack(rng, 3, N, 5)
+    rows = np.stack([system.rhs(row) for row in z])
+    np.testing.assert_array_equal(system.rhs(z), rows)
+    np.testing.assert_array_equal(system.rhs(z[:, None]), rows[:, None])
+
+
+def test_stacked_rhs_names_a_singular_member(rng):
+    from affinekit.dynamics import _split, compile_system
+    from affinekit.errors import SingularInput
+
+    system = compile_system(KineticModel("dalembert", "is-af"),
+                            InertiaParams(M=1.0, I=2.0, A=1.0, B=1.0), PAIR_SPEC, 3, 3)
+    z = _stack(rng, 3, 3, 4)
+    _split(z, 3, 3)[1][2, 1] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(SingularInput, match=r"phi\[2, 1\] is singular"):
+        system.rhs(z)
+
+
 # ---------------------------------------------------------------------------
 # extrapolated start of the midpoint solve
 
@@ -679,8 +734,10 @@ def test_extrapolated_start_lands_on_the_euler_start_fixed_point(name, monkeypat
     the last five samples and the contraction estimate carried from the
     steps before; that solve ends where one started from Euler without an
     estimate does, in fewer evaluations."""
+    from affinekit import dynamics
     from affinekit.dynamics import _extrapolate, _midpoint_step
 
+    monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
     s, s0, system = _bundled_system(name)
     traj, calls = _recorded_steps(monkeypatch, s, s0, s.dt, 15 * s.dt)
     for k in range(4, 14):
@@ -825,11 +882,14 @@ def test_accepted_midpoint_steps_are_fixed_points_to_roundoff(run):
 
 
 @pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair", "separable"])
-def test_midpoint_rhs_evaluations_per_step(name):
+def test_midpoint_rhs_evaluations_per_step(name, monkeypatch):
     """Regression guard on the solver cost: the Euler-start solve took 5 and 4
     RHS evaluations per step on the two bundled scenarios, and the
     extrapolated start without a carried contraction estimate took 2 on the
     separable run."""
+    from affinekit import dynamics
+
+    monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
     s = _separable_scenario(200) if name == "separable" else _with_run(
         _bundled_system(name)[0], steps=200)
     traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
@@ -841,8 +901,10 @@ def test_last_full_step_takes_the_extrapolated_start(monkeypatch):
     full step, so it starts from the extrapolation, not from Euler, and ends
     on the Euler-start fixed point to roundoff.  Only the first step, which
     has no sample history, starts from Euler."""
+    from affinekit import dynamics
     from affinekit.dynamics import _midpoint_step
 
+    monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
     s, s0, system = _bundled_system("two_body_affine_pair")
     dt, T = s.dt, 10 * s.dt
     h = T - 9 * dt
@@ -882,3 +944,61 @@ def test_det_floor_checked_per_chunk_matches_a_per_step_check(case, monkeypatch)
     assert traj.rhs_evals == per_step.rhs_evals
     np.testing.assert_array_equal(traj.times, per_step.times)
     np.testing.assert_array_equal(traj.z, per_step.z)
+
+
+# ---------------------------------------------------------------------------
+# windowed midpoint solve
+
+WINDOW_RUNS = {
+    **{name: lambda name=name: _with_run(_bundled_system(name)[0], steps=1200)
+       for name in DYNAMIC_SCENARIOS},
+    "two_body_affine_pair_dt0.1": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
+                                                    dt=0.1, steps=200),
+    "two_body_affine_pair_dt0.3": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
+                                                    dt=0.3, steps=200),
+}
+
+
+@pytest.mark.parametrize("run", WINDOW_RUNS)
+def test_windowed_run_matches_the_per_step_run(run, monkeypatch):
+    """Windows solve the fixed-point equations of single steps, so the run
+    agrees with the per-step run (forced by the selector constant) to
+    1e-13 x scale, at the same sample times.  At dt = 0.1 and 0.3 some
+    windows stall, are abandoned and have their steps taken one by one."""
+    from affinekit import dynamics
+
+    s = WINDOW_RUNS[run]()
+    args = (s.model, s.params, s.potential, s.initial_state())
+    windowed = integrate(*args, dt=s.dt, T=s.T)
+    assert windowed.rhs_calls < windowed.rhs_evals
+    monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
+    per_step = integrate(*args, dt=s.dt, T=s.T)
+    assert per_step.rhs_calls == per_step.rhs_evals
+    np.testing.assert_array_equal(windowed.times, per_step.times)
+    scale = max(1.0, np.max(np.abs(per_step.z)))
+    assert np.max(np.abs(windowed.z - per_step.z)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair", "separable"])
+def test_windowed_rhs_calls_per_step(name):
+    """Regression guard on the dispatch count: windows of up to 64 steps
+    take 0.06-0.13 RHS calls per step on these runs, where single steps
+    take 1.0-1.04."""
+    s = _separable_scenario(2000) if name == "separable" else _with_run(
+        _bundled_system(name)[0], steps=2000)
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert traj.rhs_calls / (len(traj.times) - 1) <= 0.2
+
+
+def test_window_extrapolation_is_the_quartic_through_five_samples():
+    """One step ahead it is _extrapolate's quartic; j steps ahead, exact on
+    quartics in the step index up to the roundoff its weights amplify (the
+    largest, C(67, 4) = 766,480, at 64 steps)."""
+    from affinekit.dynamics import _extrapolate, _extrapolate_window
+
+    t = np.arange(-4.0, 65.0)
+    quartic = np.stack([1.0 - 0.5 * t + 0.25 * t**2 - 0.01 * t**3 + 1e-4 * t**4,
+                        np.cos(0.01 * t)], axis=-1)
+    ahead = _extrapolate_window(quartic[:5], 64)
+    np.testing.assert_allclose(ahead[:, 0], quartic[5:, 0], rtol=1e-8)
+    np.testing.assert_allclose(ahead[0], _extrapolate(quartic, 4), rtol=1e-14)

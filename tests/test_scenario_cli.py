@@ -162,6 +162,12 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
     pytest.param(("seed",), 3.7, "'seed'", id="seed_fraction"),
     pytest.param(("integrator", "dt"), True, "integrator.dt", id="dt_bool"),
     pytest.param(("integrator", "dt"), "0.01", "integrator.dt", id="dt_string"),
+    pytest.param(("initial", "bodies", 0, "x"), [True, 0.0], r"bodies\[0\]\.x", id="x_bool"),
+    pytest.param(("initial", "bodies", 0, "x"), ["1", 0.0], r"bodies\[0\]\.x", id="x_string"),
+    pytest.param(("initial", "bodies", 0, "phi"), [["1", 0], [0, 1]], r"bodies\[0\]\.phi",
+                 id="phi_string"),
+    pytest.param(("potential", "one_body", 0, "center"), [False, 0.0],
+                 r"one_body\[0\]\.center", id="center_bool"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -263,6 +269,8 @@ def test_summary_reports_solver_telemetry(tmp_path):
     traj = integrate(sc.model, sc.params, sc.potential, sc.initial_state(), dt=sc.dt, T=sc.T)
     assert solver["rhs_evals"] == traj.rhs_evals > 0
     assert solver["rhs_evals_per_step"] == solver["rhs_evals"] / summary["steps"]
+    assert solver["rhs_calls"] == traj.rhs_calls > 0
+    assert solver["rhs_calls_per_step"] == solver["rhs_calls"] / summary["steps"]
     histogram = solver["evals_histogram"]
     assert sum(histogram.values()) == summary["steps"]
     assert sum(int(evals) * steps for evals, steps in histogram.items()) == solver["rhs_evals"]
@@ -322,6 +330,28 @@ def _gather(columns, name, shape):
     """Columns name(*idx) over every idx of shape, stacked to (S, *shape)."""
     stacked = np.stack([columns[name(*idx)] for idx in np.ndindex(*shape)], axis=1)
     return stacked.reshape(-1, *shape)
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+def test_csv_table_has_the_bytes_of_savetxt(tmp_path, rows):
+    """write_csv_table formats chunks of rows with one % each; its bytes are
+    those of np.savetxt with the same format, including signed zeros,
+    subnormals, values near the float64 range and NaN, across chunk edges."""
+    import io
+
+    from affinekit.runner import write_csv_table
+
+    rng = np.random.default_rng(rows)
+    special = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300,
+                        1.7976931348623157e308, np.nan, 1.0, -1.0 / 3.0])
+    table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-300, 300, (rows, 7))
+    table.ravel()[:len(special)] = special[:table.size]
+    header = [f"c{i}" for i in range(7)]
+    write_csv_table(tmp_path / "t.csv", header, [table[:, :1], table[:, 1:4], table[:, 4:]])
+    expected = io.StringIO()
+    np.savetxt(expected, table, fmt="%.17e", delimiter=",", header=",".join(header),
+               comments="")
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_csv_columns_hold_what_their_names_say(tmp_path):
