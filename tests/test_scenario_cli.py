@@ -354,6 +354,76 @@ def test_csv_table_has_the_bytes_of_savetxt(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
+def _percent_rows(table):
+    """The reference bytes of a table's rows: Python's % with %.17e, the
+    formatter behind np.savetxt."""
+    rows, cols = table.shape
+    return ((",".join(["%.17e"] * cols) + "\n") * rows % tuple(table.ravel().tolist())).encode()
+
+
+def _kernel_cases():
+    """float64 values that probe every branch of the digit kernel."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    near = [powers]
+    up, down = powers, powers
+    for _ in range(30):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    # bit patterns: every exponent, subnormals, infinities and NaNs included
+    bits = np.random.default_rng(14).integers(0, 2 ** 64, 1 << 20, dtype=np.uint64)
+    # exact ties at 18 digits: x = m 2^-(k+1) with m odd and m 5^k / 2 in
+    # [1e17, 1e18), so that x 10^k ends in .5
+    ties = []
+    for k in range(2, 27):
+        lo, hi = -(-2 * 10 ** 17 // 5 ** k), min((2 * 10 ** 18 - 1) // 5 ** k + 1, 2 ** 53)
+        ms = {(lo + (hi - lo) * j // 16) | 1 for j in range(16)}
+        ties += [m * 2.0 ** -(k + 1) for m in sorted(ms) if m < hi]
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250,
+               9.999999999999999e99, 1e100, 1.5e-100, 2.0 ** -27, 1000000000000000.125]
+    signed = np.concatenate(near + [ties, special])
+    return np.concatenate([signed, -signed, bits.view(np.float64), [np.inf, -np.inf, np.nan]])
+
+
+def test_csv_kernel_writes_the_bytes_of_percent(tmp_path):
+    """The numpy digit kernel behind write_csv_table writes exactly the bytes
+    of %.17e: on the 1..30-ulp neighbours of every power of ten in
+    1e-300..1e300, on 2^20 random bit patterns, on exact ties, signed zeros,
+    3-digit exponents, the largest double and the non-finite values, all with
+    either sign; and it returns the sha256 of what it wrote."""
+    import hashlib
+
+    from affinekit.runner import write_csv_table
+
+    values = _kernel_cases()
+    values = np.concatenate([values, np.zeros(-len(values) % 8)])
+    for start in range(0, len(values), 8 << 14):
+        table = values[start:start + (8 << 14)].reshape(-1, 8)
+        digest = write_csv_table(tmp_path / "k.csv", list("abcdefgh"),
+                                 [table[:, :3], table[:, 3:]])
+        written = (tmp_path / "k.csv").read_bytes()
+        assert written == b"a,b,c,d,e,f,g,h\n" + _percent_rows(table), start
+        assert digest == hashlib.sha256(written).hexdigest()
+
+
+def test_csv_table_rows_around_the_chunk(tmp_path):
+    """Tables of 0, 1, chunk - 1, chunk and chunk + 1 rows, and a row split
+    into 1-D and (S, a, b) blocks, give the bytes of np.savetxt."""
+    import io
+
+    from affinekit.runner import _CSV_CHUNK, write_csv_table
+
+    chunk = _CSV_CHUNK // 7  # rows of 7 values in one chunk
+    for rows in (0, 1, chunk - 1, chunk, chunk + 1):
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 7)) * 10.0 ** rng.integers(-120, 120, (rows, 7))
+        write_csv_table(tmp_path / "t.csv", list("abcdefg"),
+                        [table[:, 0], table[:, 1:7].reshape(rows, 2, 3)])
+        expected = io.StringIO()
+        np.savetxt(expected, table, fmt="%.17e", delimiter=",", header="a,b,c,d,e,f,g",
+                   comments="")
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode(), rows
+
+
 def test_csv_columns_hold_what_their_names_say(tmp_path):
     """At n = 3, N = 2 every column of trajectory.csv and charges.csv, found
     by header name, equals the value it names exactly (%.17e round-trips
@@ -618,6 +688,67 @@ def test_check_reports_equal_the_pinned_bytes(argv, capsys):
     assert cli_main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+# sha256 of the CSV artifacts, recorded while every value was formatted by
+# Python's %, the formatter behind np.savetxt (numpy 2.4, x86-64).  Each
+# bundled scenario runs 300 steps, so windowed midpoint solves form; the
+# spectrum is the default `affinekit spectrum`.
+PINNED_ARTIFACTS = {
+    "harmonic_oscillator": (
+        "1082447e14b7a4eec6efd877e90b0c03ef6d138c54f3d69de3c99141fe6a75a1",
+        "db6fb831fa589147f26c2e39f76529e25a6c1f342bfb82273a0b780d99f1a385"),
+    "dalembert_free_internal": (
+        "892b8b6c109222ba8e8d810c3bc91f590aae666dba30ace34c755f52085dd109",
+        "20f63f5ae4feaa6a959876068d0a41dba53da71992a9d088ca049b23bbc4c3a9"),
+    "afaf_geodetic_gl2": (
+        "3ab6a605ae7b345d75662301c31de86620f82da19b928aa0d9caddd3e7363006",
+        "5f60868ff45f02c3af75339c1b0e6a2a0cf1dcbdd72b9fdd4192d29015b16654"),
+    "afaf_dilatation_stabilized": (
+        "dbabda6a2ffc36baf42686d782d487c349eb80ec37a7dea0736b9a3c548f0690",
+        "8ad99381a7ae18d30e81ebd8e7077ddd8fbd2ee819aa6562119b24240f58715b"),
+    "two_body_affine_pair": (
+        "b0f98b52058d3e56b269a30f035e07d6faaaf812e5b08cdee47649f089ce6d25",
+        "d22bbcc302c13b4de462bc4b7823543851c8d9fd588814b880de180509a986a1"),
+}
+PINNED_RHO_CSV = "87cef4b06433ffe52dd18a54c51c0d77feb19a28db7f99d306c10a483f4f6036"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_run_artifacts_equal_the_pinned_bytes(name, tmp_path):
+    """trajectory.csv and charges.csv of a 300-step bundled run keep their
+    pinned bytes, and determinism_hash is the sha256 of trajectory.csv as
+    written."""
+    import hashlib
+
+    d = _bundled_dict(name)
+    d["integrator"]["T"] = 300 * d["integrator"]["dt"]
+    summary = run(scenario_from_dict(d), tmp_path)
+    assert summary["steps"] == 300
+    hashes = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   for f in ("trajectory.csv", "charges.csv"))
+    assert hashes == PINNED_ARTIFACTS[name]
+    assert summary["determinism_hash"] == "sha256:" + hashes[0]
+
+
+def test_spectrum_rho_csv_equals_the_pinned_bytes(tmp_path, capsys):
+    import hashlib
+
+    assert cli_main(["spectrum", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "rho.csv").read_bytes()).hexdigest() == PINNED_RHO_CSV
+
+
+def test_summary_min_det_phi_is_the_charges_minimum(tmp_path):
+    """summary.json's min_det_phi is the smallest det phi over every sample
+    and body: the minimum of the detphi_K columns of charges.csv."""
+    d = _bundled_dict("two_body_affine_pair")
+    d["integrator"]["T"] = 0.2
+    summary = run(scenario_from_dict(d), tmp_path)
+    columns = _read_columns(tmp_path / "charges.csv")
+    dets = np.stack([columns["detphi_1"], columns["detphi_2"]])
+    assert summary["min_det_phi"] == dets.min()
+    assert json.loads((tmp_path / "summary.json").read_text())["min_det_phi"] == dets.min()
 
 
 def test_main_runs_different_subcommands_in_one_process(capsys):
