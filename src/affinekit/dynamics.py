@@ -117,9 +117,8 @@ class Trajectory:
     ``step_evals[k]`` RHS evaluations of its phase vector and ended its
     fixed-point solve at the residual ``step_residuals[k]``, relative to
     max(1, max|z_k|); rk4 steps have no residual (NaN).  ``rhs_calls``
-    counts the RHS calls of every solve that returned, abandoned windows and
-    steps past a det-floor abort included; one call evaluates a whole
-    window."""
+    counts the RHS calls of every solve that returned, abandoned windows
+    included; one call evaluates a whole window."""
 
     times: np.ndarray
     z: np.ndarray
@@ -265,14 +264,16 @@ def _unpack(z: np.ndarray, N: int, n: int, time: float) -> PhaseState:
 
 @dataclass(frozen=True)
 class Step:
-    """One accepted step: the new phase vector, the RHS evaluations it took,
-    its last fixed-point residual relative to the step's scale (NaN for rk4),
+    """A solve of one step or of a window of k steps: the new phase vector
+    (D,), or vectors (k, D) (None for an abandoned window); the RHS
+    evaluations each step took (a window's sweeps); the last fixed-point
+    residual relative to the step's scale, (k,) for a window (NaN for rk4);
     and the contraction estimate to carry into the next step (None without
     one)."""
 
-    z: np.ndarray
+    z: np.ndarray | None
     evals: int
-    residual: float = np.nan
+    residual: float | np.ndarray = np.nan
     theta: float | None = None
 
 
@@ -399,18 +400,7 @@ _WINDOW_MAX_D = 96
 _WINDOW_STALLS = 2
 
 
-@dataclass(frozen=True)
-class Window:
-    """A window solve: its k new phase vectors (k, D) and each step's last
-    change relative to its scale (k,), both None when the window was
-    abandoned, and the sweeps (stacked RHS calls) it made."""
-
-    z: np.ndarray | None
-    residuals: np.ndarray | None
-    sweeps: int
-
-
-def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray) -> Window:
+def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray) -> Step:
     """k = len(hs) consecutive implicit-midpoint steps, of lengths ``hs``,
     from the last of the five equally spaced samples ``last``, solved
     together.
@@ -427,9 +417,11 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray) -
     about h L / 2 per end point, below the bar of _midpoint_step wherever
     the single-step iteration contracts.
 
-    A window that raises an AffineKitError or LinAlgError, goes non-finite,
-    stalls (see _WINDOW_STALLS) or runs out of sweeps is abandoned: the
-    result has no phase vectors, and the caller takes its steps one by one.
+    The result counts the sweeps as ``evals`` and has each step's last
+    change relative to its scale as ``residual``.  A window that raises an
+    AffineKitError or LinAlgError, goes non-finite, stalls (see
+    _WINDOW_STALLS) or runs out of sweeps is abandoned: the result has no
+    phase vectors, and the caller takes its steps one by one.
     """
     k = len(hs)
     z = np.empty((k + 1, last.shape[-1]))
@@ -451,13 +443,13 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray) -
             change = np.abs(new[1:] - z[1:]).max(axis=-1)
             z = new
             if (change <= tol).all():
-                return Window(z[1:], change / scale, sweep)
+                return Step(z[1:], sweep, change / scale)
             worst = change.max()
             stalls = stalls + 1 if not worst < prev else 0
             if stalls == _WINDOW_STALLS or not worst < np.inf:
                 break
             prev = worst
-    return Window(None, None, sweep)
+    return Step(None, sweep)
 
 
 def _rk4_step(system: CompiledSystem, z, dt):
@@ -469,9 +461,6 @@ def _rk4_step(system: CompiledSystem, z, dt):
 
 
 INTEGRATION_METHODS = ("implicit_midpoint", "rk4")
-
-
-_CHECK_CHUNK = 64  # accepted samples checked against the det floor at once
 
 
 def _first_problem(system: CompiledSystem, zs: np.ndarray) -> tuple[int, str]:
@@ -517,12 +506,9 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     Leaving GL+(n) (a non-finite entry or det phi at the floor) aborts the run
     and returns the partial trajectory up to the last admissible sample, with
     ``aborted`` set; it is a modeling failure the caller must see, not
-    something to regularize away.  The samples are checked once at least
-    _CHECK_CHUNK are pending, with one stacked det, and before an error of a
-    step from a sample not yet checked is handled, so the result is that of
-    a per-step check.  Windows start where they would without the check:
-    a window that raises is abandoned, and its single steps then meet the
-    error, so abort reasons and raised errors are those of single steps.
+    something to regularize away.  Each solve adds a block of samples, a
+    window or one step, and the block is checked with one stacked det as it
+    is stored, so no step starts from a sample that failed the check.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -538,17 +524,19 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     steps = int(np.ceil((T - eps) / dt)) if T > eps else 0
     z = _pack(s0)
     zs = np.empty((steps + 1, z.size))
-    times = np.empty(steps + 1)
+    times = s0.time + np.arange(steps + 1) * dt
+    hs = np.full(steps, dt)         # step lengths, the last one cut to end at T
+    if steps:
+        times[steps], hs[-1] = s0.time + T, T - (steps - 1) * dt
     evals = np.zeros(steps, dtype=np.int64)
     residuals = np.full(steps, np.nan)
-    zs[0], times[0] = z, s0.time
+    zs[0] = z
 
     _, reason = _first_problem(system, zs[:1])
-    h_last = T - (steps - 1) * dt
     # steps of length dt up to rounding: all, or all but a last one cut short
-    full = steps if abs(h_last - dt) <= eps else steps - 1
+    full = steps - int(steps > 0 and abs(hs[-1] - dt) > eps)
     windowed = midpoint and z.size <= _WINDOW_MAX_D
-    size = checked = 1              # samples stored, and checked of them
+    size = 1                        # samples stored
     theta = None
     calls = 0
     resume = 0                      # first sample a window may start from
@@ -556,27 +544,17 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     while size <= steps and not reason:
         start = size - 1
         k = min(length, full - start)
-        window = None
+        step = None
         if windowed and 4 <= start and resume <= start and k >= 2:
-            hs = np.full(k, dt)
-            if start + k == steps:
-                hs[-1] = h_last
-            window = _midpoint_window(system, zs[start - 4:size], hs)
-            calls += window.sweeps
-            if window.z is None:
+            step = _midpoint_window(system, zs[start - 4:size], hs[start:start + k])
+            calls += step.evals
+            if step.z is None:
                 # take the abandoned window's steps one by one
-                resume, length, window = start + k, max(2, length // 2), None
-        if window is not None:
-            zs[size:size + k] = window.z
-            times[size:size + k] = s0.time + np.arange(size, size + k) * dt
-            evals[start:start + k], residuals[start:start + k] = window.sweeps, window.residuals
-            size += k
-            if size > steps:
-                times[steps] = s0.time + T
-            theta, length = None, min(_WINDOW, 2 * length)
-        else:
-            last = size == steps
-            h = h_last if last else dt
+                resume, length, step = start + k, max(2, length // 2), None
+            else:
+                length = min(_WINDOW, 2 * length)
+        if step is None:
+            k, h = 1, hs[start]
             try:
                 if midpoint:
                     # extrapolate only across samples spaced by h: T - (steps-1) dt
@@ -584,26 +562,18 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
                     guess = _extrapolate(zs, start) if start and abs(h - dt) <= eps else None
                     step = _midpoint_step(system, zs[start], h, guess,
                                           theta if start % _THETA_REFRESH else None)
-                    theta = step.theta
                 else:
                     step = _rk4_step(system, zs[start], h)
-            except (AffineKitError, np.linalg.LinAlgError) as exc:
-                # a per-step check would have stopped at a bad pending sample first
-                bad, reason = _first_problem(system, zs[checked:size])
-                size = checked + bad
-                if not reason:
-                    if not isinstance(exc, (SingularInput, np.linalg.LinAlgError)):
-                        raise
-                    # the step itself crossed the det floor: flag, keep the partial run
-                    reason = f"step left GL+(n): {exc}"
+            except (SingularInput, np.linalg.LinAlgError) as exc:
+                # the step itself crossed the det floor: flag, keep the partial run
+                reason = f"step left GL+(n): {exc}"
                 break
-            zs[size], times[size] = step.z, s0.time + (T if last else size * dt)
-            evals[start], residuals[start] = step.evals, step.residual
             calls += step.evals
-            size += 1
-        if size - checked >= _CHECK_CHUNK or size > steps:
-            bad, reason = _first_problem(system, zs[checked:size])
-            size = checked = checked + bad
+        theta = step.theta
+        zs[size:size + k], evals[start:start + k], residuals[start:start + k] = \
+            step.z, step.evals, step.residual
+        bad, reason = _first_problem(system, zs[size:size + k])
+        size += bad
     zs = zs[:size]
     return Trajectory(times[:size], zs, system.charges(zs), n, N, evals[:size - 1],
                       residuals[:size - 1], aborted=bool(reason), abort_reason=reason,

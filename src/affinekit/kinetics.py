@@ -60,9 +60,10 @@ class KineticModel:
 class InertiaParams:
     """Inertial constants; only the ones used by the selected model matter.
 
-    M: total mass. J: co-moving quadrupole inertia (symmetric positive
-    definite). I, A, B: scalars of the isotropic affine family. H: fixed
-    spatial inertia of the H-af model. Lten / Rten: n^2 x n^2 symmetric
+    M: total mass, positive and finite. J: co-moving quadrupole inertia
+    (symmetric positive definite). I, A, B: scalars of the isotropic affine
+    family. H: fixed spatial inertia of the H-af model (symmetric positive
+    definite). Lten / Rten: n^2 x n^2 symmetric
     bilinear forms of the general affine models, acting on row-major vec()
     of the velocity matrix.
     """
@@ -85,10 +86,13 @@ class InertiaParams:
                     raise ValueError(f"{name} must be a square matrix")
                 if not np.allclose(arr, arr.T, atol=1e-12):
                     raise ValueError(f"{name} must be symmetric")
+                # Lten / Rten, like the (I, A, B) forms, may be indefinite (af-af is)
+                if name in ("J", "H") and not np.linalg.eigvalsh(arr)[0] > 0:
+                    raise ValueError(f"{name} must be positive definite")
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-        if self.M <= 0:
-            raise ValueError("M must be positive")
+        if not 0 < self.M < np.inf:
+            raise ValueError("M must be positive and finite")
 
     def metric(self, internal: str, n: int) -> tuple:
         """(G, G^-1) of an internal model's kinetic form on row-major vec(W).

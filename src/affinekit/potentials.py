@@ -171,21 +171,14 @@ def _parse_channel(arg: str) -> tuple[str, int]:
 # compiled evaluation over stacked bodies and ordered pairs
 
 @lru_cache(maxsize=32)
-def _ordered_pairs(n: int, N: int) -> tuple:
-    """Index arrays of the 2P ordered pairs, (K, L) for every K < L and then (L, K).
-
-    Returns (first, second, swap, x_index, phi_index): ``swap`` maps each
-    ordered pair to its reverse, and the index arrays scatter per-pair rows
-    of shape (n,) or (n, n) onto the first body of the pair with bincount,
-    which sums in row order and so keeps reruns bit-identical.
-    """
+def _ordered_pairs(N: int) -> tuple:
+    """Index arrays (first, second, swap) of the 2P ordered pairs, (K, L) for
+    every K < L and then (L, K); ``swap`` maps each ordered pair to its
+    reverse."""
     K, L = np.triu_indices(N, 1)
     P = len(K)
-    first = np.concatenate([K, L])
-    out = (first, np.concatenate([L, K]),
-           np.concatenate([np.arange(P, 2 * P), np.arange(P)]),
-           (first[:, None] * n + np.arange(n)).ravel(),
-           (first[:, None] * (n * n) + np.arange(n * n)).ravel())
+    out = (np.concatenate([K, L]), np.concatenate([L, K]),
+           np.concatenate([np.arange(P, 2 * P), np.arange(P)]))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -193,13 +186,14 @@ def _ordered_pairs(n: int, N: int) -> tuple:
 
 @lru_cache(maxsize=32)
 def _stacked_scatter(n: int, N: int, S: int) -> tuple:
-    """(x_index, phi_index) of ``_ordered_pairs`` for S stacked members, the
-    indices of member s offset by s N n and s N n n: one bincount then
-    scatters every member's pairs, each bin summed in the member's own row
-    order, so each member is bit-equal to its own scatter."""
-    x_index, phi_index = _ordered_pairs(n, N)[3:]
-    out = ((np.arange(S)[:, None] * (N * n) + x_index).ravel(),
-           (np.arange(S)[:, None] * (N * n * n) + phi_index).ravel())
+    """(x_index, phi_index) that scatter per-pair rows of shape (n,) and
+    (n, n) of S stacked members onto the first body of each pair, member s
+    offset by s N n and s N n n.  One bincount then scatters every member's
+    pairs, each bin summed in the member's own row order, so reruns stay
+    bit-identical and each member is bit-equal to its own scatter."""
+    first = np.arange(S)[:, None] * N + _ordered_pairs(N)[0]
+    out = ((first[..., None] * n + np.arange(n)).ravel(),
+           (first[..., None] * (n * n) + np.arange(n * n)).ravel())
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -276,7 +270,7 @@ class PotentialForm:
         body, so each pair is counted once in the value and scattered once
         per body in the gradient.
         """
-        first, second, swap, x_index, phi_index = self.pairs
+        first, second, swap = self.pairs
         N, n, P = self.N, self.n, len(first) // 2
         lead = x.shape[:-2]
         grad = dx is not None
@@ -341,8 +335,7 @@ class PotentialForm:
             else:
                 gphiT += (0.5 * a * slope)[..., None, None] * M_grad[a - 1]
         if grad:
-            if lead:
-                x_index, phi_index = _stacked_scatter(n, N, gT.size // (N * n * n))
+            x_index, phi_index = _stacked_scatter(n, N, gT.size // (N * n * n))
             if on_x:
                 dx += np.bincount(x_index, weights=gx.ravel(), minlength=dx.size).reshape(dx.shape)
             gT += np.bincount(phi_index, weights=gphiT.ravel(),
@@ -356,7 +349,7 @@ def compile_potential(spec: PotentialSpec, n: int, N: int) -> PotentialForm:
     invariant = [t.a for t in spec.one_body if isinstance(t, InvariantTerm)]
     return PotentialForm(
         spec=spec, n=n, N=N, binary=binary,
-        pairs=_ordered_pairs(n, N) if binary and N > 1 else None,
+        pairs=_ordered_pairs(N) if binary and N > 1 else None,
         invariant_a=max(invariant, default=0),
         K_a=max((a for k, a, _ in binary if k == "K"), default=0),
         Mbar_a=max((a for k, a, _ in binary if k == "Mbar"), default=0))

@@ -916,34 +916,59 @@ def test_last_full_step_takes_the_extrapolated_start(monkeypatch):
     assert np.max(np.abs(traj.z[-1] - euler)) <= 1e-13 * max(1.0, np.max(np.abs(traj.z[-2])))
 
 
-@pytest.mark.parametrize("case", [
-    # det phi = 1 - t reaches the floor at sample 100, in the middle of the
-    # second chunk; the run steps past it before the chunk is checked
-    ("free", "implicit_midpoint", 0.01, 100),
-    ("free", "rk4", 0.01, 100),
-    # det phi turns negative at sample 48; the step past it raises
-    # NegativeOrientation in the dilatation term, before any chunk check
-    ("dilatation", "implicit_midpoint", 0.007, 48),
-])
-def test_det_floor_checked_per_chunk_matches_a_per_step_check(case, monkeypatch):
-    """The det floor is checked once per chunk of samples; the partial run,
-    its abort reason and its RHS count are those of a check after every
-    step (a chunk of one)."""
-    from affinekit import dynamics
+FREE_Z = "d4c193575d5ea1e77585d077fe8d3689458760cb60deae1df2873f5d575bd5d9"
+FREE_TIMES = "ba353a0918111d79cc0087f0a07e59bb0c161ec99b10c2d067f8bf9e938650ac"
 
-    kind, method, dt, bad = case
+
+@pytest.mark.parametrize("case", [
+    # det phi = 1 - t reaches the floor at sample 100; the midpoint step lands
+    # past it, the rk4 step meets the singular phi in its stages
+    ("free", "implicit_midpoint", 0.01, 100, "det phi fell to -7.529e-16 (floor 1e-12)",
+     100, 7, FREE_Z, FREE_TIMES),
+    ("free", "rk4", 0.01, 100, "step left GL+(n): phi[0] is singular (|det| = 7.529e-16",
+     396, 396, FREE_Z, FREE_TIMES),
+    # det phi turns negative at sample 48; the window from sample 4 is
+    # abandoned, so every step is a single step, and a step from sample 48
+    # would raise NegativeOrientation in the dilatation term
+    ("dilatation", "implicit_midpoint", 0.007, 48, "det phi fell to -7.834e-03 (floor 1e-12)",
+     150, 165, "074adf90ec9546cd73d1f6f3c78e8e71f2409c59e2c23038e76cce422dec338c",
+     "180ba5f282f0f27017016445fecdb807c859677c687ec29a3b33caff2eb2d407"),
+])
+def test_det_floor_abort_is_that_of_a_per_step_check(case):
+    """Every stored block of samples is checked against the det floor before
+    a step starts from it, so the partial run, its abort reason and its RHS
+    counts are those of a check after every step, pinned here (z and times
+    by sha256)."""
+    import hashlib
+
+    kind, method, dt, samples, reason, evals, calls, z_sha, times_sha = case
     s = _scenario([_body(np.diag([-1.0, 0.0]))], {}, dt, steps=200) if kind == "free" \
         else _scenario([_body(np.diag([-3.0, 0.0]))], {"dilatation": {"kappa": 1e-3}}, dt, 200)
-    args = (s.model, s.params, s.potential, s.initial_state())
-    traj = integrate(*args, dt=dt, T=s.T, method=method)
-    assert bad % dynamics._CHECK_CHUNK != 0
-    monkeypatch.setattr(dynamics, "_CHECK_CHUNK", 1)
-    per_step = integrate(*args, dt=dt, T=s.T, method=method)
-    assert traj.aborted and len(traj.times) == bad
-    assert traj.abort_reason == per_step.abort_reason
-    assert traj.rhs_evals == per_step.rhs_evals
-    np.testing.assert_array_equal(traj.times, per_step.times)
-    np.testing.assert_array_equal(traj.z, per_step.z)
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=dt, T=s.T,
+                     method=method)
+    assert traj.aborted and len(traj.times) == samples
+    assert traj.abort_reason.startswith(reason)
+    assert (traj.rhs_evals, traj.rhs_calls) == (evals, calls)
+    assert hashlib.sha256(traj.z.tobytes()).hexdigest() == z_sha
+    assert hashlib.sha256(traj.times.tobytes()).hexdigest() == times_sha
+
+
+def test_run_from_a_nonzero_time():
+    """Sample k of a run from time t0 sits at t0 + k dt and the last at
+    t0 + T; H is autonomous, so the phase vectors are those of the run from
+    time 0, bit for bit.  The 40 full steps run in windows, the last one is
+    cut to half a step."""
+    from dataclasses import replace
+
+    s, s0, _ = _bundled_system("two_body_affine_pair")
+    t0, dt = 0.37, s.dt
+    T = 40.5 * dt
+    args = (s.model, s.params, s.potential)
+    traj = integrate(*args, replace(s0, time=t0), dt=dt, T=T)
+    assert not traj.aborted and len(traj.times) == 42
+    assert [float(t) for t in traj.times[:-1]] == [t0 + k * dt for k in range(41)]
+    assert traj.times[-1] == t0 + T
+    np.testing.assert_array_equal(traj.z, integrate(*args, s0, dt=dt, T=T).z)
 
 
 # ---------------------------------------------------------------------------

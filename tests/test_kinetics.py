@@ -89,6 +89,16 @@ def test_missing_params_error(rng):
                        config, vel)
 
 
+@pytest.mark.parametrize("M", [np.nan, np.inf, 0.0])
+def test_inertia_params_reject_a_mass_outside_zero_to_inf(M):
+    """M must lie in (0, inf); nan is neither <= 0 nor > 0.  J and H must be
+    positive definite (test_scenario_defects_are_validation_errors), while
+    Lten/Rten, like the (I, A, B) forms, may be indefinite."""
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        InertiaParams(M=M)
+    InertiaParams(Lten=np.diag([1.0, -1.0, 1.0, 1.0]))
+
+
 @pytest.mark.parametrize("translational", ["dalembert", "af-is"])
 @pytest.mark.parametrize("internal", ALL_INTERNAL)
 def test_kinetic_phi_gradient_matches_central_differences(rng, translational, internal):

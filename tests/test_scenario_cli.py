@@ -168,6 +168,10 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
                  id="phi_string"),
     pytest.param(("potential", "one_body", 0, "center"), [False, 0.0],
                  r"one_body\[0\]\.center", id="center_bool"),
+    pytest.param(("inertia", "J"), [[1.0, 0.0], [0.0, -1.0]], "'inertia'.*J must be positive",
+                 id="J_indefinite"),
+    pytest.param(("inertia", "H"), [[1.0, 0.0], [0.0, 0.0]], "'inertia'.*H must be positive",
+                 id="H_singular"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -334,9 +338,10 @@ def _gather(columns, name, shape):
 
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
 def test_csv_table_has_the_bytes_of_savetxt(tmp_path, rows):
-    """write_csv_table formats chunks of rows with one % each; its bytes are
-    those of np.savetxt with the same format, including signed zeros,
-    subnormals, values near the float64 range and NaN, across chunk edges."""
+    """write_csv_table formats chunks of whole rows (292 rows of 7 columns)
+    with a numpy digit kernel; its bytes are those of np.savetxt with the
+    same format, including signed zeros, subnormals, values near the float64
+    range and NaN, within one chunk and, at 600 rows, across chunk edges."""
     import io
 
     from affinekit.runner import write_csv_table
