@@ -12,28 +12,25 @@ the pi block is -(dH/dphi).T.
 
 The default integrator is the implicit midpoint rule: symplectic, and it
 preserves every quadratic first integral (all the affine-spin charges) to
-solver tolerance.  Each step is a fixed-point solve, started from the
-polynomial through the last five samples evaluated one step ahead (the
-starting approximation of Hairer, Lubich & Wanner, Geometric Numerical
-Integration, section VIII.6), and stopped by the contraction-rate test of
-Hairer & Wanner, Solving ODEs II, section IV.8, with the rate carried from
-step to step.  The guess is O(dt^5) accurate where the explicit Euler
-predictor is O(dt^2), so on a smooth run a step takes one RHS evaluation
-where the Euler start took 4-6.  Every accepted step z_k -> z_{k+1} is the
-fixed point to roundoff, whatever the start: the change one more evaluation
-would make, rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1,
-max|z_k|), is at most about 1e-15 wherever roundoff allows it.
+solver tolerance.  One solver takes every midpoint step, in blocks of 1 to 64
+steps, each solved by Picard sweeps over the whole block: one stacked RHS
+call and one in-order cumulative sum per sweep (Gander, 50 Years of Time
+Parallel Time Integration, 2015).  Every block starts from the polynomial
+through the samples there are, up to five (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, section VIII.6); from one sample the start
+is constant and the first sweep is the explicit Euler predictor.  Every
+block stops by the contraction test of Hairer & Wanner, Solving ODEs II,
+section IV.8, or once no step changes by more than 1e-15 of its scale.  An
+accepted step z_k -> z_{k+1} is then the fixed point to roundoff: rho_k =
+max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1, max|z_k|) is at most
+about 1e-15 wherever roundoff allows it.  Systems of D <= _WINDOW_MAX_D
+phase-space entries take blocks of up to 64 steps, larger ones blocks of
+one.  Over 10k-25k steps the bundled scenarios take 1.0-4.9 RHS evaluations
+and 0.017-0.078 calls per step, a separable 10k-step run 7.6 and 0.12, and
+the n = 3, N = 8 pair systems of the benchmark (D = 192) 6.0 of each.
 
-On small systems (phase-space size D <= _WINDOW_MAX_D) most steps are solved
-in windows of up to _WINDOW = 64: Picard sweeps over the whole window, each
-one stacked RHS call at all its midpoints and one in-order cumulative sum
-(a parallel-in-time fixed-point scheme, Gander, 50 Years of Time Parallel
-Time Integration, 2015).  A window solves the same equations as its single
-steps, in 3-14 RHS evaluations per step instead of 1-4 but about 8x fewer
-calls, which is where the time of a small system goes.  A window that does
-not converge is abandoned and its steps are taken one by one.  The left-
-and right-invariant kinetic models (is-af, af-is, af-J, H-af, l-af, r-af)
-couple phi and pi, so H is non-separable for them.
+The left- and right-invariant kinetic models (is-af, af-is, af-J, H-af,
+l-af, r-af) couple phi and pi, so H is non-separable for them.
 Explicit splitting would still apply to d'Alembert/d'Alembert with any
 configuration potential, and to af-af internal motion with a d'Alembert
 translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
@@ -264,104 +261,16 @@ def _unpack(z: np.ndarray, N: int, n: int, time: float) -> PhaseState:
 
 @dataclass(frozen=True)
 class Step:
-    """A solve of one step or of a window of k steps: the new phase vector
-    (D,), or vectors (k, D) (None for an abandoned window); the RHS
-    evaluations each step took (a window's sweeps); the last fixed-point
-    residual relative to the step's scale, (k,) for a window (NaN for rk4);
-    and the contraction estimate to carry into the next step (None without
-    one)."""
+    """A solve of a block of k steps: the new phase vectors (k, D) (None for
+    an abandoned window); the RHS evaluations each step took (the block's
+    sweeps); the last fixed-point change of each step relative to its scale,
+    (k,) (NaN for rk4); and the contraction estimate to carry into the next
+    block (None without one)."""
 
     z: np.ndarray | None
     evals: int
     residual: float | np.ndarray = np.nan
     theta: float | None = None
-
-
-# The contraction estimate of the midpoint solve is _THETA_SAFETY times the
-# largest ratio of successive residuals measured.  The safety factor covers
-# the growth of the rate between measurements.  A run carries the estimate
-# from step to step and drops it every _THETA_REFRESH steps, so a step then
-# measures the rate afresh.
-_THETA_SAFETY = 2.0
-_THETA_REFRESH = 32
-
-
-def _midpoint_step(system: CompiledSystem, z, dt, guess=None, theta=None) -> Step:
-    """One implicit-midpoint step from z.
-
-    Fixed-point iteration on z1 = z + dt f((z + z1)/2), started from
-    ``guess`` or, without one, from the explicit Euler predictor (one more
-    evaluation).  With scale = max(1, max|z|), an iterate is accepted when
-    either of two tests holds:
-
-    * its residual (the change the last evaluation made) is below
-      1e-15 scale;
-    * the contraction test of Hairer & Wanner, Solving ODEs II, section IV.8:
-      with theta the contraction rate, theta / (1 - theta) x residual bounds
-      the iterate's distance to the fixed point, and that bound is below
-      1e-15 scale.
-
-    When neither holds after MIDPOINT_MAX_ITER evaluations, the last iterate
-    is returned if its own residual is within the guarantee MIDPOINT_TOL,
-    and IterationDiverged is raised otherwise.
-
-    theta is the larger of the estimate carried in ``theta`` and
-    _THETA_SAFETY times the largest residual ratio of this step.  Without a
-    carried estimate the step needs two ratios before it uses the test: a
-    separable H maps position errors to momentum errors and back, at two
-    different rates, and one ratio can show the smaller.  A carried estimate
-    lets a step stop after its first evaluation.  The returned theta is the
-    estimate to carry on (one ratio is enough for that).
-
-    Every accepted iterate z1 thus has rho = |z + dt f((z + z1)/2) - z1|,
-    the residual one more evaluation would show, at about 1e-15 scale or
-    below wherever roundoff allows it, whatever the start; a better start or
-    a carried theta only takes fewer evaluations.
-    """
-    evals = 0
-    if guess is None:
-        guess, evals = z + dt * system.rhs(z), 1
-    z_next = guess
-    scale = max(1.0, float(np.max(np.abs(z))))
-    tol = 1e-15 * scale
-    prev = np.inf
-    rate, ratios = 0.0, 0           # largest residual ratio of this step, and count
-    for _ in range(MIDPOINT_MAX_ITER):
-        proposal = z + dt * system.rhs(0.5 * (z + z_next))
-        evals += 1
-        residual = float(np.max(np.abs(proposal - z_next)))
-        z_next = proposal
-        if prev < np.inf:
-            rate, ratios = max(rate, residual / prev), ratios + 1
-        estimate = max(theta or 0.0, _THETA_SAFETY * rate) \
-            if theta is not None or ratios >= 2 else None
-        if residual <= tol \
-                or (estimate is not None and estimate < 1.0
-                    and estimate * residual <= (1.0 - estimate) * tol):
-            break
-        prev = residual
-    else:
-        if not residual <= MIDPOINT_TOL:
-            raise IterationDiverged(
-                f"implicit midpoint residual {residual:.3e} > {MIDPOINT_TOL} after "
-                f"{MIDPOINT_MAX_ITER} iterations")
-    carry = max(theta or 0.0, _THETA_SAFETY * rate) if theta is not None or ratios else None
-    return Step(z_next, evals, residual / scale, carry)
-
-
-def _extrapolate(zs: np.ndarray, k: int) -> np.ndarray:
-    """Value one step ahead of the polynomial through samples
-    max(0, k-4)..k: for k >= 4 the quartic
-    5 z_k - 10 z_{k-1} + 10 z_{k-2} - 5 z_{k-3} + z_{k-4}, for k = 1..3 the
-    line, parabola and cubic through the samples there are.  Elementwise
-    operations (no BLAS reduction), so reruns stay bit-identical."""
-    if k >= 4:
-        return 5.0 * (zs[k] - zs[k - 3]) + 10.0 * (zs[k - 2] - zs[k - 1]) + zs[k - 4]
-    if k == 3:
-        return 4.0 * (zs[3] + zs[1]) - 6.0 * zs[2] - zs[0]
-    if k == 2:
-        return 3.0 * (zs[2] - zs[1]) + zs[0]
-    return 2.0 * zs[1] - zs[0]
 
 
 @lru_cache(maxsize=None)
@@ -376,80 +285,115 @@ def _ahead_weights(k: int) -> np.ndarray:
 
 
 def _extrapolate_window(last: np.ndarray, k: int) -> np.ndarray:
-    """Values 1..k steps ahead, (k, D), of the quartic through five equally
-    spaced samples ``last`` (5, D): z_m + sum_d C(j + d - 1, d) nabla^d z_m.
-    Elementwise operations (no BLAS reduction), so reruns stay
-    bit-identical."""
+    """Values 1..k steps ahead, (k, D) or a (D,) row that broadcasts to it, of
+    the polynomial through the m = 1..5 equally spaced samples ``last``
+    (m, D): z_m + sum_{d < m} C(j + d - 1, d) nabla^d z_m, the constant z_m
+    for one sample and the quartic for five.  Elementwise operations (no
+    BLAS reduction), so reruns stay bit-identical."""
     w, out, diff = _ahead_weights(k), last[-1], last
-    for d in range(4):
+    for d in range(len(last) - 1):
         diff = diff[1:] - diff[:-1]
         out = out + w[:, d:d + 1] * diff[-1]
     return out
 
 
-# A window solve advances up to _WINDOW full midpoint steps with one stacked
-# RHS call per sweep.  integrate uses it on systems of at most _WINDOW_MAX_D
-# phase-space entries.  There a window of 64 rows takes 3-14 RHS evaluations
-# per step where single steps take 1-4, in stacked calls that cost a few
-# single ones, and a run takes 1.3-4.2x less time; at D = 120-192 pair-heavy
-# systems already ran 0.6-0.9x as fast windowed (n = 2 and 3, up to 16 bodies,
-# 300 steps).  A window is abandoned after MIDPOINT_MAX_ITER sweeps, or when
-# its largest change has not shrunk in _WINDOW_STALLS sweeps running.
+# The contraction estimate of a midpoint solve is _THETA_SAFETY times the
+# largest ratio of successive worst changes measured.  The safety factor
+# covers the growth of the rate between measurements.  A run carries the
+# estimate from block to block and drops it at every block that holds a step
+# index divisible by _THETA_REFRESH, so that block measures the rate afresh.
+_THETA_SAFETY = 2.0
+_THETA_REFRESH = 32
+
+# Blocks hold up to _WINDOW steps on systems of at most _WINDOW_MAX_D
+# phase-space entries and one step on larger ones, where stacked calls stop
+# paying: at D = 120-192 pair-heavy systems ran 0.6-0.9x as fast windowed
+# (n = 2 and 3, up to 16 bodies, 300 steps).  A window is abandoned when its
+# largest change has not shrunk in _WINDOW_STALLS sweeps running.
 _WINDOW = 64
 _WINDOW_MAX_D = 96
 _WINDOW_STALLS = 2
 
 
-def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray) -> Step:
+def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
+                     theta: float | None = None) -> Step:
     """k = len(hs) consecutive implicit-midpoint steps, of lengths ``hs``,
-    from the last of the five equally spaced samples ``last``, solved
-    together.
+    from the last of the 1-5 equally spaced samples ``last``, solved together.
 
-    The unknowns z_1..z_k start from the quartic through ``last`` (see
-    _extrapolate_window).  A sweep is a Picard iteration over the whole
-    window (Gander, 50 Years of Time Parallel Time Integration, 2015): one
-    stacked RHS call at the k midpoints (z_j + z_{j+1})/2 and one cumulative
-    sum of [z_0, h_0 f_0, ..., h_{k-1} f_{k-1}] along the step axis.  cumsum
-    adds in order, so each new z_{j+1} is bit for bit z_j + h_j f_j, the
-    update of _midpoint_step, and the window's fixed point is that of k
-    single steps.  The window stops once every step's change is at most
-    1e-15 max(1, max|z_j|).  A step's defect rho_j is then its change times
-    about h L / 2 per end point, below the bar of _midpoint_step wherever
-    the single-step iteration contracts.
+    The unknowns z_1..z_k start from the polynomial through ``last`` (see
+    _extrapolate_window); from one sample the start is constant and the
+    first sweep gives z_0 + h f(z_0), the Euler predictor.  A sweep is one
+    stacked RHS call at the k midpoints (z_j + z_{j+1})/2 and one in-order
+    cumulative sum of [z_0, h_0 f_0, ..., h_{k-1} f_{k-1}], so each new
+    z_{j+1} is bit for bit z_j + h_j f_j and the block's fixed point is that
+    of k single steps.  The block stops when every step's change is at most
+    1e-15 of its scale max(1, max|z_j|), or when theta / (1 - theta) times
+    it is: with theta the contraction rate, that bounds the distance to the
+    fixed point.  theta is the larger of the carried ``theta`` and
+    _THETA_SAFETY times the largest ratio of successive worst changes.
+    Without a carried estimate the test waits for two ratios: a separable H
+    maps position errors to momentum errors and back at two different
+    rates, and one ratio can show the smaller.  The result carries the
+    estimate on (one ratio is enough for that).
 
     The result counts the sweeps as ``evals`` and has each step's last
-    change relative to its scale as ``residual``.  A window that raises an
-    AffineKitError or LinAlgError, goes non-finite, stalls (see
-    _WINDOW_STALLS) or runs out of sweeps is abandoned: the result has no
-    phase vectors, and the caller takes its steps one by one.
+    change relative to its scale as ``residual``.  A window (k >= 2) that
+    raises an AffineKitError or LinAlgError, goes non-finite, stalls or runs
+    out of sweeps is abandoned: the result has no phase vectors.  A one-step
+    block lets errors and warnings through; after MIDPOINT_MAX_ITER sweeps it
+    keeps its last iterate if that change is within MIDPOINT_TOL, and raises
+    IterationDiverged otherwise.
     """
     k = len(hs)
+    single = k == 1
     z = np.empty((k + 1, last.shape[-1]))
     z[0], z[1:] = last[-1], _extrapolate_window(last, k)
-    scale = np.maximum(1.0, np.abs(z[:-1]).max(axis=-1))
-    tol = 1e-15 * scale
-    terms = np.empty_like(z)
-    terms[0] = z[0]
+    scale = np.maximum(1.0, np.abs(z[:-1]).max(axis=-1))[:, None]
+    terms, new = z.copy(), z.copy()         # rows 0 stay z_0
     h = hs[:, None]
-    prev, stalls = np.inf, 0
+    prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
     # a diverging window is abandoned, not reported: its overflows stay silent
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    quiet = None if single else "ignore"
+    with np.errstate(over=quiet, invalid=quiet, divide=quiet):
         for sweep in range(1, MIDPOINT_MAX_ITER + 1):
+            mid = 0.5 * (z[:-1] + z[1:])
             try:
-                np.multiply(h, system.rhs(0.5 * (z[:-1] + z[1:])), out=terms[1:])
+                np.multiply(h, system.rhs(mid[0] if single else mid), out=terms[1:])
             except (AffineKitError, np.linalg.LinAlgError):
+                if single:
+                    raise
+                return Step(None, sweep)
+            # in order, so each new z_{j+1} is z_j + h_j f_j; accumulate walks
+            # the columns one by one, a plain add does a lone step's row at once
+            if single:
+                np.add(z[0], terms[1], out=new[1])
+            else:
+                np.add.accumulate(terms, out=new)
+            change = np.abs(new[1:] - z[1:])
+            z, new = new, z
+            worst = float((change / scale).max())       # the largest relative change
+            if prev < np.inf:
+                rate, ratios = max(rate, worst / prev), ratios + 1
+            estimate = max(theta or 0.0, _THETA_SAFETY * rate) \
+                if theta is not None or ratios >= 2 else None
+            if worst <= 1e-15 or (estimate is not None and estimate < 1.0
+                                  and estimate * worst <= (1.0 - estimate) * 1e-15):
                 break
-            new = np.cumsum(terms, axis=0)
-            change = np.abs(new[1:] - z[1:]).max(axis=-1)
-            z = new
-            if (change <= tol).all():
-                return Step(z[1:], sweep, change / scale)
-            worst = change.max()
-            stalls = stalls + 1 if not worst < prev else 0
-            if stalls == _WINDOW_STALLS or not worst < np.inf:
-                break
+            if not single:
+                stalls = stalls + 1 if not worst < prev else 0
+                if stalls == _WINDOW_STALLS or not worst < np.inf:
+                    return Step(None, sweep)
             prev = worst
-    return Step(None, sweep)
+        else:
+            if not single:
+                return Step(None, sweep)
+            residual = float(change.max())
+            if not residual <= MIDPOINT_TOL:
+                raise IterationDiverged(
+                    f"implicit midpoint residual {residual:.3e} > {MIDPOINT_TOL} after "
+                    f"{MIDPOINT_MAX_ITER} iterations")
+    carry = max(theta or 0.0, _THETA_SAFETY * rate) if theta is not None or ratios else None
+    return Step(z[1:], sweep, change.max(axis=-1) / scale[:, 0], carry)
 
 
 def _rk4_step(system: CompiledSystem, z, dt):
@@ -486,29 +430,25 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     The loop only steps and stores phase vectors; the charges of all samples
     are evaluated once, stacked, at the end.
 
-    With the midpoint rule and D <= _WINDOW_MAX_D, every step from sample 4
-    on that is a full step (of length dt up to the rounding allowance
-    eps = 1e-12 max(1, T)) is solved in a window of up to _WINDOW of them
-    (see _midpoint_window), when at least two are left.  Its length halves
-    after an abandoned window, down to two, and doubles after a converged
-    one, up to _WINDOW.  Each step of a window records the window's sweeps
-    as its RHS evaluations; ``rhs_calls`` counts one call per sweep.
-
-    The other steps are single steps: the first four, a last step cut short
-    of dt, the one full step a window cannot pair, the steps of an
-    abandoned window, every step of a larger system and every rk4 step.  A
-    single midpoint step starts from the extrapolation of the stored
-    samples (up to five), and carries the contraction rate its solve
-    measured into the next single step, trusted for _THETA_REFRESH steps,
-    so a smooth run takes 1.00-1.04 evaluations per step.  The first step,
-    and a last step cut short of dt, start from the Euler predictor.
+    Each midpoint solve is a block of k steps (see _midpoint_window).  With
+    D <= _WINDOW_MAX_D, a block from sample 4 on takes k = min(length, full
+    steps left), full meaning of length dt up to eps = 1e-12 max(1, T);
+    length starts at _WINDOW, halves after an abandoned window (down to two)
+    and doubles after a converged one.  The first four steps, the steps of
+    an abandoned window, a last step cut short of dt and every step of a
+    larger system are one-step blocks.  A full step starts from up to five
+    samples, the first and a cut one from their last sample alone.  A block
+    takes the contraction estimate of the one before, unless it holds a
+    step index divisible by _THETA_REFRESH.  Each step records its block's
+    sweeps as its RHS evaluations; ``rhs_calls`` counts one call per sweep.
+    rk4 takes one step at a time.
 
     Leaving GL+(n) (a non-finite entry or det phi at the floor) aborts the run
     and returns the partial trajectory up to the last admissible sample, with
     ``aborted`` set; it is a modeling failure the caller must see, not
-    something to regularize away.  Each solve adds a block of samples, a
-    window or one step, and the block is checked with one stacked det as it
-    is stored, so no step starts from a sample that failed the check.
+    something to regularize away.  Each solve adds a block of samples, and
+    the block is checked with one stacked det as it is stored, so no step
+    starts from a sample that failed the check.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -535,40 +475,35 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     _, reason = _first_problem(system, zs[:1])
     # steps of length dt up to rounding: all, or all but a last one cut short
     full = steps - int(steps > 0 and abs(hs[-1] - dt) > eps)
-    windowed = midpoint and z.size <= _WINDOW_MAX_D
+    longest = _WINDOW if midpoint and z.size <= _WINDOW_MAX_D else 1
     size = 1                        # samples stored
     theta = None
     calls = 0
     resume = 0                      # first sample a window may start from
-    length = _WINDOW                # steps the next window tries
+    length = longest                # steps the next window tries
     while size <= steps and not reason:
         start = size - 1
-        k = min(length, full - start)
-        step = None
-        if windowed and 4 <= start and resume <= start and k >= 2:
-            step = _midpoint_window(system, zs[start - 4:size], hs[start:start + k])
-            calls += step.evals
-            if step.z is None:
-                # take the abandoned window's steps one by one
-                resume, length, step = start + k, max(2, length // 2), None
+        k = max(1, min(length, full - start)) if 4 <= start and resume <= start else 1
+        try:
+            if midpoint:
+                # extrapolate only across samples spaced by dt: the first step
+                # and a cut last one start from their last sample alone
+                m = min(start, 4) + 1 if start < full else 1
+                step = _midpoint_window(system, zs[size - m:size], hs[start:start + k],
+                                        theta if -start % _THETA_REFRESH >= k else None)
             else:
-                length = min(_WINDOW, 2 * length)
-        if step is None:
-            k, h = 1, hs[start]
-            try:
-                if midpoint:
-                    # extrapolate only across samples spaced by h: T - (steps-1) dt
-                    # misses dt by a few ulps on a last step that is not cut
-                    guess = _extrapolate(zs, start) if start and abs(h - dt) <= eps else None
-                    step = _midpoint_step(system, zs[start], h, guess,
-                                          theta if start % _THETA_REFRESH else None)
-                else:
-                    step = _rk4_step(system, zs[start], h)
-            except (SingularInput, np.linalg.LinAlgError) as exc:
-                # the step itself crossed the det floor: flag, keep the partial run
-                reason = f"step left GL+(n): {exc}"
-                break
-            calls += step.evals
+                step = _rk4_step(system, zs[start], hs[start])
+        except (SingularInput, np.linalg.LinAlgError) as exc:
+            # the step itself crossed the det floor: flag, keep the partial run
+            reason = f"step left GL+(n): {exc}"
+            break
+        calls += step.evals
+        if step.z is None:
+            # solve the abandoned window's steps as one-step blocks
+            resume, length = start + k, max(2, length // 2)
+            continue
+        if k > 1:
+            length = min(longest, 2 * length)
         theta = step.theta
         zs[size:size + k], evals[start:start + k], residuals[start:start + k] = \
             step.z, step.evals, step.residual

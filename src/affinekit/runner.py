@@ -26,6 +26,7 @@ time is printed by the CLI, never written into them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -42,22 +43,25 @@ def _labels(prefix: str, *dims: int) -> list:
     return [prefix + "".join(f"[{i}]" for i in idx) for idx in np.ndindex(*dims)]
 
 
-def trajectory_header(n: int, N: int) -> list:
+# The headers depend on (n, N) only, so each is built once per shape.
+@functools.lru_cache(maxsize=None)
+def trajectory_header(n: int, N: int) -> tuple:
     cols = ["t"]
     for K in range(1, N + 1):
         cols += _labels(f"x{K}", n) + _labels(f"phi{K}", n, n)
         cols += _labels(f"p{K}", n) + _labels(f"pi{K}", n, n)
     cols += ["E"] + _labels("Sigma", n, n) + _labels("SigmaHat", n, n)
-    return cols + [f"detphi_{K}" for K in range(1, N + 1)]
+    return tuple(cols + [f"detphi_{K}" for K in range(1, N + 1)])
 
 
-def charges_header(n: int, N: int) -> list:
+@functools.lru_cache(maxsize=None)
+def charges_header(n: int, N: int) -> tuple:
     cols = ["t", "E"] + _labels("p", n)
     cols += _labels("Sigma", n, n) + _labels("SigmaHat", n, n) + _labels("J", n, n)
     for K in range(1, N + 1):
         cols += _labels(f"S{K}", n, n) + _labels(f"V{K}", n, n)
         cols += [f"detphi_{K}"] + _labels(f"q{K}", n)
-    return cols
+    return tuple(cols)
 
 
 # A table is formatted in chunks of whole rows of about _CSV_CHUNK values, so
@@ -207,7 +211,7 @@ def _format_rows(table: np.ndarray) -> bytes:
     return slots[keep].tobytes()
 
 
-def write_csv_table(path, header: list, blocks) -> str:
+def write_csv_table(path, header, blocks) -> str:
     """Write the header, then one row per sample of the (S, ...) column
     blocks side by side, every value as %.17e; return the sha256 hex digest
     of the bytes written.  The bytes are those of ``np.savetxt`` with that

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,8 @@ def test_midpoint_divergence_raises():
     params = InertiaParams(M=2.0, J=np.eye(2))
     spec = PotentialSpec(one_body=(TranslationalHarmonic(stiffness=1.0),))
     s0 = phase_state([1.0, 0.0], np.eye(2), [0.0, 0.0], np.zeros((2, 2)))
-    with pytest.raises(IterationDiverged):
+    with pytest.raises(IterationDiverged,
+                       match=r"^implicit midpoint residual \S+ > 1e-12 after 50 iterations$"):
         integrate(model, params, spec, s0, dt=10.0, T=20.0)
 
 
@@ -696,7 +699,7 @@ def test_stacked_rhs_names_a_singular_member(rng):
 
 
 # ---------------------------------------------------------------------------
-# extrapolated start of the midpoint solve
+# start and stop of the midpoint solve
 
 DYNAMIC_SCENARIOS = ("harmonic_oscillator", "dalembert_free_internal", "afaf_geodetic_gl2",
                      "afaf_dilatation_stabilized", "two_body_affine_pair")
@@ -711,64 +714,92 @@ def _bundled_system(name):
     return s, s0, compile_system(s.model, s.params, s.potential, s0.n, s0.N)
 
 
-def _recorded_steps(monkeypatch, s, s0, dt, T):
-    """integrate's run, and the (z, h, guess, theta) of each midpoint step."""
+def _reference_step(system, z, h):
+    """The oracle of the tests below, written apart from the solver: one
+    midpoint step from z, started from the explicit Euler predictor and
+    iterated z1 <- z + h f((z + z1)/2) until the change is at most 1e-15 x
+    max(1, max|z|) or stops shrinking, with no extrapolation and no
+    contraction estimate.  Returns z1 and the RHS evaluations taken."""
+    scale = max(1.0, np.max(np.abs(z)))
+    z1, evals, prev = z + h * system.rhs(z), 1, np.inf
+    for _ in range(100):
+        new = z + h * system.rhs(0.5 * (z + z1))
+        evals += 1
+        change = np.max(np.abs(new - z1))
+        z1 = new
+        if change <= 1e-15 * scale or not change < prev:
+            break
+        prev = change
+    return z1, evals
+
+
+@contextmanager
+def _recorded_blocks():
+    """Record every block the midpoint solver is given while the context is
+    open, as [samples, step lengths, carried theta, Step]; a block whose solve
+    raised has no Step."""
     from affinekit import dynamics
 
-    calls = []
-    step = dynamics._midpoint_step
+    calls, solve = [], dynamics._midpoint_window
 
-    def recording(system, z, h, guess=None, theta=None):
-        calls.append((z.copy(), h, guess, theta))
-        return step(system, z, h, guess, theta)
+    def recording(system, last, hs, theta=None):
+        calls.append([last.copy(), hs.copy(), theta])
+        calls[-1].append(solve(system, last, hs, theta))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(dynamics, "_midpoint_step", recording)
-    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
-    monkeypatch.undo()
-    return traj, calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_midpoint_window", recording)
+        yield calls
 
 
 @pytest.mark.parametrize("name", DYNAMIC_SCENARIOS)
 def test_extrapolated_start_lands_on_the_euler_start_fixed_point(name, monkeypatch):
-    """Ten consecutive steps: integrate starts each from the extrapolation of
-    the last five samples and the contraction estimate carried from the
-    steps before; that solve ends where one started from Euler without an
-    estimate does, in fewer evaluations."""
+    """Fifteen one-step blocks: integrate starts block k from the k + 1
+    samples there are, up to five, and the contraction estimate carried from
+    the blocks before.  From step 4 on, that solve ends where the reference
+    step from Euler does, in fewer evaluations."""
     from affinekit import dynamics
-    from affinekit.dynamics import _extrapolate, _midpoint_step
 
     monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
     s, s0, system = _bundled_system(name)
-    traj, calls = _recorded_steps(monkeypatch, s, s0, s.dt, 15 * s.dt)
+    with _recorded_blocks() as calls:
+        traj = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=15 * s.dt)
+    assert [len(last) for last, *_ in calls] == [1, 2, 3, 4] + [5] * 11
+    assert all(len(hs) == 1 for _, hs, *_ in calls)
     for k in range(4, 14):
-        z, h, guess, theta = calls[k]
-        np.testing.assert_array_equal(z, traj.z[k])
-        np.testing.assert_array_equal(guess, _extrapolate(traj.z, k))
-        extrapolated = _midpoint_step(system, z, s.dt, guess, theta)
-        euler = _midpoint_step(system, z, s.dt)
-        assert np.max(np.abs(extrapolated.z - euler.z)) <= 1e-13 * max(1.0, np.max(np.abs(z)))
-        assert extrapolated.evals < euler.evals
-        np.testing.assert_array_equal(extrapolated.z, traj.z[k + 1])
+        last, hs, theta, step = calls[k]
+        np.testing.assert_array_equal(last, traj.z[k - 4:k + 1])
+        np.testing.assert_array_equal(step.z[0], traj.z[k + 1])
+        reference, evals = _reference_step(system, traj.z[k], s.dt)
+        assert np.max(np.abs(step.z[0] - reference)) \
+            <= 1e-13 * max(1.0, np.max(np.abs(traj.z[k])))
+        assert step.evals < evals
 
 
 @pytest.mark.parametrize("T_steps", [1, 2, 3, 4, 5, 6, 40.5])
 def test_short_and_cut_runs_match_an_euler_start_loop(T_steps):
     """Runs of 1-6 steps, where the history is short or absent, and a run
-    whose last step is cut, follow a plain Euler-start midpoint loop and keep
-    their sample times."""
-    from affinekit.dynamics import _midpoint_step, _pack
+    whose last step is cut, follow the reference loop and keep their sample
+    times.  Each block starts from the samples there are, up to five (at 6
+    steps, a window of two); a cut last step starts from its last sample
+    alone, a constant start whose first sweep is the Euler predictor."""
+    from affinekit.dynamics import _pack
 
     s, s0, system = _bundled_system("two_body_affine_pair")
     dt = s.dt
     T = T_steps * dt
-    traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
-    steps = int(np.ceil(T_steps))
+    with _recorded_blocks() as calls:
+        traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
+    steps, full = int(np.ceil(T_steps)), int(T_steps)
+    assert [len(last) for last, *_ in calls] \
+        == [1, 2, 3, 4, 5][:full] + [1] * (steps - full)
+    assert sum(len(hs) for _, hs, *_ in calls) == steps
     assert len(traj.times) == steps + 1
     np.testing.assert_array_equal(traj.times[:-1], np.arange(steps) * dt)
     assert traj.times[-1] == T
     z = _pack(s0)
     for k in range(steps):
-        z = _midpoint_step(system, z, T - (steps - 1) * dt if k == steps - 1 else dt).z
+        z = _reference_step(system, z, T - (steps - 1) * dt if k == steps - 1 else dt)[0]
         np.testing.assert_allclose(traj.z[k + 1], z, rtol=0, atol=1e-13)
 
 
@@ -898,22 +929,24 @@ def test_midpoint_rhs_evaluations_per_step(name, monkeypatch):
 
 def test_last_full_step_takes_the_extrapolated_start(monkeypatch):
     """T = 10 dt leaves a last step T - 9 dt that misses dt by an ulp; it is a
-    full step, so it starts from the extrapolation, not from Euler, and ends
-    on the Euler-start fixed point to roundoff.  Only the first step, which
-    has no sample history, starts from Euler."""
+    full step, so it starts from the five samples before it, not from its
+    last sample alone, and ends on the reference step to roundoff.  Only the
+    first step, which has no sample history, starts from one sample."""
     from affinekit import dynamics
-    from affinekit.dynamics import _midpoint_step
 
     monkeypatch.setattr(dynamics, "_WINDOW_MAX_D", 0)
     s, s0, system = _bundled_system("two_body_affine_pair")
     dt, T = s.dt, 10 * s.dt
     h = T - 9 * dt
     assert h != dt and abs(h - dt) <= 1e-12
-    traj, calls = _recorded_steps(monkeypatch, s, s0, dt, T)
-    assert [guess is not None for _, _, guess, _ in calls] == [False] + [True] * 9
+    with _recorded_blocks() as calls:
+        traj = integrate(s.model, s.params, s.potential, s0, dt=dt, T=T)
+    assert [len(last) for last, *_ in calls] == [1, 2, 3, 4, 5, 5, 5, 5, 5, 5]
+    assert calls[-1][1][0] == h
     assert traj.times[-1] == T
-    euler = _midpoint_step(system, traj.z[-2], h).z
-    assert np.max(np.abs(traj.z[-1] - euler)) <= 1e-13 * max(1.0, np.max(np.abs(traj.z[-2])))
+    reference = _reference_step(system, traj.z[-2], h)[0]
+    assert np.max(np.abs(traj.z[-1] - reference)) \
+        <= 1e-13 * max(1.0, np.max(np.abs(traj.z[-2])))
 
 
 FREE_Z = "d4c193575d5ea1e77585d077fe8d3689458760cb60deae1df2873f5d575bd5d9"
@@ -928,7 +961,7 @@ FREE_TIMES = "ba353a0918111d79cc0087f0a07e59bb0c161ec99b10c2d067f8bf9e938650ac"
     ("free", "rk4", 0.01, 100, "step left GL+(n): phi[0] is singular (|det| = 7.529e-16",
      396, 396, FREE_Z, FREE_TIMES),
     # det phi turns negative at sample 48; the window from sample 4 is
-    # abandoned, so every step is a single step, and a step from sample 48
+    # abandoned, so every step is a one-step block, and a step from sample 48
     # would raise NegativeOrientation in the dilatation term
     ("dilatation", "implicit_midpoint", 0.007, 48, "det phi fell to -7.834e-03 (floor 1e-12)",
      150, 165, "074adf90ec9546cd73d1f6f3c78e8e71f2409c59e2c23038e76cce422dec338c",
@@ -987,9 +1020,9 @@ WINDOW_RUNS = {
 @pytest.mark.parametrize("run", WINDOW_RUNS)
 def test_windowed_run_matches_the_per_step_run(run, monkeypatch):
     """Windows solve the fixed-point equations of single steps, so the run
-    agrees with the per-step run (forced by the selector constant) to
-    1e-13 x scale, at the same sample times.  At dt = 0.1 and 0.3 some
-    windows stall, are abandoned and have their steps taken one by one."""
+    agrees with the run of one-step blocks (forced by the selector constant)
+    to 1e-13 x scale, at the same sample times.  At dt = 0.1 and 0.3 some
+    windows stall, are abandoned and have their steps solved one by one."""
     from affinekit import dynamics
 
     s = WINDOW_RUNS[run]()
@@ -1007,7 +1040,7 @@ def test_windowed_run_matches_the_per_step_run(run, monkeypatch):
 @pytest.mark.parametrize("name", ["harmonic_oscillator", "two_body_affine_pair", "separable"])
 def test_windowed_rhs_calls_per_step(name):
     """Regression guard on the dispatch count: windows of up to 64 steps
-    take 0.06-0.13 RHS calls per step on these runs, where single steps
+    take 0.06-0.13 RHS calls per step on these runs, where one-step blocks
     take 1.0-1.04."""
     s = _separable_scenario(2000) if name == "separable" else _with_run(
         _bundled_system(name)[0], steps=2000)
@@ -1015,15 +1048,56 @@ def test_windowed_rhs_calls_per_step(name):
     assert traj.rhs_calls / (len(traj.times) - 1) <= 0.2
 
 
-def test_window_extrapolation_is_the_quartic_through_five_samples():
-    """One step ahead it is _extrapolate's quartic; j steps ahead, exact on
-    quartics in the step index up to the roundoff its weights amplify (the
-    largest, C(67, 4) = 766,480, at 64 steps)."""
-    from affinekit.dynamics import _extrapolate, _extrapolate_window
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_start_polynomial_is_exact_through_one_to_five_samples(m):
+    """From m samples the start is the polynomial of degree m - 1 through
+    them: exact on such polynomials in the step index, 1..64 steps ahead, up
+    to the roundoff its weights amplify (each backward difference carries
+    about 2^d eps of the samples' size, times C(j + d - 1, d) at j steps
+    ahead).  One step ahead of five samples it is the quartic
+    5 z_k - 10 z_{k-1} + 10 z_{k-2} - 5 z_{k-3} + z_{k-4}."""
+    from math import comb
+
+    from affinekit.dynamics import _extrapolate_window
 
     t = np.arange(-4.0, 65.0)
-    quartic = np.stack([1.0 - 0.5 * t + 0.25 * t**2 - 0.01 * t**3 + 1e-4 * t**4,
-                        np.cos(0.01 * t)], axis=-1)
-    ahead = _extrapolate_window(quartic[:5], 64)
-    np.testing.assert_allclose(ahead[:, 0], quartic[5:, 0], rtol=1e-8)
-    np.testing.assert_allclose(ahead[0], _extrapolate(quartic, 4), rtol=1e-14)
+    coeffs = np.array([[1.0, -0.5, 0.25, -0.01, 1e-4], [0.3, 0.2, -0.05, 0.002, -3e-5]])[:, :m]
+    z = np.stack([np.polynomial.polynomial.polyval(t, c) for c in coeffs], axis=-1)
+    last = z[5 - m:5]
+    for k in (1, 7, 64):
+        ahead = np.broadcast_to(_extrapolate_window(last, k), (k, 2))
+        bound = np.finfo(float).eps * np.abs(last).max() \
+            * np.array([sum(comb(j + d - 1, d) * 2**d for d in range(m)) for j in range(1, k + 1)])
+        assert (np.abs(ahead - z[5:5 + k]) <= bound[:, None]).all()
+    if m == 5:
+        quartic = 5.0 * (z[4] - z[1]) + 10.0 * (z[2] - z[3]) + z[0]
+        np.testing.assert_allclose(_extrapolate_window(last, 1)[0], quartic, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# failure outcomes of the midpoint solve
+
+def test_coarse_windowed_run_raises_the_one_step_divergence():
+    """two_body_affine_pair at dt = 0.6 over 40 steps: its windows are
+    abandoned silently, and the one-step block that then takes a step runs
+    out of sweeps and raises IterationDiverged with the one-step message."""
+    s = _with_run(_bundled_system("two_body_affine_pair")[0], dt=0.6, steps=40)
+    with _recorded_blocks() as calls, pytest.raises(
+            IterationDiverged, match=r"^implicit midpoint residual \S+ > 1e-12 after 50 iterations$"):
+        integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert any(len(call) == 4 and len(call[1]) > 1 and call[3].z is None for call in calls)
+    assert len(calls[-1]) == 3 and len(calls[-1][1]) == 1
+
+
+def test_coincident_centers_escape_integrate():
+    """Two bodies share a center under an r pair term: the first one-step
+    block meets NonDifferentiable in the RHS and lets it escape integrate,
+    which flags only a run that leaves GL+(n)."""
+    from affinekit.errors import NonDifferentiable
+
+    s = _scenario([_body(np.zeros((2, 2)), x=(0.5, -0.5)), _body(np.zeros((2, 2)), x=(0.5, -0.5))],
+                  {"binary": [{"arg": "r", "fn": {"kind": "harmonic", "stiffness": 1.0,
+                                                  "center": 1.0}}]}, dt=0.01, steps=10)
+    with _recorded_blocks() as calls, pytest.raises(NonDifferentiable):
+        integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert [(len(last), len(hs), len(call)) for last, hs, *call in calls] == [(1, 1, 1)]
