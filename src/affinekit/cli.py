@@ -9,8 +9,8 @@ Subcommands::
                        --points M --levels K [--hbar H] [--out DIR]
     affinekit measure-check [--n N] [--points P] [--seed S]
 
-Exit codes: 0 success, 1 failed checks or runtime error, 2 aborted run
-(partial artifacts flagged in the summary), 64 usage error.
+Exit codes: 0 success, 1 failed checks or bad input, 2 a run aborted while it
+steps (partial artifacts, abort_kind in the summary), 64 usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def _cmd_run(args) -> int:
     wall = time.perf_counter() - start
     # wall time goes to stderr only: artifacts stay byte-reproducible
     print(f"run finished in {wall:.3f} s; artifacts in {out_dir}", file=sys.stderr)
+    if summary["aborted"]:
+        print(f"run aborted: {summary['abort_kind']}: {summary['abort_reason']}", file=sys.stderr)
     _print_json(summary)
     return int(summary["exit_code"])
 
@@ -112,12 +114,18 @@ def _cmd_measure_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit EX_USAGE: argparse's 2 is the code of an aborted run."""
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it takes
     about 0.7 ms, parsing one command line with it 0.02-0.04 ms."""
-    parser = argparse.ArgumentParser(prog="affinekit",
-                                     description="affine-body dynamics toolkit")
+    parser = _Parser(prog="affinekit", description="affine-body dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a scenario file")

@@ -12,22 +12,18 @@ the pi block is -(dH/dphi).T.
 
 The default integrator is the implicit midpoint rule: symplectic, and it
 preserves every quadratic first integral (all the affine-spin charges) to
-solver tolerance.  One solver takes every midpoint step, in blocks of 1 to 64
-steps, each solved by Picard sweeps over the whole block: one stacked RHS
-call and one in-order cumulative sum per sweep (Gander, 50 Years of Time
-Parallel Time Integration, 2015).  Every block starts from the polynomial
-through the samples there are, up to five (Hairer, Lubich & Wanner,
-Geometric Numerical Integration, section VIII.6); from one sample the start
-is constant and the first sweep is the explicit Euler predictor.  Every
-block stops by the contraction test of Hairer & Wanner, Solving ODEs II,
-section IV.8, or once no step changes by more than 1e-15 of its scale.  An
-accepted step z_k -> z_{k+1} is then the fixed point to roundoff: rho_k =
-max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1, max|z_k|) is at most
-about 1e-15 wherever roundoff allows it.  Systems of D <= _WINDOW_MAX_D
-phase-space entries take blocks of up to 64 steps, larger ones blocks of
-one.  Over 10k-25k steps the bundled scenarios take 1.0-4.9 RHS evaluations
-and 0.017-0.078 calls per step, a separable 10k-step run 7.6 and 0.12, and
-the n = 3, N = 8 pair systems of the benchmark (D = 192) 6.0 of each.
+solver tolerance.  One solver takes every midpoint step, in blocks of up to 64
+steps when D <= _WINDOW_MAX_D and of one otherwise, each solved by Picard
+sweeps over the whole block: one stacked RHS call and one in-order cumulative
+sum per sweep (Gander, 50 Years of Time Parallel Time Integration, 2015).  A
+block starts from the polynomial through up to five samples (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, section VIII.6) and stops by the
+contraction test of Hairer & Wanner, Solving ODEs II, section IV.8, or once no
+step changes by more than 1e-15 of its scale.  An accepted step is then the
+fixed point to roundoff: rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}|
+/ max(1, max|z_k|) is at most about 1e-15 wherever roundoff allows it.  A
+failed solve returns its error; integrate solves a failed window again step
+by step and aborts the run on any other failure, keeping the samples before it.
 
 The left- and right-invariant kinetic models (is-af, af-is, af-J, H-af,
 l-af, r-af) couple phi and pi, so H is non-separable for them.
@@ -50,7 +46,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import AffineKitError, IterationDiverged, SingularInput, StateInvalid
+from .errors import AffineKitError, IterationDiverged, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
 from .matcore import DET_FLOOR, det_inv
@@ -114,8 +110,8 @@ class Trajectory:
     ``step_evals[k]`` RHS evaluations of its phase vector and ended its
     fixed-point solve at the residual ``step_residuals[k]``, relative to
     max(1, max|z_k|); rk4 steps have no residual (NaN).  ``rhs_calls``
-    counts the RHS calls of every solve that returned, abandoned windows
-    included; one call evaluates a whole window."""
+    counts the RHS calls, failed solves' included; ``abort_kind`` and
+    ``abort_reason`` name the failure that ``aborted`` a run."""
 
     times: np.ndarray
     z: np.ndarray
@@ -126,6 +122,7 @@ class Trajectory:
     step_residuals: np.ndarray
     aborted: bool = False
     abort_reason: str = ""
+    abort_kind: str = ""
     rhs_calls: int = 0
 
     def __post_init__(self):
@@ -140,7 +137,7 @@ class Trajectory:
         return _unpack(self.z[k], self.N, self.n, float(self.times[k]))
 
     def require_complete(self) -> "Trajectory":
-        """Raise StateInvalid if the run was cut short at the det-phi floor."""
+        """Raise StateInvalid if the run was aborted, whatever the failure."""
         if self.aborted:
             raise StateInvalid(self.abort_reason)
         return self
@@ -261,16 +258,16 @@ def _unpack(z: np.ndarray, N: int, n: int, time: float) -> PhaseState:
 
 @dataclass(frozen=True)
 class Step:
-    """A solve of a block of k steps: the new phase vectors (k, D) (None for
-    an abandoned window); the RHS evaluations each step took (the block's
-    sweeps); the last fixed-point change of each step relative to its scale,
-    (k,) (NaN for rk4); and the contraction estimate to carry into the next
-    block (None without one)."""
+    """A solve of a block of k steps: the new phase vectors (k, D), or None
+    and the error as ``failure``; the RHS evaluations of each step (the
+    block's sweeps); each step's last fixed-point change relative to its
+    scale, (k,) (NaN for rk4); and the contraction estimate to carry on."""
 
     z: np.ndarray | None
     evals: int
     residual: float | np.ndarray = np.nan
     theta: float | None = None
+    failure: Exception | None = None
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +305,7 @@ _THETA_REFRESH = 32
 # Blocks hold up to _WINDOW steps on systems of at most _WINDOW_MAX_D
 # phase-space entries and one step on larger ones, where stacked calls stop
 # paying: at D = 120-192 pair-heavy systems ran 0.6-0.9x as fast windowed
-# (n = 2 and 3, up to 16 bodies, 300 steps).  A window is abandoned when its
+# (n = 2 and 3, up to 16 bodies, 300 steps).  A window fails when its
 # largest change has not shrunk in _WINDOW_STALLS sweeps running.
 _WINDOW = 64
 _WINDOW_MAX_D = 96
@@ -337,12 +334,12 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     estimate on (one ratio is enough for that).
 
     The result counts the sweeps as ``evals`` and has each step's last
-    change relative to its scale as ``residual``.  A window (k >= 2) that
-    raises an AffineKitError or LinAlgError, goes non-finite, stalls or runs
-    out of sweeps is abandoned: the result has no phase vectors.  A one-step
-    block lets errors and warnings through; after MIDPOINT_MAX_ITER sweeps it
-    keeps its last iterate if that change is within MIDPOINT_TOL, and raises
-    IterationDiverged otherwise.
+    change relative to its scale as ``residual``.  It never raises and lets
+    no numpy warning out.  A block fails if its RHS raises an AffineKitError
+    or LinAlgError, its iterate goes non-finite, it runs out of sweeps
+    (unless k = 1 and the last change is within MIDPOINT_TOL) or, for a
+    window (k >= 2), it stalls: the result has no phase vectors and has the
+    RHS's error or an IterationDiverged as ``failure``.
     """
     k = len(hs)
     single = k == 1
@@ -352,17 +349,14 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     terms, new = z.copy(), z.copy()         # rows 0 stay z_0
     h = hs[:, None]
     prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
-    # a diverging window is abandoned, not reported: its overflows stay silent
-    quiet = None if single else "ignore"
-    with np.errstate(over=quiet, invalid=quiet, divide=quiet):
+    # an overflow shows as a non-finite change, which fails the block
+    with np.errstate(all="ignore"):
         for sweep in range(1, MIDPOINT_MAX_ITER + 1):
             mid = 0.5 * (z[:-1] + z[1:])
             try:
                 np.multiply(h, system.rhs(mid[0] if single else mid), out=terms[1:])
-            except (AffineKitError, np.linalg.LinAlgError):
-                if single:
-                    raise
-                return Step(None, sweep)
+            except (AffineKitError, np.linalg.LinAlgError) as exc:
+                return Step(None, sweep, failure=exc)
             # in order, so each new z_{j+1} is z_j + h_j f_j; accumulate walks
             # the columns one by one, a plain add does a lone step's row at once
             if single:
@@ -379,47 +373,47 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
             if worst <= 1e-15 or (estimate is not None and estimate < 1.0
                                   and estimate * worst <= (1.0 - estimate) * 1e-15):
                 break
-            if not single:
-                stalls = stalls + 1 if not worst < prev else 0
-                if stalls == _WINDOW_STALLS or not worst < np.inf:
-                    return Step(None, sweep)
+            stalls = stalls + 1 if not (single or worst < prev) else 0
+            if stalls == _WINDOW_STALLS or not worst < np.inf:
+                return Step(None, sweep, failure=IterationDiverged(
+                    f"implicit midpoint change {worst:.3e} stopped shrinking after {sweep} "
+                    "iterations"))
             prev = worst
         else:
-            if not single:
-                return Step(None, sweep)
-            residual = float(change.max())
-            if not residual <= MIDPOINT_TOL:
-                raise IterationDiverged(
-                    f"implicit midpoint residual {residual:.3e} > {MIDPOINT_TOL} after "
-                    f"{MIDPOINT_MAX_ITER} iterations")
+            if not (single and change.max() <= MIDPOINT_TOL):
+                return Step(None, sweep, failure=IterationDiverged(
+                    f"implicit midpoint residual {change.max():.3e} > {MIDPOINT_TOL} after "
+                    f"{MIDPOINT_MAX_ITER} iterations"))
     carry = max(theta or 0.0, _THETA_SAFETY * rate) if theta is not None or ratios else None
     return Step(z[1:], sweep, change.max(axis=-1) / scale[:, 0], carry)
 
 
 def _rk4_step(system: CompiledSystem, z, dt):
-    k1 = system.rhs(z)
-    k2 = system.rhs(z + 0.5 * dt * k1)
-    k3 = system.rhs(z + 0.5 * dt * k2)
-    k4 = system.rhs(z + dt * k3)
-    return Step(z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4)
+    k = []
+    with np.errstate(all="ignore"):     # an overflow leaves a non-finite sample
+        try:
+            for c in (0.0, 0.5, 0.5, 1.0):
+                k.append(system.rhs(z + (c * dt) * k[-1] if k else z))
+        except (AffineKitError, np.linalg.LinAlgError) as exc:
+            return Step(None, len(k) + 1, failure=exc)
+        return Step(z + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), 4)
 
 
 INTEGRATION_METHODS = ("implicit_midpoint", "rk4")
 
 
-def _first_problem(system: CompiledSystem, zs: np.ndarray) -> tuple[int, str]:
+def _first_problem(system: CompiledSystem, zs: np.ndarray) -> tuple[int, StateInvalid | None]:
     """Index of the first sample of an (S, D) stack that is non-finite or has
-    a det phi at the floor, and why; (S, "") when every sample is fine."""
+    a det phi at the floor, and that failure; (S, None) when all are fine."""
     finite = np.isfinite(zs).all(axis=-1)
     phi = _split(np.where(finite[:, None], zs, 0.0), system.N, system.n)[1]
     low = np.linalg.det(phi).min(axis=-1)
     bad = ~finite | (low <= DET_FLOOR)
     if not bad.any():
-        return len(zs), ""
+        return len(zs), None
     k = int(np.argmax(bad))
-    if not finite[k]:
-        return k, "non-finite phase-space entries"
-    return k, f"det phi fell to {low[k]:.3e} (floor {DET_FLOOR})"
+    return k, StateInvalid("non-finite phase-space entries" if not finite[k]
+                           else f"det phi fell to {low[k]:.3e} (floor {DET_FLOOR})")
 
 
 def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
@@ -433,9 +427,9 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     Each midpoint solve is a block of k steps (see _midpoint_window).  With
     D <= _WINDOW_MAX_D, a block from sample 4 on takes k = min(length, full
     steps left), full meaning of length dt up to eps = 1e-12 max(1, T);
-    length starts at _WINDOW, halves after an abandoned window (down to two)
+    length starts at _WINDOW, halves after a failed window (down to two)
     and doubles after a converged one.  The first four steps, the steps of
-    an abandoned window, a last step cut short of dt and every step of a
+    a failed window, a last step cut short of dt and every step of a
     larger system are one-step blocks.  A full step starts from up to five
     samples, the first and a cut one from their last sample alone.  A block
     takes the contraction estimate of the one before, unless it holds a
@@ -443,12 +437,11 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     sweeps as its RHS evaluations; ``rhs_calls`` counts one call per sweep.
     rk4 takes one step at a time.
 
-    Leaving GL+(n) (a non-finite entry or det phi at the floor) aborts the run
-    and returns the partial trajectory up to the last admissible sample, with
-    ``aborted`` set; it is a modeling failure the caller must see, not
-    something to regularize away.  Each solve adds a block of samples, and
-    the block is checked with one stacked det as it is stored, so no step
-    starts from a sample that failed the check.
+    A failed window is solved again as one-step blocks.  A failed one-step
+    block or rk4 step aborts the run, and so does a stored sample with a
+    non-finite entry or det phi at the floor (StateInvalid; each block is
+    checked as it is stored).  An aborted run keeps its samples up to the
+    failure: a modeling failure the caller must see, not one to regularize.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -472,7 +465,7 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     residuals = np.full(steps, np.nan)
     zs[0] = z
 
-    _, reason = _first_problem(system, zs[:1])
+    _, failure = _first_problem(system, zs[:1])
     # steps of length dt up to rounding: all, or all but a last one cut short
     full = steps - int(steps > 0 and abs(hs[-1] - dt) > eps)
     longest = _WINDOW if midpoint and z.size <= _WINDOW_MAX_D else 1
@@ -481,25 +474,22 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     calls = 0
     resume = 0                      # first sample a window may start from
     length = longest                # steps the next window tries
-    while size <= steps and not reason:
+    while size <= steps and failure is None:
         start = size - 1
         k = max(1, min(length, full - start)) if 4 <= start and resume <= start else 1
-        try:
-            if midpoint:
-                # extrapolate only across samples spaced by dt: the first step
-                # and a cut last one start from their last sample alone
-                m = min(start, 4) + 1 if start < full else 1
-                step = _midpoint_window(system, zs[size - m:size], hs[start:start + k],
-                                        theta if -start % _THETA_REFRESH >= k else None)
-            else:
-                step = _rk4_step(system, zs[start], hs[start])
-        except (SingularInput, np.linalg.LinAlgError) as exc:
-            # the step itself crossed the det floor: flag, keep the partial run
-            reason = f"step left GL+(n): {exc}"
-            break
+        if midpoint:
+            # extrapolate only across samples spaced by dt: the first step
+            # and a cut last one start from their last sample alone
+            m = min(start, 4) + 1 if start < full else 1
+            step = _midpoint_window(system, zs[size - m:size], hs[start:start + k],
+                                    theta if -start % _THETA_REFRESH >= k else None)
+        else:
+            step = _rk4_step(system, zs[start], hs[start])
         calls += step.evals
         if step.z is None:
-            # solve the abandoned window's steps as one-step blocks
+            # a failed one-step block ends the run; a failed window's steps
+            # are solved again as one-step blocks
+            failure = step.failure if k == 1 else None
             resume, length = start + k, max(2, length // 2)
             continue
         if k > 1:
@@ -507,12 +497,13 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
         theta = step.theta
         zs[size:size + k], evals[start:start + k], residuals[start:start + k] = \
             step.z, step.evals, step.residual
-        bad, reason = _first_problem(system, zs[size:size + k])
+        bad, failure = _first_problem(system, zs[size:size + k])
         size += bad
     zs = zs[:size]
     return Trajectory(times[:size], zs, system.charges(zs), n, N, evals[:size - 1],
-                      residuals[:size - 1], aborted=bool(reason), abort_reason=reason,
-                      rhs_calls=calls)
+                      residuals[:size - 1], aborted=failure is not None,
+                      abort_reason=str(failure or ""),
+                      abort_kind=type(failure).__name__ if failure else "", rhs_calls=calls)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class NonDifferentiable(AffineKitError):
 
 
 class IterationDiverged(AffineKitError):
-    """An implicit solver failed to reach its residual target."""
+    """An implicit solve failed to converge: a run's abort kind, not raised."""
 
 
 class StateInvalid(AffineKitError):

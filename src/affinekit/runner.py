@@ -319,6 +319,7 @@ def run(scenario: Scenario, out_dir) -> dict:
         "final_time": traj.times[-1],
         "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
+        "abort_kind": traj.abort_kind,
         "initial_energy": float(c.energy[0]),
         "final_energy": float(c.energy[-1]),
         "final_charges": {name: getattr(c, name)[-1].tolist()

@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -7,7 +8,6 @@ from affinekit.dynamics import (PhaseState, hamilton_rhs, integrate,
                                 noether_charges, poisson_bracket,
                                 sigma_component, sigma_hat_component,
                                 total_energy)
-from affinekit.errors import IterationDiverged
 from affinekit.kinematics import SystemConfig
 from affinekit.kinetics import InertiaParams, KineticModel, MomentumState
 from affinekit.potentials import (BinaryTerm, DilatationTerm, HarmonicFn,
@@ -187,18 +187,24 @@ def test_singular_midpoint_evaluation_aborts():
     s0 = phase_state([0.0, 0.0], np.eye(2), [0.0, 0.0], -np.eye(2))
     traj = integrate(model, params, FREE, s0, dt=2.0, T=2.0)
     assert traj.aborted
-    assert "GL+" in traj.abort_reason
+    assert traj.abort_kind == "SingularInput"
     assert len(traj.z) == 1
 
 
-def test_midpoint_divergence_raises():
+def test_midpoint_divergence_aborts():
+    """dt = 10 in a stiff well: the first one-step block runs 50 sweeps
+    without converging, and the run aborts at its initial sample."""
     model = KineticModel("dalembert", "dalembert")
     params = InertiaParams(M=2.0, J=np.eye(2))
     spec = PotentialSpec(one_body=(TranslationalHarmonic(stiffness=1.0),))
     s0 = phase_state([1.0, 0.0], np.eye(2), [0.0, 0.0], np.zeros((2, 2)))
-    with pytest.raises(IterationDiverged,
-                       match=r"^implicit midpoint residual \S+ > 1e-12 after 50 iterations$"):
-        integrate(model, params, spec, s0, dt=10.0, T=20.0)
+    with _recorded_blocks() as calls:
+        traj = integrate(model, params, spec, s0, dt=10.0, T=20.0)
+    assert traj.aborted and traj.abort_kind == "IterationDiverged"
+    assert re.fullmatch(r"implicit midpoint residual \S+ > 1e-12 after 50 iterations",
+                        traj.abort_reason)
+    assert len(traj.times) == 1 and traj.rhs_calls == 50
+    assert [(len(hs), step.z is None) for _, hs, _, step in calls] == [(1, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +578,7 @@ def test_first_problem_reports_a_non_finite_sample_ahead_of_a_low_det_one():
     """Samples are scanned in order: a NaN at sample 2 is reported before the
     det phi at the floor of sample 3, and the low det alone after it."""
     from affinekit.dynamics import _first_problem, _pack, compile_system
+    from affinekit.errors import StateInvalid
 
     model = KineticModel("dalembert", "dalembert")
     system = compile_system(model, InertiaParams(M=1.0, J=np.eye(2)), FREE, 2, 1)
@@ -579,11 +586,12 @@ def test_first_problem_reports_a_non_finite_sample_ahead_of_a_low_det_one():
     low = _pack(phase_state([0.0, 0.0], np.diag([1.0, 1e-13]), [1.0, 0.0], np.zeros((2, 2))))
     nan = good.copy()
     nan[3] = np.nan
-    assert _first_problem(system, np.stack([good, good, nan, low])) \
-        == (2, "non-finite phase-space entries")
-    assert _first_problem(system, np.stack([good, good, good, low])) \
-        == (3, "det phi fell to 1.000e-13 (floor 1e-12)")
-    assert _first_problem(system, np.stack([good, good])) == (2, "")
+    for samples, k, reason in [([good, good, nan, low], 2, "non-finite phase-space entries"),
+                               ([good, good, good, low], 3,
+                                "det phi fell to 1.000e-13 (floor 1e-12)")]:
+        bad, failure = _first_problem(system, np.stack(samples))
+        assert (bad, type(failure), str(failure)) == (k, StateInvalid, reason)
+    assert _first_problem(system, np.stack([good, good])) == (2, None)
 
 
 def test_degenerate_metric_raises_at_compile_time():
@@ -736,15 +744,13 @@ def _reference_step(system, z, h):
 @contextmanager
 def _recorded_blocks():
     """Record every block the midpoint solver is given while the context is
-    open, as [samples, step lengths, carried theta, Step]; a block whose solve
-    raised has no Step."""
+    open, as [samples, step lengths, carried theta, Step]."""
     from affinekit import dynamics
 
     calls, solve = [], dynamics._midpoint_window
 
     def recording(system, last, hs, theta=None):
-        calls.append([last.copy(), hs.copy(), theta])
-        calls[-1].append(solve(system, last, hs, theta))
+        calls.append([last.copy(), hs.copy(), theta, solve(system, last, hs, theta)])
         return calls[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -958,8 +964,8 @@ FREE_TIMES = "ba353a0918111d79cc0087f0a07e59bb0c161ec99b10c2d067f8bf9e938650ac"
     # past it, the rk4 step meets the singular phi in its stages
     ("free", "implicit_midpoint", 0.01, 100, "det phi fell to -7.529e-16 (floor 1e-12)",
      100, 7, FREE_Z, FREE_TIMES),
-    ("free", "rk4", 0.01, 100, "step left GL+(n): phi[0] is singular (|det| = 7.529e-16",
-     396, 396, FREE_Z, FREE_TIMES),
+    ("free", "rk4", 0.01, 100, "phi[0] is singular (|det| = 7.529e-16", 396, 400, FREE_Z,
+     FREE_TIMES),
     # det phi turns negative at sample 48; the window from sample 4 is
     # abandoned, so every step is a one-step block, and a step from sample 48
     # would raise NegativeOrientation in the dilatation term
@@ -1077,27 +1083,42 @@ def test_start_polynomial_is_exact_through_one_to_five_samples(m):
 # ---------------------------------------------------------------------------
 # failure outcomes of the midpoint solve
 
-def test_coarse_windowed_run_raises_the_one_step_divergence():
-    """two_body_affine_pair at dt = 0.6 over 40 steps: its windows are
-    abandoned silently, and the one-step block that then takes a step runs
-    out of sweeps and raises IterationDiverged with the one-step message."""
+def test_coarse_windowed_run_aborts_on_the_one_step_divergence():
+    """two_body_affine_pair at dt = 0.6 over 40 steps: its window fails and
+    is solved again as one-step blocks, and the one-step block from sample
+    30 runs out of sweeps.  That failure ends the run as an abort that keeps
+    the 31 samples before it; every failed block's calls are counted."""
     s = _with_run(_bundled_system("two_body_affine_pair")[0], dt=0.6, steps=40)
-    with _recorded_blocks() as calls, pytest.raises(
-            IterationDiverged, match=r"^implicit midpoint residual \S+ > 1e-12 after 50 iterations$"):
-        integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
-    assert any(len(call) == 4 and len(call[1]) > 1 and call[3].z is None for call in calls)
-    assert len(calls[-1]) == 3 and len(calls[-1][1]) == 1
+    with _recorded_blocks() as calls:
+        traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert traj.aborted and traj.abort_kind == "IterationDiverged"
+    assert traj.abort_reason == "implicit midpoint residual 2.276e-12 > 1e-12 after 50 iterations"
+    assert len(traj.times) == 31 and traj.rhs_calls == 859
+    failed = [(len(hs), type(step.failure).__name__) for _, hs, _, step in calls
+              if step.z is None]
+    assert failed == [(36, "IterationDiverged"), (1, "IterationDiverged")]
+    assert calls[-1][3].evals == 50
 
 
-def test_coincident_centers_escape_integrate():
-    """Two bodies share a center under an r pair term: the first one-step
-    block meets NonDifferentiable in the RHS and lets it escape integrate,
-    which flags only a run that leaves GL+(n)."""
+@pytest.mark.parametrize("arg", ["D", "r"])
+def test_coincident_centers_abort_a_run_where_h_is_defined(arg):
+    """Two bodies share a center under a D or an r pair term.  The first
+    one-step block meets NonDifferentiable in the RHS and the run aborts at
+    its initial sample.  D is defined there, so the run keeps that sample;
+    r is not, so the initial state is bad input and its charges raise."""
     from affinekit.errors import NonDifferentiable
 
     s = _scenario([_body(np.zeros((2, 2)), x=(0.5, -0.5)), _body(np.zeros((2, 2)), x=(0.5, -0.5))],
-                  {"binary": [{"arg": "r", "fn": {"kind": "harmonic", "stiffness": 1.0,
+                  {"binary": [{"arg": arg, "fn": {"kind": "harmonic", "stiffness": 1.0,
                                                   "center": 1.0}}]}, dt=0.01, steps=10)
-    with _recorded_blocks() as calls, pytest.raises(NonDifferentiable):
-        integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
-    assert [(len(last), len(hs), len(call)) for last, hs, *call in calls] == [(1, 1, 1)]
+    with _recorded_blocks() as calls:
+        if arg == "r":
+            with pytest.raises(NonDifferentiable, match="r-term with coincident centers"):
+                integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+        else:
+            traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+            assert traj.aborted and traj.abort_kind == "NonDifferentiable"
+            assert traj.abort_reason == "binary D-term with coincident centers"
+            assert len(traj.times) == 1 and traj.rhs_calls == 1
+    assert [(len(last), len(hs), step.evals, step.z is None)
+            for last, hs, _, step in calls] == [(1, 1, 1, True)]

@@ -240,7 +240,7 @@ def test_run_writes_artifacts(tmp_path):
     assert (tmp_path / "out" / "charges.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
     assert summary["exit_code"] == 0
-    assert not summary["aborted"]
+    assert not summary["aborted"] and summary["abort_kind"] == ""
     assert summary["steps"] == 50
     header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
     assert tuple(header.split(",")) == trajectory_header(2, 1)
@@ -317,7 +317,66 @@ def test_aborted_run_exit_code(tmp_path):
     summary = run(scenario_from_dict(d), tmp_path / "out")
     assert summary["aborted"]
     assert summary["exit_code"] == 2
+    assert summary["abort_kind"] == "StateInvalid"
     assert "det phi" in summary["abort_reason"]
+
+
+def _coincident_pair(arg):
+    """Two dalembert bodies at rest on one center under an ``arg`` pair term."""
+    body = {"x": [0.5, -0.5], "phi": [[1.0, 0.0], [0.0, 1.0]], "p": [0.0, 0.0],
+            "pi": [[0.0, 0.0], [0.0, 0.0]]}
+    return {**MINIMAL, "N": 2, "initial": {"bodies": [body, body]},
+            "potential": {"binary": [{"arg": arg, "fn": {"kind": "harmonic", "stiffness": 1.0,
+                                                         "center": 1.0}}]},
+            "integrator": {"dt": 0.01, "T": 0.1}}
+
+
+def _two_body_affine_pair(dt, T):
+    d = _bundled_dict("two_body_affine_pair")
+    d["integrator"].update(dt=dt, T=T)
+    return d
+
+
+FAILURE_RUNS = {
+    # the one-step block from sample 30 runs out of sweeps
+    "diverged": (lambda: _two_body_affine_pair(0.6, 24.0), 2, "IterationDiverged", 31),
+    # D is defined at coincident centers, its gradient is not
+    "coincident_D": (lambda: _coincident_pair("D"), 2, "NonDifferentiable", 1),
+    # the first midpoint takes det phi below zero, where the dilatation term is undefined
+    "negative_det": (lambda: {**MINIMAL, "potential": {"dilatation": {"kappa": 1e-3}},
+                              "initial": {"bodies": [{"x": [0.0, 0.0],
+                                                      "phi": [[1.0, 0.0], [0.0, 1.0]],
+                                                      "p": [0.0, 0.0],
+                                                      "pi": [[-3.0, 0.0], [0.0, 0.0]]}]},
+                              "integrator": {"dt": 1.0, "T": 4.0}},
+                     2, "NegativeOrientation", 1),
+    # r is undefined there: bad input, whose charges raise after the abort
+    "coincident_r": (lambda: _coincident_pair("r"), 1, None, None),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_RUNS)
+def test_cli_run_failure_outcomes(name, tmp_path, capsys):
+    """A failure while the run steps aborts it: exit 2, the samples before the
+    failure in all three artifacts, and its kind in summary.json and on
+    stderr.  An initial state where H is undefined stays bad input: exit 1
+    with the typed error and no artifacts."""
+    make, code, kind, samples = FAILURE_RUNS[name]
+    (tmp_path / "s.json").write_text(json.dumps(make()))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(tmp_path / "s.json"), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert list(out.iterdir()) == []
+        assert "error: binary r-term with coincident centers" in err
+        return
+    assert sorted(f.name for f in out.iterdir()) == ["charges.csv", "summary.json",
+                                                     "trajectory.csv"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["abort_kind"] == kind and summary["steps"] == samples - 1
+    assert f"run aborted: {kind}: {summary['abort_reason']}\n" in err
+    for table in ("trajectory.csv", "charges.csv"):
+        assert len((out / table).read_text().splitlines()) == samples + 1
 
 
 def _read_columns(path):
@@ -758,7 +817,7 @@ def test_summary_min_det_phi_is_the_charges_minimum(tmp_path):
 
 def test_main_runs_different_subcommands_in_one_process(capsys):
     """The parser is built once per process; each main call still parses its
-    own command line, and usage errors keep their exit codes."""
+    own command line, and usage errors exit 64, argparse's included."""
     from affinekit.cli import build_parser
 
     assert build_parser() is build_parser()
@@ -770,7 +829,7 @@ def test_main_runs_different_subcommands_in_one_process(capsys):
     assert report["n"] == 2 and report["points"] == 4
     with pytest.raises(SystemExit) as exc:
         cli_main(["spectrum", "--levels", "many"])
-    assert exc.value.code == 2
+    assert exc.value.code == 64
     assert cli_main(["spectrum", "--potential", "what:1"]) == 64
     assert cli_main(["check", "brackets"]) == 0
 
