@@ -299,6 +299,10 @@ def _extrapolate_window(last: np.ndarray, k: int) -> np.ndarray:
 # covers the growth of the rate between measurements.  A run carries the
 # estimate from block to block and drops it at every block that holds a step
 # index divisible by _THETA_REFRESH, so that block measures the rate afresh.
+# A block of _THETA_REFRESH or more steps always holds one, so only one-step
+# blocks and shorter windows take the carried estimate.  Carrying none left
+# the bytes of perfbench's seed-7 pair_heavy and long_stream runs unchanged,
+# and cost three of the five few_body runs 2-3 RHS calls each.
 _THETA_SAFETY = 2.0
 _THETA_REFRESH = 32
 

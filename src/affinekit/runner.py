@@ -2,8 +2,8 @@
 
 Artifacts written to the output directory:
 
-* ``trajectory.csv``  columns: t, then per body K: x{K}[i], phi{K}[i][j],
-  p{K}[i], pi{K}[a][i], then E, Sigma[a][b], SigmaHat[a][b], detphi_{K}
+* ``trajectory.csv``  t, then the phase vector z: all x{K}[i], phi{K}[i][j],
+  p{K}[i], then pi{K}[a][i], K running over the bodies inside each block
 * ``charges.csv``     t, E, p[i], Sigma[a][b], SigmaHat[a][b], J[a][b], then
   per body: S{K}[a][b], V{K}[a][b], detphi_{K}, q{K}[a]
 * ``summary.json``    final charges, relative drifts, the smallest det phi
@@ -12,9 +12,10 @@ Artifacts written to the output directory:
   and per step, and the largest final fixed-point residual), determinism
   hash (the sha256 of trajectory.csv)
 
-Each CSV is one table, a row per sample, assembled from column blocks of the
-trajectory's stacked arrays (the per-body blocks interleaved body by body)
-and written by ``write_csv_table``, which hashes the bytes as it writes them.
+Every number is written once, the charges only in charges.csv.  Each CSV is
+one table, a row per sample, assembled from column blocks of the stacked
+arrays and written by ``write_csv_table``, which hashes the bytes as it
+writes them.
 Numbers are written as %.17e with the bytes of ``np.savetxt``, but formatted
 by a numpy digit kernel in chunks of rows: a correctly rounded binary to
 decimal conversion (Gay, Correctly rounded binary-decimal and decimal-binary
@@ -46,12 +47,12 @@ def _labels(prefix: str, *dims: int) -> list:
 # The headers depend on (n, N) only, so each is built once per shape.
 @functools.lru_cache(maxsize=None)
 def trajectory_header(n: int, N: int) -> tuple:
+    """t, then a name for each entry of z, in the layout of dynamics._split."""
     cols = ["t"]
-    for K in range(1, N + 1):
-        cols += _labels(f"x{K}", n) + _labels(f"phi{K}", n, n)
-        cols += _labels(f"p{K}", n) + _labels(f"pi{K}", n, n)
-    cols += ["E"] + _labels("Sigma", n, n) + _labels("SigmaHat", n, n)
-    return tuple(cols + [f"detphi_{K}" for K in range(1, N + 1)])
+    for name, *dims in (("x", n), ("phi", n, n), ("p", n), ("pi", n, n)):
+        for K in range(1, N + 1):
+            cols += _labels(f"{name}{K}", *dims)
+    return tuple(cols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,12 +235,7 @@ def write_csv_table(path, header, blocks) -> str:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> str:
-    S, n, N, c = len(traj.times), traj.n, traj.N, traj.charges
-    bodies = np.concatenate([traj.x, traj.phi.reshape(S, N, -1), traj.p,
-                             traj.pi.reshape(S, N, -1)], axis=2)
-    return write_csv_table(path, trajectory_header(n, N),
-                           [traj.times, bodies, c.energy, c.sigma_total, c.sigma_hat_total,
-                            c.det_phi])
+    return write_csv_table(path, trajectory_header(traj.n, traj.N), [traj.times, traj.z])
 
 
 def write_charges_csv(path, traj: Trajectory) -> str:
@@ -292,17 +288,14 @@ def solver_telemetry(traj: Trajectory) -> dict:
 
 
 def run(scenario: Scenario, out_dir) -> dict:
-    """Integrate the scenario and write its artifacts; returns the summary."""
+    """Integrate the scenario and write its artifacts; returns the summary.
+    Bad input raises from integrate before the output directory is made."""
+    traj = integrate(scenario.model, scenario.params, scenario.potential,
+                     scenario.initial_state(), dt=scenario.dt, T=scenario.T,
+                     method=scenario.method)
     os.makedirs(out_dir, exist_ok=True)
-    state0 = scenario.initial_state()
-    traj = integrate(scenario.model, scenario.params, scenario.potential, state0,
-                     dt=scenario.dt, T=scenario.T, method=scenario.method)
-
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    charges_path = os.path.join(out_dir, "charges.csv")
-    summary_path = os.path.join(out_dir, "summary.json")
-    traj_hash = write_trajectory_csv(traj_path, traj)
-    write_charges_csv(charges_path, traj)
+    traj_hash = write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
+    write_charges_csv(os.path.join(out_dir, "charges.csv"), traj)
 
     c = traj.charges
     steps = len(traj.times) - 1
@@ -331,7 +324,8 @@ def run(scenario: Scenario, out_dir) -> dict:
         "determinism_hash": "sha256:" + traj_hash,
         "exit_code": 2 if traj.aborted else 0,
     }
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

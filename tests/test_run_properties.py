@@ -97,3 +97,32 @@ def test_a_run_completes_or_aborts_with_its_artifacts(scenario):
         assert bool(summary["abort_kind"]) == summary["aborted"] == (codes[0] == 2)
         for name in ARTIFACTS:
             assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
+
+
+def _translation_invariant(scenario):
+    """The scenario without its harmonic_x terms, the only potential that
+    depends on the centers x themselves and not on their differences."""
+    potential = dict(scenario["potential"])
+    one_body = [t for t in potential.pop("one_body", []) if t["kind"] != "harmonic_x"]
+    if one_body:
+        potential["one_body"] = one_body
+    return {**scenario, "potential": potential}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(scenario=scenarios().map(_translation_invariant))
+def test_a_translation_invariant_run_conserves_total_momentum(scenario):
+    """With no harmonic_x term H is invariant under translations, so every
+    p[i] column of charges.csv of a completed run stays within roundoff of
+    its first row: 1e-12 x max(1, max|p|)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "s.json").write_text(json.dumps(scenario))
+        if cli_main(["run", str(tmp / "s.json"), "--out", str(tmp / "a")]) != 0:
+            return
+        lines = (tmp / "a" / "charges.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    p = table[:, [i for i, name in enumerate(header) if name.startswith("p[")]]
+    assert p.shape[1] == scenario["n"]
+    assert np.max(np.abs(p - p[0])) <= 1e-12 * max(1.0, np.max(np.abs(p)))
