@@ -17,6 +17,8 @@ brackets of a drawn state and pairing of spins as one table.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import measures, qdesk
@@ -25,9 +27,9 @@ from .dynamics import (PhaseState, poisson_bracket, sigma_component,
 from .kinematics import (SystemConfig, VelocityState, _T, affine_velocity,
                          deformation_tensors, invariants_K, invariants_M,
                          mutual_tensors)
-from .kinetics import (InertiaParams, KineticModel, MomentumState,
-                       inverse_legendre, kinetic_energy, kinetic_hamiltonian,
-                       legendre)
+from .kinetics import (INTERNAL_MODELS, TRANSLATIONAL_MODELS, InertiaParams,
+                       KineticModel, MomentumState, inverse_legendre, kinetic_energy,
+                       kinetic_hamiltonian, legendre)
 from .matcore import det_inv, two_polar_decompose
 from .potentials import (BinaryTerm, HarmonicFn, PotentialSpec, affine_distance,
                          compile_potential)
@@ -93,11 +95,8 @@ def _model_params(n: int):
     bilinear = big @ big.T + n * np.eye(n * n)
     params = InertiaParams(M=1.7, J=spd(), I=2.0, A=1.0, B=1.0, H=spd(),
                            Lten=bilinear, Rten=bilinear)
-    combos = []
-    for tr in ("dalembert", "is-af", "af-is"):
-        for it in ("dalembert", "af-J", "af-is", "H-af", "l-af", "r-af", "af-af", "is-af"):
-            combos.append((KineticModel(translational=tr, internal=it), params))
-    return combos
+    return [(KineticModel(translational=tr, internal=it), params)
+            for tr, it in product(TRANSLATIONAL_MODELS, INTERNAL_MODELS)]
 
 
 def legendre_roundtrip_error(samples: int = 1000, seed: int = 11) -> float:
@@ -435,8 +434,8 @@ def measures_suite() -> dict:
 # qdesk suite
 
 def _harmonic_levels_error():
-    grid = qdesk.QGrid(q_min=-10.0, q_max=10.0, m=4000, hbar=1.0, alpha_eff=1.0)
-    op = qdesk.build_hamiltonian_1d(grid, lambda q: 0.5 * q * q)
+    grid = qdesk.QGrid(q_min=-10.0, q_max=10.0, m=4000)
+    op = qdesk.build_hamiltonian_1d(grid, lambda q: HarmonicFn(1.0).eval(q)[0])
     energies, _ = qdesk.solve_spectrum(op, 5)
     exact = np.arange(5) + 0.5
     return float(np.max(np.abs(energies - exact) / exact))
@@ -444,11 +443,8 @@ def _harmonic_levels_error():
 
 def _hermiticity_errors():
     grid = qdesk.QGrid(q_min=-8.0, q_max=8.0, m=2000)
-    defects = [
-        qdesk.hermiticity_check(grid, "Sigma", "haar"),
-        qdesk.hermiticity_check(grid, "Sigma_corrected", "lebesgue"),
-        qdesk.hermiticity_check(grid, "momentum_p", "lebesgue"),
-    ]
+    defects = [qdesk.hermiticity_check(grid, kind, measure)
+               for kind, measure in qdesk.HERMITIAN_UNDER.items()]
     broken = qdesk.hermiticity_check(grid, "Sigma", "lebesgue")
     if broken < 1e-3:
         return np.inf  # the uncorrected generator must visibly fail

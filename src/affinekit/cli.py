@@ -9,6 +9,10 @@ Subcommands::
                        --points M --levels K [--hbar H] [--out DIR]
     affinekit measure-check [--n N] [--points P] [--seed S]
 
+``--potential`` is ``zero | harmonic:K | poly:c0,c1,...``: ``PolyFn(())``,
+``HarmonicFn(K)`` (K = 1 if omitted) or ``PolyFn((c0, c1, ...))``, evaluated
+by Horner's rule, of q.  A malformed or non-finite spec exits 64.
+
 Exit codes: 0 success, 1 failed checks or bad input, 2 a run aborted while it
 steps (partial artifacts, abort_kind in the summary), 64 usage error.
 """
@@ -60,16 +64,22 @@ def _cmd_check(args) -> int:
 
 
 def _parse_potential(spec: str):
+    from .potentials import HarmonicFn, PolyFn
+
     kind, _, rest = spec.partition(":")
-    if kind == "zero":
-        return lambda q: np.zeros_like(q)
-    if kind == "harmonic":
-        k = float(rest) if rest else 1.0
-        return lambda q: 0.5 * k * q * q
-    if kind == "poly":
-        coeffs = [float(c) for c in rest.split(",")] if rest else [0.0]
-        return lambda q: sum(c * q ** j for j, c in enumerate(coeffs))
-    raise ValueError(f"unknown potential spec {spec!r}; use zero, harmonic:K or poly:c0,c1,...")
+    try:
+        args = [float(c) for c in rest.split(",")] if rest else []
+    except ValueError:
+        args = None
+    if args is not None and np.isfinite(args).all():
+        if kind == "zero" and not args:
+            return PolyFn(())
+        if kind == "harmonic" and len(args) <= 1:
+            return HarmonicFn(args[0] if args else 1.0)
+        if kind == "poly":
+            return PolyFn(tuple(args))
+    raise ValueError(f"bad potential spec {spec!r}; use zero, harmonic:K or poly:c0,c1,... "
+                     "with finite numbers")
 
 
 def _cmd_spectrum(args) -> int:
@@ -89,14 +99,10 @@ def _cmd_spectrum(args) -> int:
         return EX_USAGE
     grid = qdesk.QGrid(q_min=args.qmin, q_max=args.qmax, m=args.points,
                        hbar=args.hbar, alpha_eff=args.alpha)
-    op = qdesk.build_hamiltonian_1d(grid, V)
+    op = qdesk.build_hamiltonian_1d(grid, lambda q: V.eval(q)[0])
     energies, states = qdesk.solve_spectrum(op, args.levels)
-    defects = {
-        "sigma_haar": qdesk.hermiticity_check(grid, "Sigma", "haar"),
-        "sigma_corrected_lebesgue": qdesk.hermiticity_check(grid, "Sigma_corrected",
-                                                            "lebesgue"),
-        "momentum_p_lebesgue": qdesk.hermiticity_check(grid, "momentum_p", "lebesgue"),
-    }
+    defects = {f"{kind.lower()}_{measure}": qdesk.hermiticity_check(grid, kind, measure)
+               for kind, measure in qdesk.HERMITIAN_UNDER.items()}
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "rho.csv")
     write_csv_table(csv_path, ["q"] + [f"rho_{j}" for j in range(args.levels)],

@@ -17,8 +17,8 @@ pairs i < j and the constant to 2^(n(n-1)/2):
     lebesgue = haar * (det phi)^n
     chart Jacobian = lebesgue * j_L * j_R
 
-Sampling uses the Philox counter-based generator so every stream is
-reproducible from its seed alone.
+Sampling draws from ``sampling.rng_from_seed``, the Philox counter-based
+generator, so every stream is reproducible from its seed alone.
 
 ``rotation_from_angles`` takes chart parameters (..., k) and returns a stack
 (..., n, n); ``_chart_map`` maps parameter rows (..., n*n) to flattened phi.
@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum
 from .matcore import TwoPolarFactors, as_matrices, as_matrix, checked_det
+from .sampling import rng_from_seed
 
 MEASURE_KINDS = ("lebesgue_a", "haar_alpha", "lebesgue_l", "haar_lambda")
 
@@ -165,7 +166,7 @@ def sample_orthogonal(n: int, seed: int, count: int | None = None) -> np.ndarray
     """
     if not 1 <= n <= 3:
         raise ValueError("sample_orthogonal supports 1 <= n <= 3")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = rng_from_seed(seed)
     m = 1 if count is None else int(count)
     angles = np.array([_sample_angles(n, rng) for _ in range(m)]).reshape(m, n * (n - 1) // 2)
     out = rotation_from_angles(n, angles)
@@ -258,7 +259,7 @@ def measure_check_report(n: int, points: int = 100, seed: int = 0) -> dict:
         raise ValueError("measure-check supports 1 <= n <= 3")
     if points < 1:
         raise ValueError("points must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = rng_from_seed(seed)
     rows = []
     attempts = 0
     while len(rows) < points and attempts < 50 * points:

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainOverflow, InvalidInertia
 
-OPERATOR_KINDS = ("Sigma", "Sigma_corrected", "momentum_p")
+# each generator and the measure it is Hermitian under, as listed above
+HERMITIAN_UNDER = {"Sigma": "haar", "Sigma_corrected": "lebesgue", "momentum_p": "lebesgue"}
+OPERATOR_KINDS = tuple(HERMITIAN_UNDER)
 MEASURE_TAGS = ("haar", "lebesgue")
 
 

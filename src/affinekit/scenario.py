@@ -33,13 +33,15 @@ Binary terms::
     {"arg": "r" | "D" | "K:a" | "Mbar:a", "fn": { ... scalar fn ... }}
 
 Scalar fn kinds: poly (coeffs, shift), harmonic (stiffness, center),
-harmonic_log (stiffness, ref), lj (epsilon, sigma).
+harmonic_log (stiffness, ref), lj (epsilon, sigma).  Term, scalar fn and
+inertia keys are the fields and defaults of the dataclasses in ``potentials``
+and ``kinetics``, and the dump is derived from those dataclasses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .matcore import DET_FLOOR
 from .potentials import (BinaryTerm, DilatationTerm, HarmonicFn, InvariantTerm,
                          LennardJonesFn, LogHarmonicFn, PolyFn, PotentialSpec,
                          TranslationalHarmonic)
+from .sampling import rng_from_seed
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +83,7 @@ class Scenario:
 
 def generate_initial(n: int, N: int, seed: int, scale: float = 0.2) -> PhaseState:
     """Deterministic random initial state near the identity configuration."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = rng_from_seed(seed)
     x = scale * rng.standard_normal((N, n))
     phi = np.stack([np.eye(n) + scale * rng.standard_normal((n, n)) for _ in range(N)])
     for K in range(N):
@@ -162,28 +165,38 @@ def _scalar_fn_from_dict(d: dict, path: str):
     if kind == "poly":
         return PolyFn(coeffs=tuple(_array(_need(d, "coeffs", f"{path}.coeffs"),
                                           f"{path}.coeffs").tolist()),
-                      shift=_num(d, "shift", path, 0.0))
+                      shift=_num(d, "shift", path, PolyFn.shift))
     if kind == "harmonic":
         return HarmonicFn(stiffness=_num(d, "stiffness", path),
-                          center=_num(d, "center", path, 0.0))
+                          center=_num(d, "center", path, HarmonicFn.center))
     if kind == "harmonic_log":
         return LogHarmonicFn(stiffness=_num(d, "stiffness", path),
-                             ref=_num(d, "ref", path, 1.0, positive=True))
+                             ref=_num(d, "ref", path, LogHarmonicFn.ref, positive=True))
     if kind == "lj":
         return LennardJonesFn(epsilon=_num(d, "epsilon", path), sigma=_num(d, "sigma", path))
     raise ValidationError(f"unknown scalar function kind {kind!r} at {path!r}")
 
 
-def _scalar_fn_to_dict(fn) -> dict:
-    if isinstance(fn, PolyFn):
-        return {"kind": "poly", "coeffs": list(fn.coeffs), "shift": fn.shift}
-    if isinstance(fn, HarmonicFn):
-        return {"kind": "harmonic", "stiffness": fn.stiffness, "center": fn.center}
-    if isinstance(fn, LogHarmonicFn):
-        return {"kind": "harmonic_log", "stiffness": fn.stiffness, "ref": fn.ref}
-    if isinstance(fn, LennardJonesFn):
-        return {"kind": "lj", "epsilon": fn.epsilon, "sigma": fn.sigma}
-    raise TypeError(f"unknown scalar function {fn!r}")
+# the "kind" key of each term dataclass that is written with one
+_KINDS = {PolyFn: "poly", HarmonicFn: "harmonic", LogHarmonicFn: "harmonic_log",
+          LennardJonesFn: "lj", TranslationalHarmonic: "harmonic_x", InvariantTerm: "invariant"}
+
+
+def _fields_to_dict(obj) -> dict:
+    """A term or inertia dataclass as its scenario dict: its _KINDS entry, then
+    every field that is not None, nested terms as dicts, sequences as lists."""
+    out = {"kind": _KINDS[type(obj)]} if type(obj) in _KINDS else {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if is_dataclass(val):
+            val = _fields_to_dict(val)
+        elif isinstance(val, tuple):
+            val = list(val)
+        elif isinstance(val, np.ndarray):
+            val = val.tolist()
+        if val is not None:
+            out[f.name] = val
+    return out
 
 
 def _potential_from_dict(d: dict | None, n: int) -> PotentialSpec:
@@ -214,7 +227,8 @@ def _potential_from_dict(d: dict | None, n: int) -> PotentialSpec:
     if d.get("dilatation") is not None:
         path = "potential.dilatation"
         dil = DilatationTerm(kappa=_num(d["dilatation"], "kappa", path, minimum=0.0),
-                             d_ref=_num(d["dilatation"], "d_ref", path, 1.0, positive=True))
+                             d_ref=_num(d["dilatation"], "d_ref", path, DilatationTerm.d_ref,
+                                        positive=True))
     try:
         return PotentialSpec(one_body=tuple(one_body), binary=tuple(binary), dil=dil)
     except ValueError as exc:
@@ -222,22 +236,10 @@ def _potential_from_dict(d: dict | None, n: int) -> PotentialSpec:
 
 
 def _potential_to_dict(spec: PotentialSpec) -> dict:
-    out: dict = {}
-    if spec.one_body:
-        terms = []
-        for t in spec.one_body:
-            if isinstance(t, TranslationalHarmonic):
-                terms.append({"kind": "harmonic_x", "stiffness": t.stiffness,
-                              "center": list(t.center)})
-            else:
-                terms.append({"kind": "invariant", "a": t.a,
-                              "fn": _scalar_fn_to_dict(t.fn)})
-        out["one_body"] = terms
-    if spec.binary:
-        out["binary"] = [{"arg": t.arg, "fn": _scalar_fn_to_dict(t.fn)} for t in spec.binary]
-    if spec.dil is not None:
-        out["dilatation"] = {"kappa": spec.dil.kappa, "d_ref": spec.dil.d_ref}
-    return out
+    out = {"one_body": [_fields_to_dict(t) for t in spec.one_body],
+           "binary": [_fields_to_dict(t) for t in spec.binary],
+           "dilatation": None if spec.dil is None else _fields_to_dict(spec.dil)}
+    return {key: val for key, val in out.items() if val}
 
 
 def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
@@ -254,15 +256,6 @@ def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
         return InertiaParams(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad inertia parameters at {path!r}: {exc}") from exc
-
-
-def _inertia_to_dict(p: InertiaParams) -> dict:
-    out: dict = {}
-    for key in ("M", "I", "A", "B", "J", "H", "Lten", "Rten"):
-        val = getattr(p, key)
-        if val is not None:
-            out[key] = val.tolist() if isinstance(val, np.ndarray) else val
-    return out
 
 
 def _initial_from_dict(d: dict | None, n: int, N: int):
@@ -343,9 +336,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.out_dir:
         out["output"] = {"dir": s.out_dir}
     if isinstance(s.params, InertiaParams):
-        out["inertia"] = _inertia_to_dict(s.params)
+        out["inertia"] = _fields_to_dict(s.params)
     else:
-        out["inertia"] = {"per_body": [_inertia_to_dict(p) for p in s.params]}
+        out["inertia"] = {"per_body": [_fields_to_dict(p) for p in s.params]}
     pot = _potential_to_dict(s.potential)
     if pot:
         out["potential"] = pot
