@@ -35,7 +35,9 @@ translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
 ``energy`` and ``charges`` act on views of the flat phase vector
 z = (x, phi, p, pi), or of a stack (..., D) of them, with one stacked det and
 inverse of the phi stack per evaluation; the public functions below are thin
-calls into them.
+calls into them.  Every det phi and phi^-1 here, the charges' det_phi and the
+det-floor test of the samples included, comes from the one ``matcore``
+kernel: closed form at n <= 2, LAPACK at n >= 3.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from .errors import AffineKitError, IterationDiverged, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
-from .matcore import DET_FLOOR, det_inv
+from .matcore import DET_FLOOR, det_inv, unchecked_det
 from .potentials import PotentialForm, PotentialSpec, compile_potential
 
 MIDPOINT_TOL = 1e-12
@@ -199,7 +201,7 @@ class CompiledSystem:
         """Charge record of z, energy included; an (S, D) stack of phase
         vectors gives one record with a leading sample axis."""
         x, phi, p, pi = _split(z, self.N, self.n)
-        return _charge_record(x, phi, p, pi, np.linalg.det(phi), self.energy(z))
+        return _charge_record(x, phi, p, pi, unchecked_det(phi), self.energy(z))
 
 
 def compile_system(model: KineticModel, params, spec: PotentialSpec,
@@ -221,7 +223,7 @@ def noether_charges(state: PhaseState, energy: float = np.nan) -> ChargeRecord:
     """Per-body and total generators of the affine symmetry actions."""
     phi = state.config.phi
     return _charge_record(state.config.x, phi, state.mom.p, state.mom.pi,
-                          np.linalg.det(phi), float(energy))
+                          unchecked_det(phi), float(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +413,7 @@ def _first_problem(system: CompiledSystem, zs: np.ndarray) -> tuple[int, StateIn
     a det phi at the floor, and that failure; (S, None) when all are fine."""
     finite = np.isfinite(zs).all(axis=-1)
     phi = _split(np.where(finite[:, None], zs, 0.0), system.N, system.n)[1]
-    low = np.linalg.det(phi).min(axis=-1)
+    low = unchecked_det(phi).min(axis=-1)
     bad = ~finite | (low <= DET_FLOOR)
     if not bad.any():
         return len(zs), None

@@ -1,12 +1,28 @@
-"""Dense small-matrix kernels: polar and two-polar decompositions.
+"""Dense small-matrix kernels: determinants, inverses, polar and two-polar
+decompositions.
 
 Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4;
-``checked_det``, ``det_inv`` and ``two_polar_decompose`` also take stacks
-(..., n, n).  ``checked_det`` is the one invertibility check, for a matrix
-and for a stack alike; it names a singular member by its index and leaves
-input validation to ``as_matrices``/``as_matrix``.
+``unchecked_det``, ``checked_det``, ``det_inv`` and ``two_polar_decompose``
+also take stacks (..., n, n).  ``checked_det`` is the one invertibility
+check, for a matrix and for a stack alike; it names a singular member by its
+index and leaves input validation to ``as_matrices``/``as_matrix``.
 Configuration matrices must lie in GL+(n): positive determinant, with
 |det| > 1e-12 as the working invertibility floor.
+
+One kernel, ``unchecked_det`` and the inverse beside it, serves
+``checked_det`` and ``det_inv``, and its rule is fixed by n alone.  At n = 1
+and n = 2 it works in closed form, elementwise over the stack: det = a at
+n = 1 and a d - b c at n = 2, and the inverse is the adjugate over the
+determinant, 1 / a and [[d, -b], [-c, a]] / det.  At n >= 3 it calls LAPACK
+(``np.linalg.det`` and ``np.linalg.inv``), whose per-member call overhead
+would dominate a 2x2 stack.  Elementwise arithmetic keeps each stack member
+bit-equal to its own call.  The closed-form det is within eps (|a d| + |b c|)
+of the exact one (``np.linalg.det``, which goes by way of log|det|, is not
+exact even at n = 1).  The inverse has a relative error of about
+cond(phi) eps, as LU's has (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 14).  At n = 2, cond(phi) <= |phi|_F^2 / |det|, so
+the floor bounds it by |phi|_F^2 1e12: the inverse of a member at the floor
+may carry a relative error of about |phi|_F^2 2e-4.
 """
 
 from __future__ import annotations
@@ -53,6 +69,35 @@ def _first(name: str, flags: np.ndarray) -> tuple[str, tuple]:
     return f"{name}[{', '.join(str(int(i)) for i in idx)}]", idx
 
 
+def unchecked_det(phi: np.ndarray):
+    """Determinant of one matrix (n, n), a numpy scalar, or of each member of
+    a stack (..., n, n), an array: in closed form at n <= 2, by LAPACK at
+    n >= 3.  Nothing is checked; a non-finite entry gives a non-finite det."""
+    n = phi.shape[-1]
+    if n == 1:
+        return phi[..., 0, 0].copy()
+    if n == 2:
+        return phi[..., 0, 0] * phi[..., 1, 1] - phi[..., 0, 1] * phi[..., 1, 0]
+    return np.linalg.det(phi)
+
+
+def _inverse(phi: np.ndarray, det) -> np.ndarray:
+    """Inverse of each member of ``phi`` given its ``unchecked_det``: the
+    adjugate over the determinant at n <= 2, LAPACK at n >= 3."""
+    n = phi.shape[-1]
+    if n == 1:
+        return 1.0 / phi
+    if n > 2:
+        return np.linalg.inv(phi)
+    adj = np.empty_like(phi)
+    adj[..., 0, 0] = phi[..., 1, 1]
+    adj[..., 1, 1] = phi[..., 0, 0]
+    np.negative(phi[..., 0, 1], out=adj[..., 0, 1])
+    np.negative(phi[..., 1, 0], out=adj[..., 1, 0])
+    adj /= det[..., None, None]
+    return adj
+
+
 def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = False):
     """Determinant of one matrix (n, n), a float, or of each of a stack
     (..., n, n), an array.
@@ -63,7 +108,7 @@ def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = Fal
     input is not validated: callers pass it through ``as_matrices`` or
     ``as_matrix`` first.
     """
-    det = np.linalg.det(phi)
+    det = unchecked_det(phi)
     if not np.abs(det).min() > DET_FLOOR:
         label, idx = _first(name, ~(np.abs(det) > DET_FLOOR))
         raise SingularInput(f"{label} is singular "
@@ -76,8 +121,9 @@ def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = Fal
 
 def det_inv(phi: np.ndarray, name: str = "phi"):
     """Checked determinants (see checked_det) and inverses of one matrix or
-    of a stack of matrices."""
-    return checked_det(phi, name), np.linalg.inv(phi)
+    of a stack of matrices, from the one kernel (see unchecked_det)."""
+    det = checked_det(phi, name)
+    return det, _inverse(phi, np.asarray(det))
 
 
 @dataclass(frozen=True)

@@ -230,9 +230,13 @@ class PotentialForm:
         dx = np.zeros(lead + (N, n)) if grad else None
         gT = np.zeros(lead + (N, n, n)) if grad else None
         phiT = phi.swapaxes(-1, -2)
-        if self.invariant_a:
+        if self.invariant_a > 1:
             # G^(a-1) phi.T, a = 1..max: Tr(G^a) and the transposed gradient 2a G^(a-1) phi.T
             pw = _powers(phiT @ phi, self.invariant_a - 1, right=phiT)
+        elif self.invariant_a:
+            # a = 1 alone needs no power of G = phi.T phi; the copy keeps the
+            # memory layout, and so the summation order, _powers would give
+            pw = np.ascontiguousarray(phiT)[None]
         for term in spec.one_body:
             if isinstance(term, TranslationalHarmonic):
                 d = x - term.center_vec(n)

@@ -56,6 +56,7 @@ from .potentials import (BinaryTerm, DilatationTerm, HarmonicFn, InvariantTerm,
 from .sampling import rng_from_seed
 
 SCHEMA_VERSION = 1
+GENERATE_SCALE = 0.2                    # default spread of a generated initial state
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class Scenario:
         return generate_initial(self.n, self.N, self.seed, self.generate_scale)
 
 
-def generate_initial(n: int, N: int, seed: int, scale: float = 0.2) -> PhaseState:
+def generate_initial(n: int, N: int, seed: int, scale: float = GENERATE_SCALE) -> PhaseState:
     """Deterministic random initial state near the identity configuration."""
     rng = rng_from_seed(seed)
     x = scale * rng.standard_normal((N, n))
@@ -261,9 +262,9 @@ def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
 def _initial_from_dict(d: dict | None, n: int, N: int):
     """Returns (PhaseState or None, generate_scale)."""
     if d is None:
-        return None, 0.2
+        return None, GENERATE_SCALE
     if "generate" in _typed(d, dict, "initial"):
-        return None, _num(d["generate"], "scale", "initial.generate", 0.2)
+        return None, _num(d["generate"], "scale", "initial.generate", GENERATE_SCALE)
     bodies = _typed(_need(d, "bodies", "initial.bodies"), list, "initial.bodies")
     if len(bodies) != N:
         raise ValidationError(f"initial.bodies has {len(bodies)} entries, expected N = {N}")
@@ -279,7 +280,7 @@ def _initial_from_dict(d: dict | None, n: int, N: int):
         p.append(_array(b.get("p", np.zeros(n)), f"{path}.p", (n,)))
         pi.append(_array(b.get("pi", np.zeros((n, n))), f"{path}.pi", (n, n)))
     return PhaseState(config=SystemConfig(x=np.stack(x), phi=np.stack(phi)),
-                      mom=MomentumState(p=np.stack(p), pi=np.stack(pi)), time=0.0), 0.2
+                      mom=MomentumState(p=np.stack(p), pi=np.stack(pi)), time=0.0), GENERATE_SCALE
 
 
 def scenario_from_dict(d: dict) -> Scenario:

@@ -733,14 +733,15 @@ def test_suite_reports_are_reproducible():
 # sha256 of the stdout of each command line, recorded before the samplers took
 # their accept test in closed form and their rotations from one stacked QR
 # (numpy 2.4, x86-64): a change that moves any draw changes these.  The
-# brackets report is recorded with the brackets evaluated as whole tables.
+# brackets report is recorded with the brackets evaluated as whole tables, the
+# invariance report with det and inverse at n <= 2 in closed form.
 PINNED_REPORTS = {
     ("check", "brackets"):
         "45de0006aafac02ff111c5a930be012e1a621ca20bc6491da6b59a76993fa105",
     ("check", "qdesk"):
         "51d448162632687a585dd9de503fe3d3fdf08bce067785bdd998543ec13879e1",
     ("check", "invariance"):
-        "f339fe8e522cb0e4bb53891f1917ec1ba2c97662fbbad1dd3e0980b84ed47cc4",
+        "07ccb105f1e5cb442c4680bbb97bdea8ae44a8dd7f0baa0d90a89f8e6af5087f",
     ("check", "legendre"):
         "d4808fe693de604ffa7dd5cbd2d56de3dd1797b864914802aea4d6df5f539b1f",
     ("check", "measures"):
@@ -768,23 +769,24 @@ def test_check_reports_equal_the_pinned_bytes(argv, capsys):
 # trajectory.csv, recorded later, has column for column the bytes of the
 # phase columns of such a file.  Each bundled scenario runs 300 steps, so
 # windowed midpoint solves form; the spectrum is the default
-# `affinekit spectrum`.
+# `affinekit spectrum`.  The n = 2 files below were re-recorded when det phi
+# and phi^-1 at n <= 2 moved from LAPACK to the closed form.
 PINNED_ARTIFACTS = {
     "harmonic_oscillator": (
         "51603cf698eaf56cef2e0bb8d7cb3b06023785d3863f5cbe365f50fe233aefef",
         "db6fb831fa589147f26c2e39f76529e25a6c1f342bfb82273a0b780d99f1a385"),
     "dalembert_free_internal": (
         "e8462a039db200fabdfc49a547add529f8db3f22d773345652ec73e9515d723c",
-        "20f63f5ae4feaa6a959876068d0a41dba53da71992a9d088ca049b23bbc4c3a9"),
+        "e77f77644eda1d3584daea2db5341b57ddfd55122189ef6826cdcd88f28a9f03"),
     "afaf_geodetic_gl2": (
         "aa118e8fe152be3ffc7cbb0e138570ad8f527e9a52ef9bcb2e46a840e1dbc93c",
-        "986b8d8a359dc8d810ef644b848d8425d3741ac7f7dc8cc363f2b3a545b5c1cd"),
+        "75807a424b23c510e40d4dc717fda73eea11b6fc3cc7186b7196aa7b8b3d97e6"),
     "afaf_dilatation_stabilized": (
-        "09370cd7f545a4f38e7c3b0df491f148fc46584e8805ff631d3a07b8dd2b40c3",
-        "734def3e6ed4b84e06aa6be5a8503f1685429706c148c73be4ab700eb4afe287"),
+        "d875a3c8195a3766a0e8685b003db7f3556c18b43c326f536715570d91b840c3",
+        "9f9682a63403f19d045fb49dc1ce4797ea534403ddb29b3462fd06b28a49c2bf"),
     "two_body_affine_pair": (
-        "bea84fd55a9c5421dfea3bf105fb97dc54f7e15f2bc691d4d77c8317bd38e577",
-        "f0871fd13bee3970f8e01c0b361469b29d2c3878d7b3ef91f91534876abc3f6b"),
+        "844818b80f4b75bfa0b2c0828f4ed06bcc5a9fc543705034216a06fde9996399",
+        "e3eb7dc4a576c56d58abd1cccae59d9c0358d834b5a5f6baa61df0e9accd2082"),
 }
 PINNED_RHO_CSV = "87cef4b06433ffe52dd18a54c51c0d77feb19a28db7f99d306c10a483f4f6036"
 
