@@ -16,10 +16,13 @@ solver tolerance.  One solver takes every midpoint step, in blocks of up to 64
 steps when D <= _WINDOW_MAX_D and of one otherwise, each solved by Picard
 sweeps over the whole block: one stacked RHS call and one in-order cumulative
 sum per sweep (Gander, 50 Years of Time Parallel Time Integration, 2015).  A
-block starts from the polynomial through up to five samples (Hairer, Lubich &
-Wanner, Geometric Numerical Integration, section VIII.6) and stops by the
-contraction test of Hairer & Wanner, Solving ODEs II, section IV.8, or once no
-step changes by more than 1e-15 of its scale.  An accepted step is then the
+block starts from a polynomial through the samples before it (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, section VIII.6): a window of 16 or
+more steps from sample 56 on from the degree-7 one through every 8th of the
+last 57 samples, any other block from the one through the last 1-5.  It stops
+by the contraction test of Hairer & Wanner, Solving ODEs II, section IV.8, or
+once no step changes by more than 1e-15 of its scale, taken from the current
+iterate and not from the start guess.  An accepted step is then the
 fixed point to roundoff: rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}|
 / max(1, max|z_k|) is at most about 1e-15 wherever roundoff allows it.  A
 failed solve returns its error; integrate solves a failed window again step
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -272,24 +274,46 @@ class Step:
     failure: Exception | None = None
 
 
+# A window of _STRIDE_MIN_K or more steps, from sample 56 on, starts from the
+# degree-7 polynomial through every _STRIDE-th of the last 57 samples,
+# _STRIDE_SAMPLES of them; any other block from the one through the last 1-5.
+# On long_stream (seed 7) the quartic through the last five missed a 64-step
+# window's fixed point by a median 1.5e-6 of the scale, the strided start by
+# 1.3e-9, and the run took 873 RHS calls instead of 1212.
+_STRIDE = 8
+_STRIDE_SAMPLES = 8
+_STRIDE_MIN_K = 16
+
+
 @lru_cache(maxsize=None)
-def _ahead_weights(k: int) -> np.ndarray:
-    """(k, 4) binomials C(j + d - 1, d), row j = 1..k, column d = 1..4: the
-    weights of the backward differences in Newton's form of the polynomial
-    through equally spaced samples, evaluated j steps past the last one."""
-    out = np.array([[comb(j + d - 1, d) for d in range(1, 5)] for j in range(1, k + 1)],
-                   dtype=float)
+def _ahead_weights(k: int, stride: int) -> np.ndarray:
+    """(k, _STRIDE_SAMPLES - 1) weights C(j / s + d - 1, d)
+    = prod_{i < d} (j + s i) / (s^d d!) of the d-th backward difference of
+    samples s steps apart in Newton's form of the polynomial through them,
+    evaluated j steps past the last one; row j = 1..k, column d = 1, 2, ...
+    Each is the correctly rounded quotient of two integers, so at s = 1 it
+    is the integer binomial C(j + d - 1, d) exactly."""
+    out = np.empty((k, _STRIDE_SAMPLES - 1))
+    for j in range(1, k + 1):
+        num = den = 1
+        for d in range(1, _STRIDE_SAMPLES):
+            num, den = num * (j + stride * (d - 1)), den * stride * d
+            out[j - 1, d - 1] = num / den
     out.flags.writeable = False
     return out
 
 
-def _extrapolate_window(last: np.ndarray, k: int) -> np.ndarray:
+def _extrapolate_window(last: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     """Values 1..k steps ahead, (k, D) or a (D,) row that broadcasts to it, of
-    the polynomial through the m = 1..5 equally spaced samples ``last``
-    (m, D): z_m + sum_{d < m} C(j + d - 1, d) nabla^d z_m, the constant z_m
-    for one sample and the quartic for five.  Elementwise operations (no
-    BLAS reduction), so reruns stay bit-identical."""
-    w, out, diff = _ahead_weights(k), last[-1], last
+    the polynomial through the m = 1.._STRIDE_SAMPLES samples ``last``
+    (m, D), spaced s = ``stride`` steps apart, in Newton's backward form:
+    z_m + sum_{d < m} C(j / s + d - 1, d) nabla^d z_m, the constant z_m for
+    one sample.  That form stays exact on polynomial motion of degree below
+    m, where Lagrange's form of the same polynomial leaves roundoff: with it,
+    dalembert_free_internal took 146 RHS calls over 3000 steps, against 60.
+    Elementwise operations (no BLAS reduction), so reruns stay
+    bit-identical."""
+    w, out, diff = _ahead_weights(k, stride), last[-1], last
     for d in range(len(last) - 1):
         diff = diff[1:] - diff[:-1]
         out = out + w[:, d:d + 1] * diff[-1]
@@ -319,9 +343,10 @@ _WINDOW_STALLS = 2
 
 
 def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
-                     theta: float | None = None) -> Step:
+                     theta: float | None = None, stride: int = 1) -> Step:
     """k = len(hs) consecutive implicit-midpoint steps, of lengths ``hs``,
-    from the last of the 1-5 equally spaced samples ``last``, solved together.
+    from the last of the 1-8 samples ``last``, spaced ``stride`` steps of
+    length hs[0] apart, solved together.
 
     The unknowns z_1..z_k start from the polynomial through ``last`` (see
     _extrapolate_window); from one sample the start is constant and the
@@ -332,8 +357,10 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     of k single steps.  The block stops when every step's change is at most
     1e-15 of its scale max(1, max|z_j|), or when theta / (1 - theta) times
     it is: with theta the contraction rate, that bounds the distance to the
-    fixed point.  theta is the larger of the carried ``theta`` and
-    _THETA_SAFETY times the largest ratio of successive worst changes.
+    fixed point.  z_j is that of the current iterate: a scale taken from a
+    start guess far off would loosen both tests and understate ``residual``.
+    theta is the larger of the carried ``theta`` and _THETA_SAFETY times the
+    largest ratio of successive worst changes.
     Without a carried estimate the test waits for two ratios: a separable H
     maps position errors to momentum errors and back at two different
     rates, and one ratio can show the smaller.  The result carries the
@@ -350,8 +377,7 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     k = len(hs)
     single = k == 1
     z = np.empty((k + 1, last.shape[-1]))
-    z[0], z[1:] = last[-1], _extrapolate_window(last, k)
-    scale = np.maximum(1.0, np.abs(z[:-1]).max(axis=-1))[:, None]
+    z[0], z[1:] = last[-1], _extrapolate_window(last, k, stride)
     terms, new = z.copy(), z.copy()         # rows 0 stay z_0
     h = hs[:, None]
     prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
@@ -371,6 +397,10 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
                 np.add.accumulate(terms, out=new)
             change = np.abs(new[1:] - z[1:])
             z, new = new, z
+            # each step's scale from the iterate, not from the start guess;
+            # a lone step's is that of z_0, which no sweep moves
+            if sweep == 1 or not single:
+                scale = np.maximum(np.abs(z[:-1]).max(axis=-1, keepdims=True), 1.0)
             worst = float((change / scale).max())       # the largest relative change
             if prev < np.inf:
                 rate, ratios = max(rate, worst / prev), ratios + 1
@@ -436,12 +466,14 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     length starts at _WINDOW, halves after a failed window (down to two)
     and doubles after a converged one.  The first four steps, the steps of
     a failed window, a last step cut short of dt and every step of a
-    larger system are one-step blocks.  A full step starts from up to five
-    samples, the first and a cut one from their last sample alone.  A block
-    takes the contraction estimate of the one before, unless it holds a
-    step index divisible by _THETA_REFRESH.  Each step records its block's
-    sweeps as its RHS evaluations; ``rhs_calls`` counts one call per sweep.
-    rk4 takes one step at a time.
+    larger system are one-step blocks.  A window of _STRIDE_MIN_K or more
+    steps from sample 56 on starts from every _STRIDE-th of the samples
+    before it, _STRIDE_SAMPLES of them (see _extrapolate_window); any other
+    full step from up to five samples, the first and a cut one from their
+    last sample alone.  A block takes the contraction estimate of the one
+    before, unless it holds a step index divisible by _THETA_REFRESH.  Each
+    step records its block's sweeps as its RHS evaluations; ``rhs_calls``
+    counts one call per sweep.  rk4 takes one step at a time.
 
     A failed window is solved again as one-step blocks.  A failed one-step
     block or rk4 step aborts the run, and so does a stored sample with a
@@ -485,10 +517,14 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
         k = max(1, min(length, full - start)) if 4 <= start and resume <= start else 1
         if midpoint:
             # extrapolate only across samples spaced by dt: the first step
-            # and a cut last one start from their last sample alone
-            m = min(start, 4) + 1 if start < full else 1
-            step = _midpoint_window(system, zs[size - m:size], hs[start:start + k],
-                                    theta if -start % _THETA_REFRESH >= k else None)
+            # and a cut last one start from their last sample alone, a long
+            # window (never the cut step) from every _STRIDE-th sample
+            if k >= _STRIDE_MIN_K and start >= _STRIDE * (_STRIDE_SAMPLES - 1):
+                stride, first = _STRIDE, start - _STRIDE * (_STRIDE_SAMPLES - 1)
+            else:
+                stride, first = 1, start - min(start, 4) if start < full else start
+            step = _midpoint_window(system, zs[first:size:stride], hs[start:start + k],
+                                    theta if -start % _THETA_REFRESH >= k else None, stride)
         else:
             step = _rk4_step(system, zs[start], hs[start])
         calls += step.evals

@@ -109,10 +109,11 @@ def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = Fal
     ``as_matrix`` first.
     """
     det = unchecked_det(phi)
-    if not np.abs(det).min() > DET_FLOOR:
-        label, idx = _first(name, ~(np.abs(det) > DET_FLOOR))
-        raise SingularInput(f"{label} is singular "
-                            f"(|det| = {abs(det[idx]):.3e} <= {DET_FLOOR})")
+    size = np.abs(det)
+    if not (size.min() > DET_FLOOR and size.max() < np.inf):
+        label, idx = _first(name, ~((size > DET_FLOOR) & (size < np.inf)))
+        why = f"<= {DET_FLOOR}" if size[idx] <= DET_FLOOR else "is not finite"
+        raise SingularInput(f"{label} is singular (|det| = {size[idx]:.3e} {why})")
     if require_positive and (det < 0.0).any():
         label, idx = _first(name, det < 0.0)
         raise NegativeOrientation(f"{label} has det = {det[idx]:.3e} < 0 (outside GL+)")

@@ -749,8 +749,8 @@ def _recorded_blocks():
 
     calls, solve = [], dynamics._midpoint_window
 
-    def recording(system, last, hs, theta=None):
-        calls.append([last.copy(), hs.copy(), theta, solve(system, last, hs, theta)])
+    def recording(system, last, hs, theta=None, stride=1):
+        calls.append([last.copy(), hs.copy(), theta, solve(system, last, hs, theta, stride)])
         return calls[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -898,6 +898,8 @@ FIXED_POINT_RUNS = {
                                                     dt=0.1, steps=200),
     "two_body_affine_pair_dt0.5": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
                                                     dt=0.5, steps=40),
+    "harmonic_oscillator_dt0.3": lambda: _with_run(_bundled_system("harmonic_oscillator")[0],
+                                                   dt=0.3, steps=300),
 }
 
 
@@ -907,10 +909,11 @@ def test_accepted_midpoint_steps_are_fixed_points_to_roundoff(run):
     more evaluation would move it by at most that.  The runs are the bundled
     scenarios at their own dt, an n = 3, N = 8 is-af pair system, a separable
     run, and runs whose contraction rate grows along the way (a body
-    compressed toward the det floor, and coarse steps dt = 0.1 and 0.5); on
-    the compressed body a carried contraction estimate that is never
-    refreshed misses the bar by up to 5x, and at dt = 0.5 a stop on any
-    residual below 1e-12 that no longer halves left rho at 1.2e-13."""
+    compressed toward the det floor, and coarse steps dt = 0.1, 0.3 and
+    0.5); on the compressed body a carried contraction estimate that is
+    never refreshed misses the bar by up to 5x, at dt = 0.5 a stop on any
+    residual below 1e-12 that no longer halves left rho at 1.2e-13, and at
+    dt = 0.3 a stop scale taken from the start guess left it at 8.1e-15."""
     s = FIXED_POINT_RUNS[run]()
     traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
     assert not traj.aborted
@@ -1052,6 +1055,62 @@ def test_windowed_rhs_calls_per_step(name):
         _bundled_system(name)[0], steps=2000)
     traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
     assert traj.rhs_calls / (len(traj.times) - 1) <= 0.2
+
+
+def test_window_start_cuts_the_separable_run_cost():
+    """Regression guard on the window start: the 3000-step separable run
+    takes 250 RHS calls when its 64-step windows start from the degree-7
+    polynomial through every 8th sample, and took 343 from the quartic
+    through the last five samples."""
+    s = _separable_scenario(3000)
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert not traj.aborted and traj.rhs_calls <= 265
+
+
+def test_window_from_a_far_start_ends_on_the_fixed_points():
+    """A 64-step window of harmonic_oscillator whose start guess is 1e3 to
+    6.4e4 x scale off (the line through two samples 1e3 apart) still
+    returns steps with rho <= 1e-15, and each step's residual relative to
+    its own scale: the stop scale comes from the iterate, and one taken from
+    the guess would loosen both stop tests by up to 6.4e4."""
+    from affinekit.dynamics import _midpoint_window, _pack
+
+    s, s0, system = _bundled_system("harmonic_oscillator")
+    z0, k = _pack(s0), 64
+    step = _midpoint_window(system, np.stack([z0 - 1e3, z0]), np.full(k, s.dt))
+    assert step.failure is None
+    z = np.vstack([z0, step.z])
+    guess = z0 + 1e3 * np.arange(1.0, k + 1)[:, None]
+    scale = np.maximum(1.0, np.abs(z[:-1]).max(axis=-1))
+    assert (np.abs(guess - step.z).max(axis=-1) >= 1e3 * scale).all()
+    rho = np.abs(z[:-1] + s.dt * system.rhs(0.5 * (z[:-1] + z[1:])) - z[1:]).max(axis=-1) / scale
+    assert rho.max() <= 1e-15, f"step {rho.argmax()}: rho = {rho.max():.2e}"
+    assert (step.residual <= 1e-15).all()
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_strided_start_is_exact_on_polynomials_of_degree_seven(degree):
+    """From every 8th of 57 samples the start is the degree-7 polynomial
+    through them: exact on polynomials of degree <= 7 in the step index,
+    1..64 steps ahead, up to the roundoff its weights amplify (about 2^d eps
+    of the samples' size per backward difference, times C(j / 8 + d - 1, d)
+    at j steps ahead)."""
+    from math import prod
+
+    from affinekit.dynamics import _extrapolate_window
+
+    t = np.arange(-56.0, 65.0)
+    rng = np.random.default_rng(degree)
+    coeffs = rng.uniform(-1.0, 1.0, (2, degree + 1)) / 60.0 ** np.arange(degree + 1)
+    z = np.stack([np.polynomial.polynomial.polyval(t, c) for c in coeffs], axis=-1)
+    last = z[:57:8]
+    weights = [[prod(j + 8 * i for i in range(d)) / (8**d * prod(range(1, d + 1)))
+                for d in range(8)] for j in range(1, 65)]
+    for k in (1, 16, 64):
+        ahead = np.broadcast_to(_extrapolate_window(last, k, 8), (k, 2))
+        bound = np.finfo(float).eps * np.abs(last).max() \
+            * np.array([sum(w * 2**d for d, w in enumerate(row)) for row in weights[:k]])
+        assert (np.abs(ahead - z[57:57 + k]) <= bound[:, None]).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

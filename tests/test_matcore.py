@@ -286,6 +286,19 @@ def test_kernel_names_the_failing_member_of_a_stack(n):
     assert checked_det(stack)[0, 1] == -1.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_overflowing_det_is_not_finite_and_raises(n):
+    """|det| = inf, from finite entries such as 1e200 Id, fails the check as
+    a NaN det does: checked_det and det_inv raise SingularInput naming the
+    matrix or the stack member, and no zero inverse comes back."""
+    huge, eye = 1e200 * np.eye(n), np.eye(n)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularInput, match=r"^phi is singular \(\|det\| = inf is not fin"):
+            checked_det(huge)
+        with pytest.raises(SingularInput, match=r"^psi\[1\] is singular \(\|det\| = inf is"):
+            det_inv(np.stack([eye, huge, eye]), "psi")
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_is_lapack_at_n_3_and_4(n):
     """From n = 3 on, det and inverse are LAPACK's, bit for bit."""
