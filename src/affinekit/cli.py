@@ -106,7 +106,7 @@ def _cmd_spectrum(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "rho.csv")
     write_csv_table(csv_path, ["q"] + [f"rho_{j}" for j in range(args.levels)],
-                    [grid.q] + [qdesk.invariant_distribution(psi) for psi in states])
+                    [grid.q] + [qdesk.invariant_distribution(psi) for psi in states], digest=None)
     print(f"density CSV written to {csv_path}", file=sys.stderr)
     _print_json({"levels": [float(e) for e in energies], "defects": defects})
     return 0

@@ -39,8 +39,9 @@ translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
 z = (x, phi, p, pi), or of a stack (..., D) of them, with one stacked det and
 inverse of the phi stack per evaluation; the public functions below are thin
 calls into them.  Every det phi and phi^-1 here, the charges' det_phi and the
-det-floor test of the samples included, comes from the one ``matcore``
-kernel: closed form at n <= 2, LAPACK at n >= 3.
+det-floor test of the samples included, and the singular values behind the
+charges' q_log come from the one ``matcore`` kernel: closed form at n <= 2,
+LAPACK at n >= 3.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import AffineKitError, IterationDiverged, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
-from .matcore import DET_FLOOR, det_inv, unchecked_det
+from .matcore import DET_FLOOR, det_inv, singular_values, unchecked_det
 from .potentials import PotentialForm, PotentialSpec, compile_potential
 
 MIDPOINT_TOL = 1e-12
@@ -163,7 +164,7 @@ def _charge_record(x, phi, p, pi, det, energy) -> ChargeRecord:
         spin=sigma - sigma.swapaxes(-1, -2),
         vorticity=sigma_hat - sigma_hat.swapaxes(-1, -2),
         det_phi=det,
-        q_log=np.log(np.linalg.svd(phi, compute_uv=False)),
+        q_log=np.log(singular_values(phi)),
     )
 
 

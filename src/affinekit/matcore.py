@@ -1,28 +1,34 @@
-"""Dense small-matrix kernels: determinants, inverses, polar and two-polar
-decompositions.
+"""Dense small-matrix kernels: determinants, inverses, singular values, polar
+and two-polar decompositions.
 
 Everything operates on plain numpy arrays of shape (n, n) with 1 <= n <= 4;
-``unchecked_det``, ``checked_det``, ``det_inv`` and ``two_polar_decompose``
-also take stacks (..., n, n).  ``checked_det`` is the one invertibility
-check, for a matrix and for a stack alike; it names a singular member by its
-index and leaves input validation to ``as_matrices``/``as_matrix``.
-Configuration matrices must lie in GL+(n): positive determinant, with
-|det| > 1e-12 as the working invertibility floor.
+``unchecked_det``, ``checked_det``, ``det_inv``, ``singular_values`` and
+``two_polar_decompose`` also take stacks (..., n, n).  ``checked_det`` is the
+one invertibility check, for a matrix and for a stack alike; it names a
+singular member by its index and leaves input validation to
+``as_matrices``/``as_matrix``.  Configuration matrices must lie in GL+(n):
+positive determinant, with |det| > 1e-12 as the working invertibility floor.
 
-One kernel, ``unchecked_det`` and the inverse beside it, serves
-``checked_det`` and ``det_inv``, and its rule is fixed by n alone.  At n = 1
-and n = 2 it works in closed form, elementwise over the stack: det = a at
-n = 1 and a d - b c at n = 2, and the inverse is the adjugate over the
-determinant, 1 / a and [[d, -b], [-c, a]] / det.  At n >= 3 it calls LAPACK
-(``np.linalg.det`` and ``np.linalg.inv``), whose per-member call overhead
-would dominate a 2x2 stack.  Elementwise arithmetic keeps each stack member
-bit-equal to its own call.  The closed-form det is within eps (|a d| + |b c|)
-of the exact one (``np.linalg.det``, which goes by way of log|det|, is not
-exact even at n = 1).  The inverse has a relative error of about
-cond(phi) eps, as LU's has (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., ch. 14).  At n = 2, cond(phi) <= |phi|_F^2 / |det|, so
-the floor bounds it by |phi|_F^2 1e12: the inverse of a member at the floor
-may carry a relative error of about |phi|_F^2 2e-4.
+One kernel, ``unchecked_det`` and the inverse and singular values beside it,
+serves ``checked_det``, ``det_inv`` and ``singular_values``, and its rule is
+fixed by n alone.  At n = 1 and n = 2 it works in closed form, elementwise
+over the stack: det = a at n = 1 and a d - b c at n = 2, and the inverse is
+the adjugate over the determinant, 1 / a and [[d, -b], [-c, a]] / det.  The
+singular values are |a| at n = 1 and, at n = 2, s1 = (hypot(a + d, b - c) +
+hypot(a - d, b + c)) / 2 and s2 = |det| / s1.  At n >= 3 it calls LAPACK
+(``np.linalg.det``, ``np.linalg.inv`` and ``np.linalg.svd``), whose
+per-member call overhead would dominate a 2x2 stack.  Elementwise arithmetic
+keeps each stack member bit-equal to its own call.  The closed-form det is
+within eps (|a d| + |b c|) of the exact one (``np.linalg.det``, which goes by
+way of log|det|, is not exact even at n = 1).  The inverse has a relative
+error of about cond(phi) eps, as LU's has (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., ch. 14).  At n = 2, cond(phi) <= |phi|_F^2 /
+|det|, so the floor bounds it by |phi|_F^2 1e12: the inverse of a member at
+the floor may carry a relative error of about |phi|_F^2 2e-4.  The singular
+values are within a few eps s1 of the exact ones, as LAPACK's are, while
+a d - b c neither overflows nor underflows.  Taking s2 from the det rather
+than from the difference of the two hypots keeps s1 s2 = |det| to
+roundoff, so q1 + q2 = log|det| in the charges.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .errors import NegativeOrientation, SingularInput
 DET_FLOOR = 1e-12
 DEGENERACY_TOL = 1e-10
 MAX_DIM = 4
+_TINY = np.finfo(float).tiny
 
 
 def as_matrices(phi, name: str = "phi") -> np.ndarray:
@@ -96,6 +103,27 @@ def _inverse(phi: np.ndarray, det) -> np.ndarray:
     np.negative(phi[..., 1, 0], out=adj[..., 1, 0])
     adj /= det[..., None, None]
     return adj
+
+
+def singular_values(phi: np.ndarray) -> np.ndarray:
+    """Singular values of one matrix (n, n) or of each member of a stack
+    (..., n, n), descending along a last axis of length n: in closed form at
+    n <= 2, by LAPACK at n >= 3.  Nothing is checked."""
+    n = phi.shape[-1]
+    if n == 1:
+        return np.abs(phi[..., 0])
+    if n > 2:
+        return np.linalg.svd(phi, compute_uv=False)
+    a, b, c, d = phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 0], phi[..., 1, 1]
+    s = np.empty(phi.shape[:-1])
+    s1 = s[..., 0]
+    np.add(np.hypot(a + d, b - c), np.hypot(a - d, b + c), out=s1)
+    s1 *= 0.5
+    # s1 s2 = |det|; the zero matrix gives 0 / tiny = 0, and the minimum keeps
+    # the order where roundoff would put s2 an ulp above s1
+    s2 = np.abs(unchecked_det(phi)) / np.maximum(s1, _TINY)
+    np.minimum(s2, s1, out=s[..., 1])
+    return s
 
 
 def checked_det(phi: np.ndarray, name: str = "phi", require_positive: bool = False):

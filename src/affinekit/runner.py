@@ -14,21 +14,26 @@ Artifacts written to the output directory:
 
 Every number is written once, the charges only in charges.csv.  Each CSV is
 one table, a row per sample, assembled from column blocks of the stacked
-arrays and written by ``write_csv_table``, which hashes the bytes as it
-writes them.
+arrays and written by ``write_csv_table``.  Only trajectory.csv is hashed as
+it is written, since only its digest is read; charges.csv is not.
 Numbers are written as %.17e with the bytes of ``np.savetxt``, but formatted
-by a numpy digit kernel in chunks of rows: a correctly rounded binary to
-decimal conversion (Gay, Correctly rounded binary-decimal and decimal-binary
-conversions, 1990) done exactly in double-double arithmetic, with Python's
-``%`` left only the values the kernel cannot prove.  The JSON is key-sorted,
-so identical (scenario, seed) pairs produce byte-identical artifacts.  Wall
-time is printed by the CLI, never written into them.
+by a numpy digit kernel in chunks of rows of about _CSV_CHUNK values, a size
+chosen by the writers' time and the run's peak RSS (see there): a correctly
+rounded binary to decimal conversion (Gay, Correctly rounded binary-decimal
+and decimal-binary conversions, 1990) done exactly in double-double
+arithmetic, with Python's ``%`` left only the values the kernel cannot
+prove.  Each value fills a fixed slot of bytes from lookup tables that hold
+NUL where a byte is absent, and one pass that deletes the NULs gives the
+text.  The JSON is key-sorted, so identical (scenario, seed) pairs produce
+byte-identical artifacts.  Wall time is printed by the CLI, never written
+into them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -66,9 +71,17 @@ def charges_header(n: int, N: int) -> tuple:
 
 
 # A table is formatted in chunks of whole rows of about _CSV_CHUNK values, so
-# the kernel's temporaries (about 0.2 KB per value) stay bounded whatever the
-# table's length and width, and narrow tables still take few chunks.
-_CSV_CHUNK = 2048
+# the kernel's temporaries (about 110 bytes per value at their peak) stay
+# bounded whatever the table's length and width; each chunk also pays a
+# fixed cost of some 40 numpy calls.  The size was chosen on the two tables
+# of a 10k-step n = 2, N = 1 run (400k values).  Time: the writers took 94,
+# 82, 75 and 71 ms (medians of 40 interleaved rounds) at 2048, 4096, 6144
+# and 8192 values.  Memory: a benchmark worker that runs such jobs for 10 s
+# peaked 0.0, 0.0, 0.2 and 0.7 MB above its 67.5 MB with the kernel before
+# its NUL tables (at 2048).  6144 keeps that rise small; 8192 would save
+# about 4 ms more for 0.7 MB.  (A worker whose peak is a 24k-value rho.csv
+# reads 0.6 MB more at 6144 than the old kernel.)
+_CSV_CHUNK = 6144
 
 # The digit kernel: |x| in (_SAFE_LO, _SAFE_HI) is scaled by 10^(17 - E),
 # E = floor(log10|x|), to a double-double in [1e17, 1e18) (Dekker, A
@@ -115,10 +128,11 @@ def _pow10_table() -> np.ndarray:
 _POW10 = _pow10_table()
 # A value's slot is 7 words (28 bytes): the sign, the first digit, '.', the
 # second digit; four words of 4 digits each; 'e', the exponent's sign and
-# its digits, the separator and 2 unused bytes.  A mask drops the bytes a
-# value does not use: a '+' sign, a leading exponent 0 below |E| = 100.
-# The tables hold the words as bytes viewed as native uint32, so a uint8
-# view of the slots gives the characters back in order.
+# its digits, the separator and 2 NULs.  A byte a value does not use is NUL
+# in its table: the sign of a positive value and the exponent's hundreds
+# digit below |E| = 100.  One pass that deletes every NUL then leaves the
+# text.  The tables hold the words as bytes viewed as native integers, so a
+# uint8 view of the slots gives the characters back in order.
 _SLOT_WORDS = 7
 _D = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # "0000".."9999"
@@ -127,42 +141,55 @@ _DIGITS4[..., 1] = _D[:, None, None]
 _DIGITS4[..., 2] = _D[:, None]
 _DIGITS4[..., 3] = _D
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_HEAD = np.empty((10, 10, 4), np.uint8)  # "-0.0".."-9.9"
-_HEAD[..., 0] = ord("-")
+_HEAD = np.empty((2, 10, 10, 4), np.uint8)  # NUL or "-", then "0.0".."9.9"
+_HEAD[..., 0] = np.array([0, ord("-")], np.uint8)[:, None, None]
 _HEAD[..., 1] = _D[:, None]
 _HEAD[..., 2] = ord(".")
 _HEAD[..., 3] = _D
 _HEAD = _HEAD.view(np.uint32).ravel()
 del _D
-_EXP = np.frombuffer(b"".join(b"e%c%03d,\0\0" % (b"-+"[e >= 0], abs(e))
-                              for e in range(-_E_MAX, _E_MAX + 1)), np.uint32).reshape(-1, 2)
+# 'e', the sign, the hundreds digit or NUL, two digits, the separator and two
+# NULs for E = -_E_MAX.._E_MAX: ended by ',' in the first half, by a newline
+# (the last column's) in the second.
+_EXP = np.frombuffer(b"".join(
+    b"e%c%c%02d%c\0\0" % (b"-+"[e >= 0], ord("0") + abs(e) // 100 if abs(e) >= 100 else 0,
+                           abs(e) % 100, sep)
+    for sep in b",\n" for e in range(-_E_MAX, _E_MAX + 1)), np.uint64)
 
 
 def _scaled(ax: np.ndarray, E: np.ndarray):
     """ax * 10^(17 - E) as a double-double (hi, lo): Dekker's exact product
     of ax with the power's hi, plus ax times its lo."""
     hi, lo, ph, pl = np.take(_POW10, 17 - E - _K_MIN, axis=1)
-    t = _SPLIT * ax
-    xh = t - (t - ax)
+    xh = _SPLIT * ax
+    xh -= xh - ax
     xl = ax - xh
     p = ax * hi
-    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl
-    return p, err + ax * lo
+    # ((xh ph - p) + xh pl + xl ph) + xl pl, in place, in that order
+    err = xh * ph
+    err -= p
+    xh *= pl
+    err += xh
+    ph *= xl
+    err += ph
+    xl *= pl
+    err += xl
+    lo *= ax
+    lo += err
+    return p, lo
 
 
-def _format_rows(table: np.ndarray) -> bytes:
-    """The rows of a float64 table as %.17e values joined by ',' and ended
-    by newlines: the bytes of ``np.savetxt(fmt="%.17e", delimiter=",")``.
+def _digits17(x: np.ndarray):
+    """The 18-digit integer N and decimal exponent E of %.17e for each value
+    of a flat float64 array, and a mask of the values the kernel leaves to
+    Python's ``%`` (their N is 0).
 
     Zeros and finite |x| in (_SAFE_LO, _SAFE_HI) take the digit kernel:
     E is estimated from log10|x|, corrected by one where the unrounded
     double-double x 10^(17 - E) falls outside [1e17, 1e18), and the value
-    rounded to the 18-digit integer N (a carry to 10^18 moves E up one).
-    N's digits fill the value's slot from the word tables.  Everything else
-    (NaN, infinities, subnormals, the far ranges) and every fraction within
-    _GUARD of one half is formatted by Python's ``%`` into its slot."""
-    x = table.ravel()
-    M = len(x)
+    rounded to N (a carry to 10^18 moves E up one).  Everything else (NaN,
+    infinities, subnormals, the far ranges) and every fraction within
+    _GUARD of one half falls back."""
     ax = np.abs(x)
     kernel = (ax > _SAFE_LO) & (ax < _SAFE_HI)
     zero = ax == 0.0
@@ -186,65 +213,84 @@ def _format_rows(table: np.ndarray) -> bytes:
     fallback = ~(kernel | zero) | (np.abs(frac - 0.5) < _GUARD) \
         | (kernel & ((N < 10 ** 17) | (N >= 10 ** 18)))
     N[fallback] = 0
+    return N, E, fallback
 
-    words = np.empty((M, _SLOT_WORDS), np.uint32)
-    head = N // 10 ** 16
-    tail = N - head * 10 ** 16
+
+def _slots(N: np.ndarray, E: np.ndarray, negative: np.ndarray, shape) -> np.ndarray:
+    """The (M, 28) uint8 slots of M values of a table of the given shape,
+    filled from the word tables with the digits N, the exponents E and the
+    signs; the last column's separator is the newline.  Its temporaries are
+    freed on return, before the text is made, which bounds the kernel's
+    peak memory."""
+    words = np.empty((len(N), _SLOT_WORDS), np.uint32)
+    head, tail = np.divmod(N, 10 ** 16)
+    head += 100 * negative
     words[:, 0] = np.take(_HEAD, head)
-    for col, part in ((1, tail // 10 ** 8), (3, tail % 10 ** 8)):
-        upper = part // 10000
+    for col, part in zip((1, 3), np.divmod(tail, 10 ** 8)):
+        upper, lower = np.divmod(part, 10000)
         words[:, col] = np.take(_DIGITS4, upper)
-        words[:, col + 1] = np.take(_DIGITS4, part - upper * 10000)
-    words[:, 5:] = np.take(_EXP, E + _E_MAX, axis=0)
-    slots = words.view(np.uint8)
-    slots.reshape(table.shape + (-1,))[:, -1, 25] = ord("\n")
-    keep = np.ones(slots.shape, bool)
-    keep[:, 26:] = False
-    keep[:, 0] = np.signbit(x)
-    keep[:, 22] = np.abs(E) >= 100
+        words[:, col + 1] = np.take(_DIGITS4, lower)
+    row = E + _E_MAX
+    row.reshape(shape)[:, -1] += len(_EXP) // 2  # the newline half
+    words[:, 5:].view(np.uint64)[:, 0] = np.take(_EXP, row)
+    return words.view(np.uint8)
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """The rows of a float64 table as %.17e values joined by ',' and ended
+    by newlines: the bytes of ``np.savetxt(fmt="%.17e", delimiter=",")``.
+
+    The digits of _digits17 fill each value's slot; Python's ``%`` formats
+    the values it leaves into theirs.  Deleting the NULs of every slot in
+    one pass leaves the text."""
+    x = table.ravel()
+    N, E, fallback = _digits17(x)
+    slots = _slots(N, E, np.signbit(x), table.shape)
     if fallback.any():
         # at most 25 characters: '-1.79769313486231571e+308'
         text = b"".join(("%.17e" % v).encode("ascii").ljust(25, b"\0")
                         for v in x[fallback].tolist())
-        text = np.frombuffer(text, np.uint8).reshape(-1, 25)
-        slots[fallback, :25] = text
-        keep[fallback, :25] = text != 0
-    return slots[keep].tobytes()
+        slots[fallback, :25] = np.frombuffer(text, np.uint8).reshape(-1, 25)
+    return slots.tobytes().translate(None, b"\0")
 
 
-def write_csv_table(path, header, blocks) -> str:
+def write_csv_table(path, header, blocks, digest=hashlib.sha256) -> str | None:
     """Write the header, then one row per sample of the (S, ...) column
-    blocks side by side, every value as %.17e; return the sha256 hex digest
-    of the bytes written.  The bytes are those of ``np.savetxt`` with that
-    format: _format_rows turns chunks of whole rows, about _CSV_CHUNK values
-    each, into them with a numpy digit kernel, without a Python float per
-    value."""
+    blocks side by side, every value as %.17e.  Return the hex digest of the
+    bytes written under ``digest``, a hashlib constructor, or None when
+    ``digest`` is None and nothing is hashed.  The bytes are those of
+    ``np.savetxt`` with that format: _format_rows turns chunks of whole rows,
+    about _CSV_CHUNK values each, into them with a numpy digit kernel,
+    without a Python float per value."""
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
     blocks = [b.reshape(len(b), math.prod(b.shape[1:])) for b in blocks]
     rows = max(1, _CSV_CHUNK // sum(b.shape[1] for b in blocks))
-    digest = hashlib.sha256()
+    hasher = digest() if digest else None
     with open(path, "wb") as fh:
         head = (",".join(header) + "\n").encode("utf-8")
-        digest.update(head)
-        fh.write(head)
-        for i in range(0, len(blocks[0]), rows):
-            text = _format_rows(np.concatenate([b[i:i + rows] for b in blocks], axis=1))
-            digest.update(text)
+        pieces = (_format_rows(np.concatenate([b[i:i + rows] for b in blocks], axis=1))
+                  for i in range(0, len(blocks[0]), rows))
+        for text in itertools.chain([head], pieces):
             fh.write(text)
-    return digest.hexdigest()
+            if hasher is not None:
+                hasher.update(text)
+    return None if hasher is None else hasher.hexdigest()
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> str:
+    """trajectory.csv; returns its sha256 hex digest, the run's
+    determinism_hash."""
     return write_csv_table(path, trajectory_header(traj.n, traj.N), [traj.times, traj.z])
 
 
-def write_charges_csv(path, traj: Trajectory) -> str:
+def write_charges_csv(path, traj: Trajectory) -> None:
+    """charges.csv, written without a digest: nothing reads one."""
     S, n, N, c = len(traj.times), traj.n, traj.N, traj.charges
     bodies = np.concatenate([c.spin.reshape(S, N, -1), c.vorticity.reshape(S, N, -1),
                              c.det_phi[:, :, None], c.q_log], axis=2)
-    return write_csv_table(path, charges_header(n, N),
-                           [traj.times, c.energy, c.p_total, c.sigma_total, c.sigma_hat_total,
-                            c.j_total, bodies])
+    write_csv_table(path, charges_header(n, N),
+                    [traj.times, c.energy, c.p_total, c.sigma_total, c.sigma_hat_total,
+                     c.j_total, bodies], digest=None)
 
 
 def relative_drift(series: np.ndarray) -> float:

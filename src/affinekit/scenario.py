@@ -49,7 +49,7 @@ from .dynamics import INTEGRATION_METHODS, PhaseState
 from .errors import ParseError, ValidationError
 from .kinematics import SystemConfig
 from .kinetics import InertiaParams, KineticModel, MomentumState
-from .matcore import DET_FLOOR
+from .matcore import DET_FLOOR, unchecked_det
 from .potentials import (BinaryTerm, DilatationTerm, HarmonicFn, InvariantTerm,
                          LennardJonesFn, LogHarmonicFn, PolyFn, PotentialSpec,
                          TranslationalHarmonic)
@@ -273,10 +273,13 @@ def _initial_from_dict(d: dict | None, n: int, N: int):
         path = f"initial.bodies[{K}]"
         x.append(_array(_need(b, "x", f"{path}.x"), f"{path}.x", (n,)))
         phi.append(_array(_need(b, "phi", f"{path}.phi"), f"{path}.phi", (n, n)))
-        det = np.linalg.det(phi[-1])
-        if not det > DET_FLOOR:
-            # the run must start inside GL+(n), where dynamics._first_problem keeps it
-            raise ValidationError(f"'{path}.phi' must have det > {DET_FLOOR}, got {det:.3e}")
+        # the run must start inside GL+(n), where dynamics._first_problem keeps
+        # it; finite entries such as 1e200 Id can still give an inf det
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = unchecked_det(phi[-1])
+        if not DET_FLOOR < det < np.inf:
+            raise ValidationError(f"'{path}.phi' must have a finite det > {DET_FLOOR}, "
+                                  f"got {det:.3e}")
         p.append(_array(b.get("p", np.zeros(n)), f"{path}.p", (n,)))
         pi.append(_array(b.get("pi", np.zeros((n, n))), f"{path}.pi", (n, n)))
     return PhaseState(config=SystemConfig(x=np.stack(x), phi=np.stack(phi)),

@@ -1184,11 +1184,12 @@ def test_coincident_centers_abort_a_run_where_h_is_defined(arg):
 
 
 def test_bundled_runs_match_the_lapack_kernel():
-    """The oracle of the closed-form det and inverse: each bundled scenario,
-    run over its full length with matcore's kernel replaced by LAPACK
-    (np.linalg.det and np.linalg.inv at every n), takes the same RHS calls
-    and evaluations, and its samples differ by at most 1e-14 of
-    max(1, max|z|).  At least one run differs at all, so the swap took."""
+    """The oracle of the closed-form det, inverse and singular values: each
+    bundled scenario, run over its full length with matcore's kernel
+    replaced by LAPACK (np.linalg.det, np.linalg.inv and np.linalg.svd at
+    every n), takes the same RHS calls and evaluations, its samples differ by
+    at most 1e-14 of max(1, max|z|), and its q_log charges by at most 1e-14.
+    At least one run differs at all in z and in q, so the swap took."""
     import sys
 
     from affinekit import matcore
@@ -1202,12 +1203,14 @@ def test_bundled_runs_match_the_lapack_kernel():
         return runs
 
     closed = run_all()
+    lapack_kernels = ((matcore.unchecked_det, np.linalg.det),
+                      (matcore.singular_values, lambda phi: np.linalg.svd(phi, compute_uv=False)))
     with pytest.MonkeyPatch.context() as mp:
-        kernel = matcore.unchecked_det
         for module in [m for key, m in sys.modules.items() if key.startswith("affinekit")]:
             for attr, value in list(vars(module).items()):
-                if value is kernel:
-                    mp.setattr(module, attr, np.linalg.det)
+                for kernel, lapack_kernel in lapack_kernels:
+                    if value is kernel:
+                        mp.setattr(module, attr, lapack_kernel)
         mp.setattr(matcore, "_inverse", lambda phi, det: np.linalg.inv(phi))
         lapack = run_all()
     for name in DYNAMIC_SCENARIOS:
@@ -1215,4 +1218,7 @@ def test_bundled_runs_match_the_lapack_kernel():
         assert not a.aborted and a.times.tobytes() == b.times.tobytes(), name
         assert (a.rhs_calls, a.rhs_evals) == (b.rhs_calls, b.rhs_evals), name
         assert np.abs(a.z - b.z).max() <= 1e-14 * max(1.0, np.abs(b.z).max()), name
+        assert np.abs(a.charges.q_log - b.charges.q_log).max() <= 1e-14, name
     assert any(closed[name].z.tobytes() != lapack[name].z.tobytes() for name in DYNAMIC_SCENARIOS)
+    assert any(closed[name].charges.q_log.tobytes() != lapack[name].charges.q_log.tobytes()
+               for name in DYNAMIC_SCENARIOS)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinekit.errors import NegativeOrientation, SingularInput
-from affinekit.matcore import (checked_det, det_inv, polar_decompose, two_polar_decompose,
-                               unchecked_det)
+from affinekit.matcore import (checked_det, det_inv, polar_decompose, singular_values,
+                               two_polar_decompose, unchecked_det)
 from affinekit.sampling import orthogonal_from_normal, rng_from_seed
 
 EPS = np.finfo(float).eps
@@ -301,9 +301,54 @@ def test_an_overflowing_det_is_not_finite_and_raises(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_is_lapack_at_n_3_and_4(n):
-    """From n = 3 on, det and inverse are LAPACK's, bit for bit."""
+    """From n = 3 on, det, inverse and singular values are LAPACK's, bit for
+    bit."""
     rng = rng_from_seed(14 + n)
     phi = np.eye(n) + 0.3 * rng.standard_normal((8, 2, n, n))
     det, inv = det_inv(phi)
     assert det.tobytes() == np.linalg.det(phi).tobytes() == unchecked_det(phi).tobytes()
     assert inv.tobytes() == np.linalg.inv(phi).tobytes()
+    s = singular_values(phi)
+    assert s.tobytes() == np.linalg.svd(phi, compute_uv=False).tobytes()
+    assert s[1, 0].tobytes() == singular_values(phi[1, 0]).tobytes()
+
+
+def _singular_value_stacks(n):
+    """Named (64, n, n) stacks: random, rotations, diagonal (with signs and
+    coincident entries), det near the floor, and the random stack scaled by
+    1e100 and 1e-100."""
+    rng = rng_from_seed(40 + n)
+    normal = rng.standard_normal((64, n, n))
+    rotation = orthogonal_from_normal(rng.standard_normal((64, n, n)))
+    diagonal = np.zeros((64, n, n))
+    diagonal[:, range(n), range(n)] = rng.choice([-3.0, -1.0, 0.5, 1.0, 2.0], (64, n))
+    O = orthogonal_from_normal(rng.standard_normal((2, 64, n, n)))
+    top = 10.0 ** rng.uniform(-0.5, 1.0, (64, 1))
+    floor = np.concatenate([top, 1e-12 / top], axis=1) if n == 2 else np.full((64, 1), 1e-12)
+    stacks = {"random": normal, "rotation": rotation, "diagonal": diagonal,
+              "near_floor": O[0] * floor[:, None, :] @ O[1],
+              "scaled_up": 1e100 * normal, "scaled_down": 1e-100 * normal}
+    assert np.all(np.abs(np.abs(unchecked_det(stacks["near_floor"])) / 1e-12 - 1.0) < 0.1)
+    return stacks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_singular_values_match_lapack(n):
+    """At n <= 2 each singular value is within 4 eps s1 of LAPACK's, on
+    random, rotation, diagonal, near-floor (|det| = 1e-12) and 1e+-100-scaled
+    stacks; they come back descending, their product is |det| of the
+    closed form to 2 eps, a matrix gives its member of a stack, and the zero
+    matrix gives zeros without a warning."""
+    import warnings
+
+    for name, phi in _singular_value_stacks(n).items():
+        s, lapack = singular_values(phi), np.linalg.svd(phi, compute_uv=False)
+        assert s.shape == lapack.shape, name
+        assert np.all(np.abs(s - lapack) <= 4.0 * EPS * lapack[:, :1]), name
+        assert np.all(np.diff(s, axis=-1) <= 0.0), name
+        size = np.abs(unchecked_det(phi))
+        assert np.all(np.abs(s.prod(axis=-1) - size) <= 2.0 * EPS * size), name
+        assert s[3].tobytes() == singular_values(phi[3]).tobytes(), name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(singular_values(np.zeros((n, n))), np.zeros(n))

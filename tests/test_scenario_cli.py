@@ -395,10 +395,11 @@ def _gather(columns, name, shape):
 
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
 def test_csv_table_has_the_bytes_of_savetxt(tmp_path, rows):
-    """write_csv_table formats chunks of whole rows (292 rows of 7 columns)
-    with a numpy digit kernel; its bytes are those of np.savetxt with the
-    same format, including signed zeros, subnormals, values near the float64
-    range and NaN, within one chunk and, at 600 rows, across chunk edges."""
+    """write_csv_table formats chunks of whole rows (_CSV_CHUNK // 7 rows of
+    7 columns) with a numpy digit kernel; its bytes are those of np.savetxt
+    with the same format, including signed zeros, subnormals, values near
+    the float64 range and NaN.  These tables fit in one chunk; the tests
+    below put rows and values on the chunk edges."""
     import io
 
     from affinekit.runner import write_csv_table
@@ -484,6 +485,30 @@ def test_csv_table_rows_around_the_chunk(tmp_path):
         np.savetxt(expected, table, fmt="%.17e", delimiter=",", header="a,b,c,d,e,f,g",
                    comments="")
         assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode(), rows
+
+
+def test_csv_table_with_special_values_on_every_chunk_edge(tmp_path):
+    """A table of 7 columns over eight chunks, the last one partial, with NaN,
+    +-inf, an exact tie (2^-27), 3-digit exponents and -0.0 rotated through
+    the first and the last value of every chunk, so that each of them opens
+    one chunk and ends another: the bytes of np.savetxt."""
+    import io
+
+    from affinekit.runner import _CSV_CHUNK, write_csv_table
+
+    chunk = _CSV_CHUNK // 7  # rows of 7 values in one chunk
+    shape = (7 * chunk + 3, 7)
+    rng = np.random.default_rng(23)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    special = np.array([np.nan, np.inf, -np.inf, 2.0 ** -27, -1.25e123, -0.0, 7.5e-300])
+    for k in range(7):
+        table[k * chunk] = np.roll(special, k)
+        table[(k + 1) * chunk - 1] = np.roll(special, k + 1)
+    write_csv_table(tmp_path / "t.csv", list("abcdefg"), [table[:, :2], table[:, 2:]])
+    expected = io.StringIO()
+    np.savetxt(expected, table, fmt="%.17e", delimiter=",", header="a,b,c,d,e,f,g",
+               comments="")
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_csv_columns_hold_what_their_names_say(tmp_path):
@@ -626,6 +651,25 @@ def test_cli_entrypoint_subprocess(tmp_path, child_env):
         capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aborted"] is False
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_initial_phi_with_an_overflowing_det_is_a_validation_error(n, tmp_path,
+                                                                      child_env):
+    """phi = 1e200 Id has finite entries and det = inf: `affinekit run` exits
+    1 with the typed error naming initial.bodies[0].phi, before the output
+    directory is made, and nothing else reaches stderr (no numpy warning)."""
+    d = {**MINIMAL, "n": n, "inertia": {"M": 1.0, "J": np.eye(n).tolist()},
+         "initial": {"bodies": [{"x": [0.0] * n, "phi": (1e200 * np.eye(n)).tolist()}]}}
+    (tmp_path / "s.json").write_text(json.dumps(d))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinekit.cli", "run", str(tmp_path / "s.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: 'initial.bodies[0].phi' must have a finite det > 1e-12, "
+                           "got inf\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spec", ["what:1", "harmonic:abc", "harmonic:nan", "poly:0,inf",
@@ -774,23 +818,25 @@ def test_check_reports_equal_the_pinned_bytes(argv, capsys):
 # dalembert_free_internal were re-recorded again when windows of 16 steps or
 # more began to start from the degree-7 polynomial through every 8th sample
 # and the stop test took each step's scale from the iterate; their values
-# moved by at most 2.2e-16.
+# moved by at most 2.2e-16.  The charges.csv pins of the four n = 2 files
+# were re-recorded when the singular values behind q{K} at n <= 2 moved from
+# LAPACK to the closed form; only the q{K} columns moved, by at most 6.7e-16.
 PINNED_ARTIFACTS = {
     "harmonic_oscillator": (
         "10c4519364a0e1467870abd69f5fff924fe51a59f9a183be517b8ba7e48ab35a",
         "29c7615df1d484e5e6f4bc384e601869d629b35e8a5b1049c913540246b6e6fd"),
     "dalembert_free_internal": (
         "e8462a039db200fabdfc49a547add529f8db3f22d773345652ec73e9515d723c",
-        "e77f77644eda1d3584daea2db5341b57ddfd55122189ef6826cdcd88f28a9f03"),
+        "2b300a1c0d5a6bd5e4b3d4f73feb460f9d2424c9b56d4bf00ed3a948a7e2c77d"),
     "afaf_geodetic_gl2": (
         "8af76a84d1d3c3ef451d4d49c2d92a2bfc20cd500ceea7060a34dcad5cc4b832",
-        "935e1a21ab8dca34f102422b4af8e9bfb0ae1cdf28b7530789712078b9142dcc"),
+        "22635e00cd832e8436fbf04fc334a704c5215bb6efa36e77c186b6409e6ce427"),
     "afaf_dilatation_stabilized": (
         "29a1988eeed482619f62679315b70d74c802bff16ed64517e0b6c35a5ea84dd6",
-        "0d9d805aba572880e3fddd6d3d278b1f3d4327e6248786624191541632f3d2a9"),
+        "fdb708e698eccf34e985646593e09fdf7552aa3fd269b4b9789dcb65840f4670"),
     "two_body_affine_pair": (
         "42e5cc3e748a7818d2bc6387d889a72eba2f09577c8f53cdfbef5db01b0172b7",
-        "ba8e2679081ad7725bab2dc3621eabcf35925bc25e89f3de1d41fc929534cecb"),
+        "ae1f8ea2f79722dc230d1b8c2cc35082b08bcc833f8bb5921399de1888625935"),
 }
 PINNED_RHO_CSV = "87cef4b06433ffe52dd18a54c51c0d77feb19a28db7f99d306c10a483f4f6036"
 
