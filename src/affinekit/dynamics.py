@@ -16,17 +16,26 @@ solver tolerance.  One solver takes every midpoint step, in blocks of up to 64
 steps when D <= _WINDOW_MAX_D and of one otherwise, each solved by Picard
 sweeps over the whole block: one stacked RHS call and one in-order cumulative
 sum per sweep (Gander, 50 Years of Time Parallel Time Integration, 2015).  A
-block starts from a polynomial through the samples before it (Hairer, Lubich &
-Wanner, Geometric Numerical Integration, section VIII.6): a window of 16 or
-more steps from sample 56 on from the degree-7 one through every 8th of the
-last 57 samples, any other block from the one through the last 1-5.  It stops
-by the contraction test of Hairer & Wanner, Solving ODEs II, section IV.8, or
-once no step changes by more than 1e-15 of its scale, taken from the current
-iterate and not from the start guess.  An accepted step is then the
-fixed point to roundoff: rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}|
-/ max(1, max|z_k|) is at most about 1e-15 wherever roundoff allows it.  A
-failed solve returns its error; integrate solves a failed window again step
-by step and aborts the run on any other failure, keeping the samples before it.
+separable system, d'Alembert kinetic energy in both sectors so that
+H = T(p, pi) + V(x, phi), sweeps its two halves one after the other (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, section VIII.6): first the
+positions, from the velocity at the momentum midpoints, then the momenta,
+from the force at the midpoints of the new positions.  A simultaneous sweep
+carries an error from the positions to the momenta and back one half-map per
+sweep; a partitioned sweep applies both, and a long_stream window takes 3.4
+of them where it took 5.4 simultaneous ones.  Such a sweep evaluates each
+half once and counts as one RHS call.  A block starts from a polynomial
+through the samples before it (the starting approximation of the same
+section): a window of 16 or more steps from sample 56 on from the degree-7
+one through every 8th of the last 57 samples, any other block from the one
+through the last 1-5.  It stops by the contraction test of Hairer & Wanner,
+Solving ODEs II, section IV.8, or once no step changes by more than 1e-15 of
+its scale, taken from the current iterate and not from the start guess.  An
+accepted step is then the fixed point to roundoff:
+rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1, max|z_k|) is at
+most about 1e-15 wherever roundoff allows it.  A failed solve returns its
+error; integrate solves a failed window again step by step and aborts the run
+on any other failure, keeping the samples before it.
 
 The left- and right-invariant kinetic models (is-af, af-is, af-J, H-af,
 l-af, r-af) couple phi and pi, so H is non-separable for them.
@@ -37,11 +46,12 @@ translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
 ``compile_system`` builds every per-run constant of H once.  Its ``rhs``,
 ``energy`` and ``charges`` act on views of the flat phase vector
 z = (x, phi, p, pi), or of a stack (..., D) of them, with one stacked det and
-inverse of the phi stack per evaluation; the public functions below are thin
-calls into them.  Every det phi and phi^-1 here, the charges' det_phi and the
-det-floor test of the samples included, and the singular values behind the
-charges' q_log come from the one ``matcore`` kernel: closed form at n <= 2,
-LAPACK at n >= 3.
+inverse of the phi stack per evaluation; a separable system's ``velocity``
+and ``force`` are the two halves of ``rhs``, the force with that det and
+inverse.  The public functions below are thin calls into them.  Every det phi
+and phi^-1 here, the charges' det_phi and the det-floor test of the samples
+included, and the singular values behind the charges' q_log come from the one
+``matcore`` kernel: closed form at n <= 2, LAPACK at n >= 3.
 """
 
 from __future__ import annotations
@@ -104,6 +114,15 @@ def _split(z: np.ndarray, N: int, n: int):
     vec, mat = z.shape[:-1] + (N, n), z.shape[:-1] + (N, n, n)
     return (z[..., :nx].reshape(vec), z[..., nx:nx + nphi].reshape(mat),
             z[..., nx + nphi:2 * nx + nphi].reshape(vec), z[..., 2 * nx + nphi:].reshape(mat))
+
+
+def _half_views(a: np.ndarray, N: int, n: int):
+    """Views (vectors (..., N, n), matrices (..., N, n, n)) of half phase
+    vectors (..., N n + N n n), (x, phi) or (p, pi).  The last axis of ``a``
+    must be contiguous: then both are views, and a write through them lands
+    in ``a``."""
+    nx, lead = N * n, a.shape[:-1]
+    return a[..., :nx].reshape(lead + (N, n)), a[..., nx:].reshape(lead + (N, n, n))
 
 
 @dataclass
@@ -190,6 +209,30 @@ class CompiledSystem:
         flat = z.shape[:-1] + (-1,)
         return np.concatenate([v.reshape(flat), xi.reshape(flat), -dv_dx.reshape(flat),
                                -(kin_gT + dv_dphiT).reshape(flat)], axis=-1)
+
+    @property
+    def separable(self) -> bool:
+        """Whether H = T(p, pi) + V(x, phi): d'Alembert kinetic energy in
+        both sectors (a fixed-frame internal form, p in the mass metric), so
+        the velocity depends on the momenta alone and the force on the
+        configuration alone."""
+        return self.kin.frame == "fixed" and not self.kin.comoving_p
+
+    def velocity(self, p, pi, v, xi) -> None:
+        """Write the configuration rates (v, xi) of a separable system at the
+        momenta p (..., N, n) and pi (..., N, n, n) into the arrays ``v`` and
+        ``xi`` of those shapes: the (x, phi) part of ``rhs``, bit for bit."""
+        self.kin.velocity(p, pi, v, xi)
+
+    def force(self, x, phi, dp, dpi) -> None:
+        """Write the momentum rates -(dV/dx, (dV/dphi).T) of a separable
+        system at the configuration x (..., N, n) and phi (..., N, n, n)
+        into the arrays ``dp`` and ``dpi`` of those shapes, with one det and
+        inverse of the phi stack: the (p, pi) part of ``rhs``, bit for bit."""
+        det, phi_inv = det_inv(phi)
+        _, dv_dx, dv_dphiT = self.pot.evaluate(x, phi, det, phi_inv)
+        np.negative(dv_dx, out=dp)
+        np.negative(dv_dphiT, out=dpi)
 
     def energy(self, z: np.ndarray):
         """H of z, a float; an (S, D) stack gives the (S,) energies in one
@@ -343,6 +386,40 @@ _WINDOW_MAX_D = 96
 _WINDOW_STALLS = 2
 
 
+def _add_up(terms: np.ndarray, new: np.ndarray) -> None:
+    """new_j = new_{j-1} + terms_j over rows j = 1..k, in order, from the
+    shared row 0 (z_0): each new z_{j+1} is z_j + h_j f_j.  accumulate walks
+    the columns one by one, so a block of columns sums as it would within
+    the whole rows; a plain add does a lone step's row at once."""
+    if len(terms) == 2:
+        np.add(terms[0], terms[1], out=new[1])
+    else:
+        np.add.accumulate(terms, out=new)
+
+
+def _half_buffers(z0: np.ndarray, k: int, N: int, n: int):
+    """Contiguous midpoints (k, d) and terms (k + 1, d) of one half of a
+    separable block, z0 as the terms' row 0, each with the body views (see
+    _half_views) of the rows a half map reads or writes; a lone step's one
+    row."""
+    mid, term = np.empty((k, len(z0))), np.empty((k + 1, len(z0)))
+    term[0] = z0
+    rows = 0 if k == 1 else slice(None)
+    return mid, _half_views(mid[rows], N, n), term, _half_views(term[1:][rows], N, n)
+
+
+def _half_sweep(half_map, source: np.ndarray, buffers, new: np.ndarray, h: np.ndarray) -> None:
+    """One half of a partitioned sweep: ``half_map`` at the midpoints of the
+    rows of ``source``, written into the terms' rows 1..k of ``buffers``
+    (see _half_buffers), times h, and summed up into ``new`` (see _add_up)."""
+    mid, at, term, rate = buffers
+    np.add(source[:-1], source[1:], out=mid)
+    mid *= 0.5
+    half_map(*at, *rate)
+    term[1:] *= h
+    _add_up(term, new)
+
+
 def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
                      theta: float | None = None, stride: int = 1) -> Step:
     """k = len(hs) consecutive implicit-midpoint steps, of lengths ``hs``,
@@ -355,16 +432,23 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     stacked RHS call at the k midpoints (z_j + z_{j+1})/2 and one in-order
     cumulative sum of [z_0, h_0 f_0, ..., h_{k-1} f_{k-1}], so each new
     z_{j+1} is bit for bit z_j + h_j f_j and the block's fixed point is that
-    of k single steps.  The block stops when every step's change is at most
+    of k single steps.  A separable system sweeps in two halves, in order:
+    the positions by the cumulative sum of h_j times the velocity at the
+    momentum midpoints, then the momenta by that of h_j times the force at
+    the midpoints of the new positions.  The fixed point is the same, each
+    sweep applies both half-maps, and it counts as one RHS evaluation.  The
+    block stops when every step's change is at most
     1e-15 of its scale max(1, max|z_j|), or when theta / (1 - theta) times
     it is: with theta the contraction rate, that bounds the distance to the
     fixed point.  z_j is that of the current iterate: a scale taken from a
     start guess far off would loosen both tests and understate ``residual``.
     theta is the larger of the carried ``theta`` and _THETA_SAFETY times the
     largest ratio of successive worst changes.
-    Without a carried estimate the test waits for two ratios: a separable H
-    maps position errors to momentum errors and back at two different
-    rates, and one ratio can show the smaller.  The result carries the
+    Without a carried estimate the test waits for two ratios: a
+    simultaneous sweep maps position errors to momentum errors and back at
+    two different rates, one map per sweep, and one ratio can show the
+    smaller.  A partitioned sweep applies both maps, so its ratios show
+    their product; it waits for two all the same.  The result carries the
     estimate on (one ratio is enough for that).
 
     The result counts the sweeps as ``evals`` and has each step's last
@@ -381,21 +465,29 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     z[0], z[1:] = last[-1], _extrapolate_window(last, k, stride)
     terms, new = z.copy(), z.copy()         # rows 0 stay z_0
     h = hs[:, None]
+    half = z.shape[-1] // 2 if system.separable else 0
+    if half:
+        q, m = slice(None, half), slice(half, None)
+        # the velocity's buffers sum up into the positions, the force's into
+        # the momenta
+        into_x = _half_buffers(z[0, q], k, system.N, system.n)
+        into_p = _half_buffers(z[0, m], k, system.N, system.n)
     prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
     # an overflow shows as a non-finite change, which fails the block
     with np.errstate(all="ignore"):
         for sweep in range(1, MIDPOINT_MAX_ITER + 1):
-            mid = 0.5 * (z[:-1] + z[1:])
             try:
-                np.multiply(h, system.rhs(mid[0] if single else mid), out=terms[1:])
+                if half:
+                    # positions from the velocity at the momentum midpoints,
+                    # then momenta from the force at the new positions' ones
+                    _half_sweep(system.velocity, z[:, m], into_x, new[:, q], h)
+                    _half_sweep(system.force, new[:, q], into_p, new[:, m], h)
+                else:
+                    mid = 0.5 * (z[:-1] + z[1:])
+                    np.multiply(h, system.rhs(mid[0] if single else mid), out=terms[1:])
+                    _add_up(terms, new)
             except (AffineKitError, np.linalg.LinAlgError) as exc:
                 return Step(None, sweep, failure=exc)
-            # in order, so each new z_{j+1} is z_j + h_j f_j; accumulate walks
-            # the columns one by one, a plain add does a lone step's row at once
-            if single:
-                np.add(z[0], terms[1], out=new[1])
-            else:
-                np.add.accumulate(terms, out=new)
             change = np.abs(new[1:] - z[1:])
             z, new = new, z
             # each step's scale from the iterate, not from the start guess;
@@ -474,7 +566,8 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     last sample alone.  A block takes the contraction estimate of the one
     before, unless it holds a step index divisible by _THETA_REFRESH.  Each
     step records its block's sweeps as its RHS evaluations; ``rhs_calls``
-    counts one call per sweep.  rk4 takes one step at a time.
+    counts one call per sweep, a separable system's sweep (the positions,
+    then the momenta) included.  rk4 takes one step at a time.
 
     A failed window is solved again as one-step blocks.  A failed one-step
     block or rk4 step aborts the run, and so does a stored sample with a

@@ -329,6 +329,15 @@ class KineticForm:
             return (phi @ vw[..., :, None])[..., 0], xi, gT
         return vw, xi, gT
 
+    def velocity(self, p, pi, v, xi):
+        """Write flow's (v, xi) into the arrays ``v`` and ``xi``, bit for
+        bit, for a form whose velocity needs no phi: the fixed frame with p
+        in the mass metric (not ``comoving_p``).  ``xi`` must have
+        contiguous matrices, so that its reshape to spin vectors is a view."""
+        np.divide(p, self.M, out=v)
+        s = pi.swapaxes(-1, -2).reshape(pi.shape[:-2] + (-1, 1))
+        np.matmul(self.Ginv, s, out=xi.reshape(s.shape))
+
 
 def compile_kinetics(model: KineticModel, params, n: int, N: int) -> KineticForm:
     """Build the metric constants of every body once.

@@ -111,11 +111,6 @@ class TranslationalHarmonic:
     stiffness: float
     center: tuple = ()
 
-    def center_vec(self, n: int) -> np.ndarray:
-        if not self.center:
-            return np.zeros(n)
-        return np.asarray(self.center, dtype=float)
-
 
 @dataclass(frozen=True)
 class InvariantTerm:
@@ -203,6 +198,8 @@ def _stacked_scatter(n: int, N: int, S: int) -> tuple:
 class PotentialForm:
     """A PotentialSpec compiled for N bodies in n dimensions.
 
+    ``centers`` holds, per one-body term, the (n,) center of a harmonic well
+    (zeros when none is given) and None for an invariant term, built once;
     ``binary`` holds (channel, a, fn) per binary term, parsed once; ``pairs``
     holds the ordered-pair index arrays (None without binary terms or with a
     single body); the ``*_a`` fields are the highest matrix power each
@@ -212,6 +209,7 @@ class PotentialForm:
     spec: PotentialSpec
     n: int
     N: int
+    centers: tuple
     binary: tuple
     pairs: tuple | None
     invariant_a: int
@@ -237,9 +235,9 @@ class PotentialForm:
             # a = 1 alone needs no power of G = phi.T phi; the copy keeps the
             # memory layout, and so the summation order, _powers would give
             pw = np.ascontiguousarray(phiT)[None]
-        for term in spec.one_body:
-            if isinstance(term, TranslationalHarmonic):
-                d = x - term.center_vec(n)
+        for term, center in zip(spec.one_body, self.centers):
+            if center is not None:
+                d = x - center
                 if grad:
                     dx += term.stiffness * d
                 else:
@@ -347,12 +345,23 @@ class PotentialForm:
         return value
 
 
+def _center(term, n: int) -> np.ndarray | None:
+    """The read-only center of a harmonic well, None for any other term."""
+    if not isinstance(term, TranslationalHarmonic):
+        return None
+    center = np.array(term.center, dtype=float) if term.center else np.zeros(n)
+    center.flags.writeable = False
+    return center
+
+
 def compile_potential(spec: PotentialSpec, n: int, N: int) -> PotentialForm:
-    """Parse the binary channels once and build the pair indices for N bodies."""
+    """Build the one-body centers, parse the binary channels and build the
+    pair indices for N bodies, once."""
     binary = tuple((*_parse_channel(term.arg), term.fn) for term in spec.binary)
     invariant = [t.a for t in spec.one_body if isinstance(t, InvariantTerm)]
     return PotentialForm(
-        spec=spec, n=n, N=N, binary=binary,
+        spec=spec, n=n, N=N, centers=tuple(_center(term, n) for term in spec.one_body),
+        binary=binary,
         pairs=_ordered_pairs(N) if binary and N > 1 else None,
         invariant_a=max(invariant, default=0),
         K_a=max((a for k, a, _ in binary if k == "K"), default=0),

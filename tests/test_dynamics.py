@@ -706,6 +706,46 @@ def test_stacked_rhs_names_a_singular_member(rng):
         system.rhs(z)
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_separable_is_the_dalembert_model_in_both_sectors(N):
+    """Every translational x internal pair: H = T(p, pi) + V(x, phi) exactly
+    for internal dalembert with p in the mass metric, that is translational
+    dalembert or is-af (the same model), and for no other pair."""
+    from affinekit.dynamics import compile_system
+    from affinekit.kinetics import INTERNAL_MODELS, TRANSLATIONAL_MODELS
+
+    for tr in TRANSLATIONAL_MODELS:
+        for it in INTERNAL_MODELS:
+            system = compile_system(KineticModel(tr, it), per_body_params(3)[0], STACK_SPEC, 3, N)
+            assert system.separable == (it == "dalembert" and tr != "af-is"), (tr, it)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_body"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_velocity_and_force_are_the_halves_of_rhs(rng, n, shared, N):
+    """On a separable system, velocity at the momenta and force at the
+    configuration, side by side, are rhs bit for bit: on a stack, and on one
+    row.  The force has every one-body, pair and dilatation channel."""
+    from dataclasses import replace
+
+    from affinekit.dynamics import _half_views, compile_system
+
+    params = per_body_params(n)
+    spec = STACK_SPEC if n == 3 else replace(STACK_SPEC, one_body=(
+        TranslationalHarmonic(stiffness=0.6, center=(0.1, -0.2)), *STACK_SPEC.one_body[1:]))
+    system = compile_system(KineticModel("dalembert", "dalembert"),
+                            params[0] if shared else params[:N], spec, n, N)
+    assert system.separable
+    z = _stack(rng, n, N, 5)
+    half = z.shape[-1] // 2
+    for at in (z, z[2]):
+        out = np.empty_like(at)
+        system.velocity(*_half_views(at[..., half:], N, n), *_half_views(out[..., :half], N, n))
+        system.force(*_half_views(at[..., :half], N, n), *_half_views(out[..., half:], N, n))
+        assert out.tobytes() == system.rhs(at).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # start and stop of the midpoint solve
 
@@ -827,16 +867,25 @@ def _body(pi, x=(0.0, 0.0), phi=((1.0, 0.0), (0.0, 1.0)), p=(0.0, 0.0)):
             "pi": np.asarray(pi, float).tolist()}
 
 
-def _separable_scenario(steps):
+def _separable_scenario(steps, body=None):
     """A dalembert/dalembert body in a harmonic well with an invariant term
     and a dilatation stabilizer: a separable H with a cheap RHS."""
     return _scenario(
-        [_body([[0.06, -0.02], [0.03, -0.07]], x=(0.03, -0.06),
-               phi=((1.02, 0.04), (-0.05, 0.97)), p=(0.04, 0.01))],
+        [body or _body([[0.06, -0.02], [0.03, -0.07]], x=(0.03, -0.06),
+                       phi=((1.02, 0.04), (-0.05, 0.97)), p=(0.04, 0.01))],
         {"one_body": [{"kind": "harmonic_x", "stiffness": 1.0, "center": [0.0, 0.0]},
                       {"kind": "invariant", "a": 1,
                        "fn": {"kind": "harmonic", "stiffness": 0.5, "center": 2.0}}],
          "dilatation": {"kappa": 1.0, "d_ref": 1.0}}, dt=0.002, steps=steps)
+
+
+def _drawn_body(seed=7):
+    """A body drawn as the benchmark's long_stream draws its own: x, p and pi
+    0.05 x standard normal entries, phi the identity plus such entries."""
+    rng = np.random.default_rng(seed)
+    x, phi = 0.05 * rng.standard_normal(2), np.eye(2) + 0.05 * rng.standard_normal((2, 2))
+    p, pi = 0.05 * rng.standard_normal(2), 0.05 * rng.standard_normal((2, 2))
+    return _body(pi, x=x.tolist(), phi=phi.tolist(), p=p.tolist())
 
 
 def _pair_scenario(steps, n=3, N=8):
@@ -971,9 +1020,10 @@ FREE_TIMES = "ba353a0918111d79cc0087f0a07e59bb0c161ec99b10c2d067f8bf9e938650ac"
      FREE_TIMES),
     # det phi turns negative at sample 48; the window from sample 4 is
     # abandoned, so every step is a one-step block, and a step from sample 48
-    # would raise NegativeOrientation in the dilatation term
+    # would raise NegativeOrientation in the dilatation term; the run is
+    # separable, so its sweeps take the positions and then the momenta
     ("dilatation", "implicit_midpoint", 0.007, 48, "det phi fell to -7.834e-03 (floor 1e-12)",
-     150, 165, "dde401dc8fa1d818dd1851c670eb39ad5871e58848a0649898dd396aa5641f70",
+     141, 149, "7f37a056c2f671e5fc6248072ef6cab65d5b393cd08c0487f24eb5fcadc4d9ce",
      "180ba5f282f0f27017016445fecdb807c859677c687ec29a3b33caff2eb2d407"),
 ])
 def test_det_floor_abort_is_that_of_a_per_step_check(case):
@@ -1058,13 +1108,37 @@ def test_windowed_rhs_calls_per_step(name):
 
 
 def test_window_start_cuts_the_separable_run_cost():
-    """Regression guard on the window start: the 3000-step separable run
-    takes 250 RHS calls when its 64-step windows start from the degree-7
-    polynomial through every 8th sample, and took 343 from the quartic
-    through the last five samples."""
+    """Regression guard on the window start and the sweep order: the
+    3000-step separable run takes 153 RHS calls when its 64-step windows
+    start from the degree-7 polynomial through every 8th sample and each
+    sweep takes the positions and then the momenta.  Simultaneous sweeps
+    took 250, and 343 from the quartic through the last five samples."""
     s = _separable_scenario(3000)
     traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
-    assert not traj.aborted and traj.rhs_calls <= 265
+    assert not traj.aborted and traj.rhs_calls <= 170
+
+
+@pytest.mark.parametrize("run", ["separable", "drawn_10k"])
+def test_partitioned_run_matches_the_simultaneous_run(run, monkeypatch):
+    """A separable system's sweeps take the positions from the momenta and
+    then the momenta from the new positions.  They solve the fixed-point
+    equations of the simultaneous sweeps, so the run agrees with the run
+    whose system reads as not separable to 1e-13 x scale, at the same sample
+    times, in fewer RHS calls.  The runs are the 3000-step separable run and
+    a 10k-step one from a body drawn as the long_stream benchmark does."""
+    from affinekit.dynamics import CompiledSystem
+
+    s = _separable_scenario(3000) if run == "separable" \
+        else _separable_scenario(10_000, body=_drawn_body())
+    args = (s.model, s.params, s.potential, s.initial_state())
+    partitioned = integrate(*args, dt=s.dt, T=s.T)
+    monkeypatch.setattr(CompiledSystem, "separable", False)
+    simultaneous = integrate(*args, dt=s.dt, T=s.T)
+    assert not (partitioned.aborted or simultaneous.aborted)
+    assert partitioned.rhs_calls < simultaneous.rhs_calls
+    np.testing.assert_array_equal(partitioned.times, simultaneous.times)
+    scale = max(1.0, np.max(np.abs(simultaneous.z)))
+    assert np.max(np.abs(partitioned.z - simultaneous.z)) <= 1e-13 * scale
 
 
 def test_window_from_a_far_start_ends_on_the_fixed_points():
