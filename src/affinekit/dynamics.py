@@ -14,24 +14,23 @@ The default integrator is the implicit midpoint rule: symplectic, and it
 preserves every quadratic first integral (all the affine-spin charges) to
 solver tolerance.  One solver takes every midpoint step, in blocks of up to 64
 steps when D <= _WINDOW_MAX_D and of one otherwise, each solved by Picard
-sweeps over the whole block: one stacked RHS call and one in-order cumulative
-sum per sweep (Gander, 50 Years of Time Parallel Time Integration, 2015).  A
-separable system, d'Alembert kinetic energy in both sectors so that
-H = T(p, pi) + V(x, phi), sweeps its two halves one after the other (Hairer,
-Lubich & Wanner, Geometric Numerical Integration, section VIII.6): first the
-positions, from the velocity at the momentum midpoints, then the momenta,
-from the force at the midpoints of the new positions.  A simultaneous sweep
-carries an error from the positions to the momenta and back one half-map per
-sweep; a partitioned sweep applies both, and a long_stream window takes 3.4
-of them where it took 5.4 simultaneous ones.  Such a sweep evaluates each
-half once and counts as one RHS call.  A block starts from a polynomial
-through the samples before it (the starting approximation of the same
-section): a window of 16 or more steps from sample 56 on from the degree-7
-one through every 8th of the last 57 samples, any other block from the one
-through the last 1-5.  It stops by the contraction test of Hairer & Wanner,
-Solving ODEs II, section IV.8, or once no step changes by more than 1e-15 of
-its scale, taken from the current iterate and not from the start guess.  An
-accepted step is then the fixed point to roundoff:
+sweeps over the whole block (Gander, 50 Years of Time Parallel Time
+Integration, 2015).  Every sweep takes the two halves of the equations in
+order (Hairer, Lubich & Wanner, Geometric Numerical Integration, section
+VIII.6): first the positions, from the velocity at the position and momentum
+midpoints, then the momenta, from the force at the midpoints of the new
+positions, each by one in-order cumulative sum.  A simultaneous sweep would
+carry an error from the positions to the momenta and back one half-map per
+sweep; an ordered one applies both, and a long_stream window takes 3.4 of
+them where it took 5.4 simultaneous ones.  A sweep evaluates each half once
+and counts as one RHS call.  A block starts from a polynomial through the
+samples before it (the starting approximation of the same section): a
+window of 16 or more steps from sample 56 on from the degree-7 one through
+every 8th of the last 57 samples, any other block from the one through the
+last 1-5.  It stops by the contraction test of Hairer & Wanner, Solving ODEs
+II, section IV.8, or once no step changes by more than 1e-15 of its scale,
+taken from the current iterate and not from the start guess.  An accepted
+step is then the fixed point to roundoff:
 rho_k = max|z_k + h f((z_k + z_{k+1})/2) - z_{k+1}| / max(1, max|z_k|) is at
 most about 1e-15 wherever roundoff allows it.  A failed solve returns its
 error; integrate solves a failed window again step by step and aborts the run
@@ -43,12 +42,12 @@ Explicit splitting would still apply to d'Alembert/d'Alembert with any
 configuration potential, and to af-af internal motion with a d'Alembert
 translational sector, whose kinetic flow phi(t) = expm(t Omega) phi0 is exact.
 
-``compile_system`` builds every per-run constant of H once.  Its ``rhs``,
-``energy`` and ``charges`` act on views of the flat phase vector
-z = (x, phi, p, pi), or of a stack (..., D) of them, with one stacked det and
-inverse of the phi stack per evaluation; a separable system's ``velocity``
-and ``force`` are the two halves of ``rhs``, the force with that det and
-inverse.  The public functions below are thin calls into them.  Every det phi
+``compile_system`` builds every per-run constant of H once.  Its
+``velocity`` and ``force`` are the two halves of the canonical equations,
+the force with one stacked det and inverse of the phi stack; ``rhs`` is the
+two side by side.  They, ``energy`` and ``charges`` act on views of the flat
+phase vector z = (x, phi, p, pi), or of a stack (..., D) of them.  The public
+functions below are thin calls into them.  Every det phi
 and phi^-1 here, the charges' det_phi and the det-floor test of the samples
 included, and the singular values behind the charges' q_log come from the one
 ``matcore`` kernel: closed form at n <= 2, LAPACK at n >= 3.
@@ -201,37 +200,30 @@ class CompiledSystem:
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """dz/dt of the canonical equations at z (D,), or at each row of a
-        stack (..., D) in one evaluation, every row bit-equal to its own."""
-        x, phi, p, pi = _split(z, self.N, self.n)
+        stack (..., D) in one evaluation, every row bit-equal to its own:
+        velocity beside force, at z."""
+        out = np.empty(z.shape)
+        at, rate = _split(z, self.N, self.n), _split(out, self.N, self.n)
+        self.velocity(*at, *rate[:2])
+        self.force(*at, *rate[2:])
+        return out
+
+    def velocity(self, x, phi, p, pi, v, xi) -> None:
+        """Write the configuration rates (v, xi) = dH/d(p, pi) at x, phi, p
+        (..., N, n) and pi (..., N, n, n) into the arrays ``v`` and ``xi`` of
+        those shapes: the inverse Legendre map, which does not read x."""
+        self.kin.velocity(phi, p, pi, v, xi)
+
+    def force(self, x, phi, p, pi, dp, dpi) -> None:
+        """Write the momentum rates -(dV/dx, (dT/dphi + dV/dphi).T) at x,
+        phi, p (..., N, n) and pi (..., N, n, n) into the arrays ``dp`` and
+        ``dpi`` of those shapes, with one det and inverse of the phi stack."""
         det, phi_inv = det_inv(phi)
-        v, xi, kin_gT = self.kin.flow(phi, p, pi)
-        _, dv_dx, dv_dphiT = self.pot.evaluate(x, phi, det, phi_inv)
-        flat = z.shape[:-1] + (-1,)
-        return np.concatenate([v.reshape(flat), xi.reshape(flat), -dv_dx.reshape(flat),
-                               -(kin_gT + dv_dphiT).reshape(flat)], axis=-1)
-
-    @property
-    def separable(self) -> bool:
-        """Whether H = T(p, pi) + V(x, phi): d'Alembert kinetic energy in
-        both sectors (a fixed-frame internal form, p in the mass metric), so
-        the velocity depends on the momenta alone and the force on the
-        configuration alone."""
-        return self.kin.frame == "fixed" and not self.kin.comoving_p
-
-    def velocity(self, p, pi, v, xi) -> None:
-        """Write the configuration rates (v, xi) of a separable system at the
-        momenta p (..., N, n) and pi (..., N, n, n) into the arrays ``v`` and
-        ``xi`` of those shapes: the (x, phi) part of ``rhs``, bit for bit."""
-        self.kin.velocity(p, pi, v, xi)
-
-    def force(self, x, phi, dp, dpi) -> None:
-        """Write the momentum rates -(dV/dx, (dV/dphi).T) of a separable
-        system at the configuration x (..., N, n) and phi (..., N, n, n)
-        into the arrays ``dp`` and ``dpi`` of those shapes, with one det and
-        inverse of the phi stack: the (p, pi) part of ``rhs``, bit for bit."""
-        det, phi_inv = det_inv(phi)
+        kin_gT = self.kin.force(phi, p, pi)
         _, dv_dx, dv_dphiT = self.pot.evaluate(x, phi, det, phi_inv)
         np.negative(dv_dx, out=dp)
+        if kin_gT is not None:
+            dv_dphiT = np.add(kin_gT, dv_dphiT, out=dpi)
         np.negative(dv_dphiT, out=dpi)
 
     def energy(self, z: np.ndarray):
@@ -386,38 +378,34 @@ _WINDOW_MAX_D = 96
 _WINDOW_STALLS = 2
 
 
-def _add_up(terms: np.ndarray, new: np.ndarray) -> None:
-    """new_j = new_{j-1} + terms_j over rows j = 1..k, in order, from the
+def _add_up(terms: np.ndarray, h: np.ndarray, new: np.ndarray) -> None:
+    """Scale the rates in rows 1..k of ``terms`` by the step lengths h (k, 1),
+    then new_j = new_{j-1} + terms_j over rows j = 1..k, in order, from the
     shared row 0 (z_0): each new z_{j+1} is z_j + h_j f_j.  accumulate walks
     the columns one by one, so a block of columns sums as it would within
     the whole rows; a plain add does a lone step's row at once."""
+    terms[1:] *= h
     if len(terms) == 2:
         np.add(terms[0], terms[1], out=new[1])
     else:
         np.add.accumulate(terms, out=new)
 
 
+def _midpoints(rows: np.ndarray, out: np.ndarray) -> None:
+    """(rows_j + rows_{j+1}) / 2 of consecutive rows into ``out``."""
+    np.add(rows[:-1], rows[1:], out=out)
+    out *= 0.5
+
+
 def _half_buffers(z0: np.ndarray, k: int, N: int, n: int):
     """Contiguous midpoints (k, d) and terms (k + 1, d) of one half of a
-    separable block, z0 as the terms' row 0, each with the body views (see
-    _half_views) of the rows a half map reads or writes; a lone step's one
-    row."""
+    block, (x, phi) or (p, pi), z0 as the terms' row 0, each with the body
+    views (see _half_views) of the rows a half map reads or writes; a lone
+    step's one row."""
     mid, term = np.empty((k, len(z0))), np.empty((k + 1, len(z0)))
     term[0] = z0
     rows = 0 if k == 1 else slice(None)
     return mid, _half_views(mid[rows], N, n), term, _half_views(term[1:][rows], N, n)
-
-
-def _half_sweep(half_map, source: np.ndarray, buffers, new: np.ndarray, h: np.ndarray) -> None:
-    """One half of a partitioned sweep: ``half_map`` at the midpoints of the
-    rows of ``source``, written into the terms' rows 1..k of ``buffers``
-    (see _half_buffers), times h, and summed up into ``new`` (see _add_up)."""
-    mid, at, term, rate = buffers
-    np.add(source[:-1], source[1:], out=mid)
-    mid *= 0.5
-    half_map(*at, *rate)
-    term[1:] *= h
-    _add_up(term, new)
 
 
 def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
@@ -428,64 +416,61 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
 
     The unknowns z_1..z_k start from the polynomial through ``last`` (see
     _extrapolate_window); from one sample the start is constant and the
-    first sweep gives z_0 + h f(z_0), the Euler predictor.  A sweep is one
-    stacked RHS call at the k midpoints (z_j + z_{j+1})/2 and one in-order
-    cumulative sum of [z_0, h_0 f_0, ..., h_{k-1} f_{k-1}], so each new
-    z_{j+1} is bit for bit z_j + h_j f_j and the block's fixed point is that
-    of k single steps.  A separable system sweeps in two halves, in order:
-    the positions by the cumulative sum of h_j times the velocity at the
-    momentum midpoints, then the momenta by that of h_j times the force at
-    the midpoints of the new positions.  The fixed point is the same, each
-    sweep applies both half-maps, and it counts as one RHS evaluation.  The
-    block stops when every step's change is at most
+    first sweep's positions are z_0 + h v(z_0), the Euler predictor's.  A
+    sweep takes the positions by the in-order cumulative sum of
+    [z_0, h_0 v_0, ..., h_{k-1} v_{k-1}], with v_j the velocity at the
+    position and momentum midpoints, then the momenta by that of h_j times
+    the force at the midpoints of the new positions and the same momentum
+    midpoints (see _add_up).  So each new z_{j+1} is bit for bit z_j + h_j
+    times the rates at its midpoints, and the block's fixed point is that
+    of k single steps.  A sweep counts as one RHS evaluation.  The block
+    stops when every step's change is at most
     1e-15 of its scale max(1, max|z_j|), or when theta / (1 - theta) times
     it is: with theta the contraction rate, that bounds the distance to the
     fixed point.  z_j is that of the current iterate: a scale taken from a
     start guess far off would loosen both tests and understate ``residual``.
     theta is the larger of the carried ``theta`` and _THETA_SAFETY times the
     largest ratio of successive worst changes.
-    Without a carried estimate the test waits for two ratios: a
-    simultaneous sweep maps position errors to momentum errors and back at
-    two different rates, one map per sweep, and one ratio can show the
-    smaller.  A partitioned sweep applies both maps, so its ratios show
-    their product; it waits for two all the same.  The result carries the
-    estimate on (one ratio is enough for that).
+    Without a carried estimate the test waits for two ratios: the change
+    shrinks at different rates in different directions, the positions' and
+    the momenta's among them, and the first ratio can show a smaller rate
+    than the sweeps settle to.  The result carries the estimate on (one
+    ratio is enough for that).
 
     The result counts the sweeps as ``evals`` and has each step's last
     change relative to its scale as ``residual``.  It never raises and lets
-    no numpy warning out.  A block fails if its RHS raises an AffineKitError
-    or LinAlgError, its iterate goes non-finite, it runs out of sweeps
-    (unless k = 1 and the last change is within MIDPOINT_TOL) or, for a
-    window (k >= 2), it stalls: the result has no phase vectors and has the
-    RHS's error or an IterationDiverged as ``failure``.
+    no numpy warning out.  A block fails if its velocity or force raises an
+    AffineKitError or LinAlgError, its iterate goes non-finite, it runs out
+    of sweeps (unless k = 1 and the last change is within MIDPOINT_TOL) or,
+    for a window (k >= 2), it stalls: the result has no phase vectors and
+    has that error or an IterationDiverged as ``failure``.
     """
     k = len(hs)
     single = k == 1
     z = np.empty((k + 1, last.shape[-1]))
     z[0], z[1:] = last[-1], _extrapolate_window(last, k, stride)
-    terms, new = z.copy(), z.copy()         # rows 0 stay z_0
+    new = z.copy()                          # row 0 stays z_0
     h = hs[:, None]
-    half = z.shape[-1] // 2 if system.separable else 0
-    if half:
-        q, m = slice(None, half), slice(half, None)
-        # the velocity's buffers sum up into the positions, the force's into
-        # the momenta
-        into_x = _half_buffers(z[0, q], k, system.N, system.n)
-        into_p = _half_buffers(z[0, m], k, system.N, system.n)
+    q, m = slice(None, z.shape[-1] // 2), slice(z.shape[-1] // 2, None)
+    # the velocity's terms sum up into the positions, the force's into the
+    # momenta; both read the position and the momentum midpoints
+    mid_q, at_q, into_x, rate_x = _half_buffers(z[0, q], k, system.N, system.n)
+    mid_p, at_p, into_p, rate_p = _half_buffers(z[0, m], k, system.N, system.n)
+    _midpoints(z[:, q], mid_q)
     prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
     # an overflow shows as a non-finite change, which fails the block
     with np.errstate(all="ignore"):
         for sweep in range(1, MIDPOINT_MAX_ITER + 1):
             try:
-                if half:
-                    # positions from the velocity at the momentum midpoints,
-                    # then momenta from the force at the new positions' ones
-                    _half_sweep(system.velocity, z[:, m], into_x, new[:, q], h)
-                    _half_sweep(system.force, new[:, q], into_p, new[:, m], h)
-                else:
-                    mid = 0.5 * (z[:-1] + z[1:])
-                    np.multiply(h, system.rhs(mid[0] if single else mid), out=terms[1:])
-                    _add_up(terms, new)
+                # positions from the velocity at the momentum midpoints, then
+                # momenta from the force at the new positions' midpoints,
+                # which the next sweep's velocity reads in turn
+                _midpoints(z[:, m], mid_p)
+                system.velocity(*at_q, *at_p, *rate_x)
+                _add_up(into_x, h, new[:, q])
+                _midpoints(new[:, q], mid_q)
+                system.force(*at_q, *at_p, *rate_p)
+                _add_up(into_p, h, new[:, m])
             except (AffineKitError, np.linalg.LinAlgError) as exc:
                 return Step(None, sweep, failure=exc)
             change = np.abs(new[1:] - z[1:])
@@ -566,8 +551,8 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     last sample alone.  A block takes the contraction estimate of the one
     before, unless it holds a step index divisible by _THETA_REFRESH.  Each
     step records its block's sweeps as its RHS evaluations; ``rhs_calls``
-    counts one call per sweep, a separable system's sweep (the positions,
-    then the momenta) included.  rk4 takes one step at a time.
+    counts one call per sweep, which evaluates the velocity and then the
+    force once each.  rk4 takes one step at a time, at four rhs calls.
 
     A failed window is solved again as one-step blocks.  A failed one-step
     block or rk4 step aborts the run, and so does a stored sample with a

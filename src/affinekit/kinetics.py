@@ -258,9 +258,11 @@ class KineticForm:
     (N, n*n, n*n) per body otherwise; M is (N, 1).  The af-is translational
     sector (``comoving_p``) puts the mass metric on v_hat = phi^-1 v.
 
-    The methods take stacked (N, ...) arrays and return stacked arrays;
-    ``hamiltonian`` and ``flow`` also take leading member axes, (..., N, ...),
-    each member bit-equal to its own evaluation.
+    The methods take stacked (N, ...) arrays; ``hamiltonian``, ``velocity``
+    and ``force`` also take leading member axes, (..., N, ...), each member
+    bit-equal to its own evaluation.  ``velocity`` writes the inverse
+    Legendre map into given arrays and ``force`` returns the kinetic part of
+    the phi force: the two halves of the canonical equations' kinetic terms.
     """
 
     frame: str
@@ -269,9 +271,9 @@ class KineticForm:
     G: np.ndarray
     Ginv: np.ndarray
 
-    def _op(self, a, b):
+    def _op(self, a, b, out=None):
         """a @ b in the spatial frame and b @ a in the co-moving one."""
-        return a @ b if self.frame == "spatial" else b @ a
+        return np.matmul(a, b, out=out) if self.frame == "spatial" else np.matmul(b, a, out=out)
 
     def _forward(self, phi_inv, v, xi):
         """w = vec(W) and G w as (N, n*n, 1), and v or v_hat."""
@@ -314,29 +316,31 @@ class KineticForm:
         return 0.5 * ((s[..., 0] * W.reshape(s.shape[:-1])).sum(axis=-1)
                       + (ph * ph).sum(axis=-1) / self.M[:, 0])
 
-    def flow(self, phi, p, pi):
-        """(v, xi, (dT/dphi).T): inverse Legendre map and the transposed
-        kinetic force on phi, (pi Omega).T or (Omega_hat pi).T per body."""
-        _, W = self._spin_velocity(phi, pi)
-        if self.frame == "fixed":
-            xi, gT = W, np.zeros_like(W)
-        else:
-            xi, gT = self._op(W, phi), self._op(pi, W)
-        vw = self._p_hat(phi, p) / self.M
+    def velocity(self, phi, p, pi, v, xi) -> None:
+        """Write the inverse Legendre map (v, xi) into the arrays ``v`` and
+        ``xi``.  ``xi`` must have contiguous matrices, so that its reshape
+        to spin vectors is a view."""
         if self.comoving_p:
-            # v = phi v_hat, and dT/dphi gains p v_hat.T
-            gT = gT + vw[..., :, None] * p[..., None, :]
-            return (phi @ vw[..., :, None])[..., 0], xi, gT
-        return vw, xi, gT
+            # v = phi v_hat
+            np.matmul(phi, (self._p_hat(phi, p) / self.M)[..., :, None], out=v[..., :, None])
+        else:
+            np.divide(p, self.M, out=v)
+        if self.frame == "fixed":
+            s = pi.swapaxes(-1, -2).reshape(pi.shape[:-2] + (-1, 1))
+            np.matmul(self.Ginv, s, out=xi.reshape(s.shape))
+        else:
+            self._op(self._spin_velocity(phi, pi)[1], phi, out=xi)
 
-    def velocity(self, p, pi, v, xi):
-        """Write flow's (v, xi) into the arrays ``v`` and ``xi``, bit for
-        bit, for a form whose velocity needs no phi: the fixed frame with p
-        in the mass metric (not ``comoving_p``).  ``xi`` must have
-        contiguous matrices, so that its reshape to spin vectors is a view."""
-        np.divide(p, self.M, out=v)
-        s = pi.swapaxes(-1, -2).reshape(pi.shape[:-2] + (-1, 1))
-        np.matmul(self.Ginv, s, out=xi.reshape(s.shape))
+    def force(self, phi, p, pi):
+        """(dT/dphi).T per body, the transposed kinetic force on phi:
+        dT/dphi is (pi Omega).T or (Omega_hat pi).T and gains p v_hat.T in
+        the af-is translational sector.  None where it vanishes, the fixed
+        frame with p in the mass metric."""
+        gT = None if self.frame == "fixed" else self._op(pi, self._spin_velocity(phi, pi)[1])
+        if self.comoving_p:
+            pv = (self._p_hat(phi, p) / self.M)[..., :, None] * p[..., None, :]
+            gT = pv if gT is None else gT + pv
+        return gT
 
 
 def compile_kinetics(model: KineticModel, params, n: int, N: int) -> KineticForm:
@@ -391,7 +395,8 @@ def inverse_legendre(model: KineticModel, params, config: SystemConfig,
     """Map canonical momenta back to velocities (exact inverse of legendre)."""
     form = compile_kinetics(model, params, config.n, config.N)
     checked_det(config.phi)
-    v, xi, _ = form.flow(config.phi, mom.p, mom.pi)
+    v, xi = np.empty(mom.p.shape), np.empty(mom.pi.shape)
+    form.velocity(config.phi, mom.p, mom.pi, v, xi)
     return VelocityState(v=v, xi=xi)
 
 
@@ -415,7 +420,8 @@ def kinetic_phi_gradient(model: KineticModel, params, config: SystemConfig,
     """
     form = compile_kinetics(model, params, config.n, config.N)
     checked_det(config.phi)
-    return form.flow(config.phi, mom.p, mom.pi)[2].transpose(0, 2, 1)
+    gT = form.force(config.phi, mom.p, mom.pi)
+    return np.zeros(config.phi.shape) if gT is None else gT.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

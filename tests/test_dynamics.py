@@ -706,44 +706,93 @@ def test_stacked_rhs_names_a_singular_member(rng):
         system.rhs(z)
 
 
-@pytest.mark.parametrize("N", [1, 2])
-def test_separable_is_the_dalembert_model_in_both_sectors(N):
-    """Every translational x internal pair: H = T(p, pi) + V(x, phi) exactly
-    for internal dalembert with p in the mass metric, that is translational
-    dalembert or is-af (the same model), and for no other pair."""
-    from affinekit.dynamics import compile_system
-    from affinekit.kinetics import INTERNAL_MODELS, TRANSLATIONAL_MODELS
-
-    for tr in TRANSLATIONAL_MODELS:
-        for it in INTERNAL_MODELS:
-            system = compile_system(KineticModel(tr, it), per_body_params(3)[0], STACK_SPEC, 3, N)
-            assert system.separable == (it == "dalembert" and tr != "af-is"), (tr, it)
-
-
 @pytest.mark.parametrize("N", [1, 3])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_body"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_velocity_and_force_are_the_halves_of_rhs(rng, n, shared, N):
-    """On a separable system, velocity at the momenta and force at the
-    configuration, side by side, are rhs bit for bit: on a stack, and on one
-    row.  The force has every one-body, pair and dilatation channel."""
+    """For every translational x internal model, velocity and force read
+    from and written to contiguous half arrays, as the midpoint sweep keeps
+    them, are rhs bit for bit: on a stack, and on one row.  The force has
+    every one-body, pair and dilatation channel."""
     from dataclasses import replace
 
     from affinekit.dynamics import _half_views, compile_system
+    from affinekit.kinetics import INTERNAL_MODELS, TRANSLATIONAL_MODELS
 
     params = per_body_params(n)
     spec = STACK_SPEC if n == 3 else replace(STACK_SPEC, one_body=(
         TranslationalHarmonic(stiffness=0.6, center=(0.1, -0.2)), *STACK_SPEC.one_body[1:]))
-    system = compile_system(KineticModel("dalembert", "dalembert"),
-                            params[0] if shared else params[:N], spec, n, N)
-    assert system.separable
     z = _stack(rng, n, N, 5)
     half = z.shape[-1] // 2
-    for at in (z, z[2]):
-        out = np.empty_like(at)
-        system.velocity(*_half_views(at[..., half:], N, n), *_half_views(out[..., :half], N, n))
-        system.force(*_half_views(at[..., :half], N, n), *_half_views(out[..., half:], N, n))
-        assert out.tobytes() == system.rhs(at).tobytes()
+    for tr in TRANSLATIONAL_MODELS:
+        for it in INTERNAL_MODELS:
+            system = compile_system(KineticModel(tr, it), params[0] if shared else params[:N],
+                                    spec, n, N)
+            for at in (z, z[2]):
+                q, m = (np.ascontiguousarray(a) for a in (at[..., :half], at[..., half:]))
+                v, f = np.empty_like(q), np.empty_like(m)
+                at_q, at_p = _half_views(q, N, n), _half_views(m, N, n)
+                system.velocity(*at_q, *at_p, *_half_views(v, N, n))
+                system.force(*at_q, *at_p, *_half_views(f, N, n))
+                assert np.concatenate([v, f], axis=-1).tobytes() == system.rhs(at).tobytes(), \
+                    (tr, it)
+
+
+# sha256 of the 300-step rk4 run (z) of each bundled scenario and of
+# hamilton_rhs, inverse_legendre and kinetic_phi_gradient at its initial
+# state.  None of them goes through the midpoint sweep, so a change of the
+# sweep alone must leave them as they are.
+PUBLIC_PINS = {
+    "harmonic_oscillator": (
+        "bb5607f0a090c90dc00192e230df493dea1f13a09a0f10725a4afd09166fa2b9",
+        "3f2a05e1afc93e384ae156c6fb2d9b6ff8ab3a40230dcbddac5d654367488f02",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+    "dalembert_free_internal": (
+        "1d86d6c817058ffc0cea2cd378a0a433768c9e14405d9b04f9ab645fbba9735c",
+        "0230b1293866ecb6ed398275bc7e19c22b1ca4306fd2f2666c5ba8b1c186bf7d",
+        "67b5388a59cf4f9ff41c093d8bfcb7f6003c9326cc822a36d6e8321f73072c26",
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+    "afaf_geodetic_gl2": (
+        "e3fda2271b32b6ec03d5b42c31adf3ff98565bc76018c6c0bd6dd12da7210f4b",
+        "eb01abaf2cebc78d5d9b2a5f061317f7b77c6a2075177f2bc7b8a93de619cdd0",
+        "8293c601279cc1b80fd55ad0e2731e3b319801b4fa5f02b539d07f74e3f79413",
+        "f1669d721d2534339d492f9ca10e90cc13c0b4c9e1da52a017ab3a7329c01c00"),
+    "afaf_dilatation_stabilized": (
+        "7a1e3f9447c93bfb9ccd5383e5eed9ddefda77a75051004f3a75fd2e334be575",
+        "dec2dea1dc4a39164f73400c62c822027ea133fbef8dbe1aab808965f1cc1e94",
+        "e1d255a8a05ee9db0215eea8dd4a8ae3c42d477b98c49f8e017214e8a380ed60",
+        "b9b0704aa3b18653ff1e049a005915d8762daaede2d66573305bdc226c6d9d07"),
+    "two_body_affine_pair": (
+        "66309221a58ff1ebe98b9bf4b1dd4fbbb7b6ed9cf89e55a3e64c55bbe998fd28",
+        "eac8cfc633d123c9450445f0ef6af6a61a03aa28d78e6aa65c585f80efc3d636",
+        "3c0e14603e4387dc96f9632f54ac0cd2452b8281513f74969fd47b0a5c8f099c",
+        "311a6703862bffec4a87586a36e00f37998c3fa49ab5dd7d44bf56bef2bf566c"),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_PINS)
+def test_rk4_runs_and_public_rhs_keep_their_pinned_bytes(name):
+    """rk4 and the public functions evaluate rhs, the inverse Legendre map
+    and the kinetic force where the midpoint solver does not: their bytes
+    on each bundled scenario, the three non-separable ones included, are
+    pinned (sha256)."""
+    import hashlib
+
+    from affinekit.kinetics import inverse_legendre, kinetic_phi_gradient
+
+    def sha(*arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                       for a in arrays)).hexdigest()
+
+    s, s0, _ = _bundled_system(name)
+    args = (s.model, s.params)
+    traj = integrate(*args, s.potential, s0, dt=s.dt, T=300 * s.dt, method="rk4")
+    assert not traj.aborted and traj.rhs_calls == 1200
+    d = hamilton_rhs(*args, s.potential, s0)
+    vel = inverse_legendre(*args, s0.config, s0.mom)
+    assert (sha(traj.z), sha(d.x_dot, d.phi_dot, d.p_dot, d.pi_dot), sha(vel.v, vel.xi),
+            sha(kinetic_phi_gradient(*args, s0.config, s0.mom))) == PUBLIC_PINS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1020,8 +1069,7 @@ FREE_TIMES = "ba353a0918111d79cc0087f0a07e59bb0c161ec99b10c2d067f8bf9e938650ac"
      FREE_TIMES),
     # det phi turns negative at sample 48; the window from sample 4 is
     # abandoned, so every step is a one-step block, and a step from sample 48
-    # would raise NegativeOrientation in the dilatation term; the run is
-    # separable, so its sweeps take the positions and then the momenta
+    # would raise NegativeOrientation in the dilatation term
     ("dilatation", "implicit_midpoint", 0.007, 48, "det phi fell to -7.834e-03 (floor 1e-12)",
      141, 149, "7f37a056c2f671e5fc6248072ef6cab65d5b393cd08c0487f24eb5fcadc4d9ce",
      "180ba5f282f0f27017016445fecdb807c859677c687ec29a3b33caff2eb2d407"),
@@ -1118,27 +1166,53 @@ def test_window_start_cuts_the_separable_run_cost():
     assert not traj.aborted and traj.rhs_calls <= 170
 
 
-@pytest.mark.parametrize("run", ["separable", "drawn_10k"])
-def test_partitioned_run_matches_the_simultaneous_run(run, monkeypatch):
-    """A separable system's sweeps take the positions from the momenta and
-    then the momenta from the new positions.  They solve the fixed-point
-    equations of the simultaneous sweeps, so the run agrees with the run
-    whose system reads as not separable to 1e-13 x scale, at the same sample
-    times, in fewer RHS calls.  The runs are the 3000-step separable run and
-    a 10k-step one from a body drawn as the long_stream benchmark does."""
-    from affinekit.dynamics import CompiledSystem
+def test_ordered_sweep_cuts_the_pair_run_cost():
+    """Regression guard on the sweep order of a non-separable system: the
+    40-step n = 3, N = 8 is-af pair run takes 123 RHS calls when each sweep
+    takes the positions and then the momenta; simultaneous sweeps took 170."""
+    s = _pair_scenario(40)
+    traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
+    assert not traj.aborted and traj.rhs_calls <= 135
 
-    s = _separable_scenario(3000) if run == "separable" \
-        else _separable_scenario(10_000, body=_drawn_body())
-    args = (s.model, s.params, s.potential, s.initial_state())
-    partitioned = integrate(*args, dt=s.dt, T=s.T)
-    monkeypatch.setattr(CompiledSystem, "separable", False)
-    simultaneous = integrate(*args, dt=s.dt, T=s.T)
-    assert not (partitioned.aborted or simultaneous.aborted)
-    assert partitioned.rhs_calls < simultaneous.rhs_calls
-    np.testing.assert_array_equal(partitioned.times, simultaneous.times)
-    scale = max(1.0, np.max(np.abs(simultaneous.z)))
-    assert np.max(np.abs(partitioned.z - simultaneous.z)) <= 1e-13 * scale
+
+PARTITIONED_RUNS = {
+    "separable": lambda: _separable_scenario(3000),
+    "drawn_10k": lambda: _separable_scenario(10_000, body=_drawn_body()),
+    "two_body_affine_pair": lambda: _with_run(_bundled_system("two_body_affine_pair")[0],
+                                              steps=2000),
+    "pairs_n3_N8": lambda: _pair_scenario(40),
+}
+
+
+@pytest.mark.parametrize("run", PARTITIONED_RUNS)
+def test_partitioned_run_matches_the_simultaneous_run(run):
+    """Every sweep takes the positions from the momenta and then the momenta
+    from the new positions.  It solves the fixed-point equations of the
+    simultaneous Picard iteration z1 <- z + h f((z + z1)/2), so the run
+    agrees with that iteration's run, one reference step (see
+    _reference_step) after another, to 1e-13 x scale at the same sample
+    times.  The runs are the 3000-step separable run, a 10k-step one from a
+    body drawn as the long_stream benchmark does, and two non-separable
+    ones: 2000 steps of two_body_affine_pair and the n = 3, N = 8 is-af pair
+    system."""
+    from affinekit.dynamics import _pack, compile_system
+
+    s = PARTITIONED_RUNS[run]()
+    s0 = s.initial_state()
+    partitioned = integrate(s.model, s.params, s.potential, s0, dt=s.dt, T=s.T)
+    system = compile_system(s.model, s.params, s.potential, s.n, s.N)
+    steps = len(partitioned.times) - 1
+    assert not partitioned.aborted and steps == round(s.T / s.dt)
+    times = np.arange(steps + 1) * s.dt
+    times[-1] = s.T
+    np.testing.assert_array_equal(partitioned.times, times)
+    simultaneous = np.empty_like(partitioned.z)
+    simultaneous[0] = _pack(s0)
+    for k in range(steps):
+        h = s.T - (steps - 1) * s.dt if k == steps - 1 else s.dt
+        simultaneous[k + 1] = _reference_step(system, simultaneous[k], h)[0]
+    scale = max(1.0, np.max(np.abs(simultaneous)))
+    assert np.max(np.abs(partitioned.z - simultaneous)) <= 1e-13 * scale
 
 
 def test_window_from_a_far_start_ends_on_the_fixed_points():
@@ -1217,16 +1291,16 @@ def test_start_polynomial_is_exact_through_one_to_five_samples(m):
 # failure outcomes of the midpoint solve
 
 def test_coarse_windowed_run_aborts_on_the_one_step_divergence():
-    """two_body_affine_pair at dt = 0.6 over 40 steps: its window fails and
+    """two_body_affine_pair at dt = 0.7 over 40 steps: its window fails and
     is solved again as one-step blocks, and the one-step block from sample
-    30 runs out of sweeps.  That failure ends the run as an abort that keeps
-    the 31 samples before it; every failed block's calls are counted."""
-    s = _with_run(_bundled_system("two_body_affine_pair")[0], dt=0.6, steps=40)
+    28 runs out of sweeps.  That failure ends the run as an abort that keeps
+    the 29 samples before it; every failed block's calls are counted."""
+    s = _with_run(_bundled_system("two_body_affine_pair")[0], dt=0.7, steps=40)
     with _recorded_blocks() as calls:
         traj = integrate(s.model, s.params, s.potential, s.initial_state(), dt=s.dt, T=s.T)
     assert traj.aborted and traj.abort_kind == "IterationDiverged"
-    assert traj.abort_reason == "implicit midpoint residual 2.275e-12 > 1e-12 after 50 iterations"
-    assert len(traj.times) == 31 and traj.rhs_calls == 858
+    assert traj.abort_reason == "implicit midpoint residual 4.569e-12 > 1e-12 after 50 iterations"
+    assert len(traj.times) == 29 and traj.rhs_calls == 653
     failed = [(len(hs), type(step.failure).__name__) for _, hs, _, step in calls
               if step.z is None]
     assert failed == [(36, "IterationDiverged"), (1, "IterationDiverged")]

@@ -5,9 +5,9 @@ methods the schema offers, run through the command line twice.  Whatever
 the run meets on its way, it ends as a completed run (exit 0) or as an
 aborted one (exit 2) with its partial artifacts; exit 1 is left to bad
 input, such as an initial state where H is undefined, which none of these
-draws is.  On the same draws, the compiled RHS evaluates a stack of states
-as it does each state alone, and the two halves of a separable system are
-the RHS.
+draws is.  On the same draws, the compiled RHS and its two halves, the
+velocity and the force, evaluate a stack of states as they do each state
+alone.
 """
 
 import json
@@ -143,28 +143,27 @@ def _compiled(scenario):
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(scenario=scenarios())
-def test_stacked_rhs_and_the_separable_halves_equal_the_row_calls(scenario):
+def test_stacked_rhs_velocity_and_force_equal_the_row_calls(scenario):
     """At the initial state and three others whose entries are scaled by
     1 + 1e-6 u (u uniform in [-1, 1], a fixed seed), the stacked rhs is each
-    row's own call, bit for bit.  With the kinetic models mapped to
-    dalembert/dalembert (and M = 1.3, J = Id + 1/2 ones, so that neither is
-    the identity), the system is separable, and velocity at the momenta
-    beside force at the configuration is rhs bit for bit, on the stack and
-    on one row."""
+    row's own call, bit for bit, and so are velocity and force, which the
+    midpoint sweep calls on stacks of contiguous half arrays; side by side,
+    they are the stacked rhs."""
     s, system = _compiled(scenario)
     z0 = _pack(s.initial_state())
     u = np.random.default_rng(0).uniform(-1.0, 1.0, (4, z0.size))
     u[0] = 0.0
     z = z0 * (1.0 + 1e-6 * u)
     assert system.rhs(z).tobytes() == np.stack([system.rhs(row) for row in z]).tobytes()
-    n = s.n
-    inertia = {**scenario["inertia"], "M": 1.3, "J": (np.eye(n) + 0.5).tolist()}
-    _, system = _compiled({**scenario, "inertia": inertia,
-                           "kinetic": {"translational": "dalembert", "internal": "dalembert"}})
-    assert system.separable
-    N, half = s.N, z0.size // 2
-    for at in (z, z[1]):
-        out = np.empty_like(at)
-        system.velocity(*_half_views(at[..., half:], N, n), *_half_views(out[..., :half], N, n))
-        system.force(*_half_views(at[..., :half], N, n), *_half_views(out[..., half:], N, n))
-        assert out.tobytes() == system.rhs(at).tobytes()
+    N, n, half = s.N, s.n, z0.size // 2
+
+    def halves(at):
+        q, m = (np.ascontiguousarray(a) for a in (at[..., :half], at[..., half:]))
+        v, f = np.empty_like(q), np.empty_like(m)
+        system.velocity(*_half_views(q, N, n), *_half_views(m, N, n), *_half_views(v, N, n))
+        system.force(*_half_views(q, N, n), *_half_views(m, N, n), *_half_views(f, N, n))
+        return np.concatenate([v, f], axis=-1)
+
+    stacked = halves(z).tobytes()
+    assert stacked == np.stack([halves(row) for row in z]).tobytes()
+    assert stacked == system.rhs(z).tobytes()

@@ -336,8 +336,8 @@ def _two_body_affine_pair(dt, T):
 
 
 FAILURE_RUNS = {
-    # the one-step block from sample 30 runs out of sweeps
-    "diverged": (lambda: _two_body_affine_pair(0.6, 24.0), 2, "IterationDiverged", 31),
+    # the one-step block from sample 28 runs out of sweeps
+    "diverged": (lambda: _two_body_affine_pair(0.7, 28.0), 2, "IterationDiverged", 29),
     # D is defined at coincident centers, its gradient is not
     "coincident_D": (lambda: _coincident_pair("D"), 2, "NonDifferentiable", 1),
     # the first midpoint takes det phi below zero, where the dilatation term is undefined
@@ -824,6 +824,10 @@ def test_check_reports_equal_the_pinned_bytes(argv, capsys):
 # harmonic_oscillator, a separable run, was re-recorded when separable
 # windows began to sweep the positions and then the momenta; its values moved
 # by at most 2.4e-16.  dalembert_free_internal, separable too, kept its bytes.
+# The three non-separable files were re-recorded when every model began to
+# sweep that way; their trajectory.csv values moved by at most 6.7e-16
+# (4.7e-16 of the largest |z|) and their charges.csv values by at most
+# 8.9e-16.  The two separable files kept their bytes.
 PINNED_ARTIFACTS = {
     "harmonic_oscillator": (
         "d217b41db7726580819c613160bdcf66186812982022f6f0cdabd68e1d680e11",
@@ -832,14 +836,14 @@ PINNED_ARTIFACTS = {
         "e8462a039db200fabdfc49a547add529f8db3f22d773345652ec73e9515d723c",
         "2b300a1c0d5a6bd5e4b3d4f73feb460f9d2424c9b56d4bf00ed3a948a7e2c77d"),
     "afaf_geodetic_gl2": (
-        "8af76a84d1d3c3ef451d4d49c2d92a2bfc20cd500ceea7060a34dcad5cc4b832",
-        "22635e00cd832e8436fbf04fc334a704c5215bb6efa36e77c186b6409e6ce427"),
+        "ff4024c5c19a98f574297543098d546a957cebcb9e4129ad762fae56f15313fc",
+        "ae8fc4319ccbe982fc657f7bb1ad15b5921c40b0fd06e797174b08576d7f636a"),
     "afaf_dilatation_stabilized": (
-        "29a1988eeed482619f62679315b70d74c802bff16ed64517e0b6c35a5ea84dd6",
-        "fdb708e698eccf34e985646593e09fdf7552aa3fd269b4b9789dcb65840f4670"),
+        "2d27041f7299ff2d9926f2d32725198ee119289d1b69fa5c715db9963cd8c64d",
+        "a2be26235d7ec0683c08327c9a02e36f5a36b97c4a58a3518e8e0a21a4c396f9"),
     "two_body_affine_pair": (
-        "42e5cc3e748a7818d2bc6387d889a72eba2f09577c8f53cdfbef5db01b0172b7",
-        "ae1f8ea2f79722dc230d1b8c2cc35082b08bcc833f8bb5921399de1888625935"),
+        "32307cab1e6f572c947cf26864a64a7ec9f13bb73f1915f15a1320b99223d409",
+        "056719b4b71b9aedce19f2e4f7e50ddbd972851b1863cd121693d280391f1311"),
 }
 PINNED_RHO_CSV = "87cef4b06433ffe52dd18a54c51c0d77feb19a28db7f99d306c10a483f4f6036"
 
