@@ -4,12 +4,12 @@ Each suite returns a report dict {"suite", "checks": [...], "passed"}; a
 check is {"name", "max_error", "tolerance", "passed"}.  Checks run in
 order on the calling thread.
 
-The invariance, legendre and measures suites draw their samples one at a
-time in seed order, group them by n, and evaluate every relation once per
-group on stacks: (S, n, n) matrices for the kinematic functions and S bodies
-of one system for the kinetic energies.  Rotations are drawn as Gaussian
-matrices, ``rng.standard_normal((n, n))`` where ``random_orthogonal`` would
-draw them, and each group maps them with one ``orthogonal_from_normal``.  An
+The invariance, legendre and measures suites draw their samples as stacks,
+each n's (S_n, ...) arrays item by item after all n values (so the reports
+depend on the samplers' block schedule), and evaluate every relation once
+per stack: (S, n, n) matrices for the kinematic functions and S bodies of
+one system for the kinetic energies.  Rotations are drawn as Gaussian
+matrices and each stack maps them with one ``orthogonal_from_normal``.  An
 error is relative per sample, max|delta_s| / (1 + max|ref_s|), and a check
 reports the worst sample.  The brackets suite evaluates all (a, b, c, d)
 brackets of a drawn state and pairing of spins as one table.
@@ -64,24 +64,12 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
-def _stack_rows(rows: list) -> tuple:
-    """Per-sample tuples of arrays -> one (S, ...) stack per tuple item."""
-    return tuple(np.stack(item) for item in zip(*rows))
-
-
 def _draw_by_n(samples: int, seed: int, draw) -> list:
-    """Draw samples one at a time in seed order, each n = rng.integers(2, 4)
-    followed by draw(rng, n), and stack the draws of each n.
-
-    Returns one tuple of (S_n, ...) arrays per n drawn, one array per item
-    that draw returns.
-    """
+    """Draw n = rng.integers(2, 4, samples), then for n = 2, 3 (if drawn)
+    draw(rng, n, S_n): a tuple of (S_n, ...) arrays, one per item."""
     rng = rng_from_seed(seed)
-    rows = {2: [], 3: []}
-    for _ in range(samples):
-        n = int(rng.integers(2, 4))
-        rows[n].append(draw(rng, n))
-    return [_stack_rows(group) for group in rows.values() if group]
+    counts = np.bincount(rng.integers(2, 4, samples), minlength=4)
+    return [draw(rng, n, int(counts[n])) for n in (2, 3) if counts[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +97,8 @@ def legendre_roundtrip_error(samples: int = 1000, seed: int = 11) -> float:
         rng = rng_from_seed(seed + n)
         per_combo = max(1, samples // len(combos))
         for model, params in combos:
-            phi, v, xi = _stack_rows([
-                (random_glplus(rng, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, n)))
-                for _ in range(per_combo)])
+            phi = random_glplus(rng, n, size=per_combo)
+            v, xi = rng.uniform(-1, 1, (per_combo, n)), rng.uniform(-1, 1, (per_combo, n, n))
             config = SystemConfig(x=np.zeros((per_combo, n)), phi=phi)
             vel = VelocityState(v=v, xi=xi)
             mom = legendre(model, params, config, vel)
@@ -131,12 +118,12 @@ def legendre_suite(samples: int = 1000) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# invariance suite: every family draws its samples in seed order and checks
-# each n group as one stack
+# invariance suite: every family draws and checks each n's samples as stacks
 
 def _deformation_transform_error(samples, seed):
-    def draw(rng, n):
-        return (random_glplus(rng, n), rng.standard_normal((n, n)), random_invertible(rng, n))
+    def draw(rng, n, S):
+        return (random_glplus(rng, n, size=S), rng.standard_normal((S, n, n)),
+                random_invertible(rng, n, size=S))
 
     worst = 0.0
     for phi, A, B in _draw_by_n(samples, seed, draw):
@@ -152,9 +139,9 @@ def _deformation_transform_error(samples, seed):
 
 
 def _mutual_transform_error(samples, seed):
-    def draw(rng, n):
-        return (random_invertible(rng, n), random_invertible(rng, n),
-                rng.standard_normal((n, n)), random_invertible(rng, n))
+    def draw(rng, n, S):
+        return (random_invertible(rng, n, size=S), random_invertible(rng, n, size=S),
+                rng.standard_normal((S, n, n)), random_invertible(rng, n, size=S))
 
     worst = 0.0
     for psi, phi, A, B in _draw_by_n(samples, seed, draw):
@@ -176,10 +163,10 @@ def _mutual_transform_error(samples, seed):
 
 
 def _scalar_invariant_error(samples, seed):
-    def draw(rng, n):
-        return (random_invertible(rng, n), random_invertible(rng, n),
-                rng.standard_normal((n, n)), rng.standard_normal((n, n)),
-                random_invertible(rng, n), random_invertible(rng, n))
+    def draw(rng, n, S):
+        return (random_invertible(rng, n, size=S), random_invertible(rng, n, size=S),
+                rng.standard_normal((S, n, n)), rng.standard_normal((S, n, n)),
+                random_invertible(rng, n, size=S), random_invertible(rng, n, size=S))
 
     worst = 0.0
     for psi, phi, A, B, Ag, Bg in _draw_by_n(samples, seed, draw):
@@ -193,9 +180,9 @@ def _scalar_invariant_error(samples, seed):
 
 
 def _velocity_transform_error(samples, seed):
-    def draw(rng, n):
-        return (random_glplus(rng, n), rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n),
-                random_invertible(rng, n))
+    def draw(rng, n, S):
+        return (random_glplus(rng, n, size=S), rng.uniform(-1, 1, (S, n, n)),
+                rng.uniform(-1, 1, (S, n)), random_invertible(rng, n, size=S))
 
     worst = 0.0
     for phi, xi, v, A in _draw_by_n(samples, seed, draw):
@@ -212,9 +199,10 @@ def _velocity_transform_error(samples, seed):
 
 
 def _affine_distance_error(samples, seed):
-    def draw(rng, n):
-        return (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
-                random_glplus(rng, n), random_glplus(rng, n), random_invertible(rng, n))
+    def draw(rng, n, S):
+        return (rng.uniform(-1, 1, (S, n)), rng.uniform(-1, 1, (S, n)),
+                random_glplus(rng, n, size=S), random_glplus(rng, n, size=S),
+                random_invertible(rng, n, size=S))
 
     worst = 0.0
     for xk, xl, pk, pl, A in _draw_by_n(samples, seed, draw):
@@ -231,11 +219,12 @@ def _kinetic_invariance_error(samples, seed):
     af_is = KineticModel("af-is", "af-is")
     af_af = KineticModel("dalembert", "af-af")
 
-    def draw(rng, n):
+    def draw(rng, n, S):
         # GL+ transforms keep the configurations inside the working domain
-        return (rng.uniform(-1, 1, n), random_glplus(rng, n), rng.uniform(-1, 1, n),
-                rng.uniform(-1, 1, (n, n)), random_glplus(rng, n),
-                rng.standard_normal((n, n)), random_glplus(rng, n))
+        return (rng.uniform(-1, 1, (S, n)), random_glplus(rng, n, size=S),
+                rng.uniform(-1, 1, (S, n)), rng.uniform(-1, 1, (S, n, n)),
+                random_glplus(rng, n, size=S), rng.standard_normal((S, n, n)),
+                random_glplus(rng, n, size=S))
 
     def moved(config, vel, mat, side):
         if side == "spatial":
@@ -286,11 +275,11 @@ def _potential_invariance_error(samples, seed):
         BinaryTerm(arg="K:1", fn=HarmonicFn(stiffness=0.2, center=2.0)),
     ))
 
-    def draw(rng, n):
-        x = rng.uniform(-1, 1, (2, n)) + np.array([[0.0] * n, [2.0] + [0.0] * (n - 1)])
-        phi = np.stack([random_glplus(rng, n), random_glplus(rng, n)])
-        return (x, phi, random_glplus(rng, n), rng.standard_normal((n, n)),
-                rng.standard_normal((n, n)))
+    def draw(rng, n, S):
+        x = rng.uniform(-1, 1, (S, 2, n)) + np.array([[0.0] * n, [2.0] + [0.0] * (n - 1)])
+        phi = random_glplus(rng, n, size=2 * S).reshape(S, 2, n, n)
+        return (x, phi, random_glplus(rng, n, size=S), rng.standard_normal((S, n, n)),
+                rng.standard_normal((S, n, n)))
 
     def potential(spec, x, phi):
         det, phi_inv = det_inv(phi)
@@ -380,8 +369,8 @@ def brackets_suite() -> dict:
 # measures suite
 
 def _haar_invariance_error(samples=50, seed=41):
-    def draw(rng, n):
-        return random_glplus(rng, n), random_glplus(rng, n)
+    def draw(rng, n, S):
+        return random_glplus(rng, n, size=S), random_glplus(rng, n, size=S)
 
     worst = 0.0
     for phi, A in _draw_by_n(samples, seed, draw):
@@ -401,7 +390,7 @@ def _haar_invariance_error(samples=50, seed=41):
 
 def _twopolar_ratio_error(samples=50, seed=42):
     worst = 0.0
-    for (phi,) in _draw_by_n(samples, seed, lambda rng, n: (random_glplus(rng, n),)):
+    for (phi,) in _draw_by_n(samples, seed, lambda rng, n, S: (random_glplus(rng, n, size=S),)):
         haar, lebesgue = measures.twopolar_densities(two_polar_decompose(phi))
         keep = lebesgue != 0.0  # coincident q: both densities vanish
         expected = measures.pow_each(np.linalg.det(phi[keep]), -phi.shape[-1])

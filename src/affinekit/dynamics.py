@@ -448,18 +448,18 @@ def _midpoint_window(system: CompiledSystem, last: np.ndarray, hs: np.ndarray,
     k = len(hs)
     single = k == 1
     z = np.empty((k + 1, last.shape[-1]))
-    z[0], z[1:] = last[-1], _extrapolate_window(last, k, stride)
-    new = z.copy()                          # row 0 stays z_0
     h = hs[:, None]
     q, m = slice(None, z.shape[-1] // 2), slice(z.shape[-1] // 2, None)
-    # the velocity's terms sum up into the positions, the force's into the
-    # momenta; both read the position and the momentum midpoints
-    mid_q, at_q, into_x, rate_x = _half_buffers(z[0, q], k, system.N, system.n)
-    mid_p, at_p, into_p, rate_p = _half_buffers(z[0, m], k, system.N, system.n)
-    _midpoints(z[:, q], mid_q)
     prev, rate, ratios, stalls = np.inf, 0.0, 0, 0
-    # an overflow shows as a non-finite change, which fails the block
+    # an overflow, in the start guess too, shows as a non-finite change, which fails the block
     with np.errstate(all="ignore"):
+        z[0], z[1:] = last[-1], _extrapolate_window(last, k, stride)
+        new = z.copy()                          # row 0 stays z_0
+        # the velocity's terms sum up into the positions, the force's into
+        # the momenta; both read the position and the momentum midpoints
+        mid_q, at_q, into_x, rate_x = _half_buffers(z[0, q], k, system.N, system.n)
+        mid_p, at_p, into_p, rate_p = _half_buffers(z[0, m], k, system.N, system.n)
+        _midpoints(z[:, q], mid_q)
         for sweep in range(1, MIDPOINT_MAX_ITER + 1):
             try:
                 # positions from the velocity at the momentum midpoints, then

@@ -22,7 +22,7 @@ generator, so every stream is reproducible from its seed alone.
 
 ``rotation_from_angles`` takes chart parameters (..., k) and returns a stack
 (..., n, n); ``_chart_map`` maps parameter rows (..., n*n) to flattened phi.
-``measure_check_report`` draws its points one at a time and then takes all
+``measure_check_report`` draws its candidate points in blocks and takes
 their finite-difference chart Jacobians in one batched chart map and one
 stacked det.  ``haar_density`` and ``twopolar_densities`` take stacks too;
 powers of a stack's determinants go through ``pow_each``, so each member's
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .matcore import TwoPolarFactors, as_matrices, as_matrix, checked_det
+from .matcore import TwoPolarFactors, as_matrices, checked_det
 from .sampling import rng_from_seed
 
 MEASURE_KINDS = ("lebesgue_a", "haar_alpha", "lebesgue_l", "haar_lambda")
@@ -125,26 +125,31 @@ def rotation_from_angles(n: int, angles) -> np.ndarray:
     raise ValueError("rotation charts support n <= 3")
 
 
-def angles_from_rotation(R) -> np.ndarray:
-    """Chart parameters of an SO(n) element, n <= 3.
+def _on_chart(R: np.ndarray) -> np.ndarray:
+    """Whether each of R (..., n, n) is off the z-y-z boundary, sin beta >= 1e-8
+    (always at n <= 2, which has no boundary)."""
+    cos_b = np.clip(R[..., 2, 2], -1.0, 1.0) if R.shape[-1] == 3 else np.zeros(R.shape[:-2])
+    return np.sqrt(np.maximum(0.0, 1.0 - cos_b * cos_b)) >= 1e-8
 
-    Raises DegenerateSpectrum at the z-y-z chart boundary (sin beta ~ 0),
-    where the three angles are not separately defined.
+
+def angles_from_rotation(R) -> np.ndarray:
+    """Chart parameters (..., k) of SO(n) elements (..., n, n), n <= 3.
+
+    Raises DegenerateSpectrum when a member lies at the z-y-z chart boundary
+    (sin beta ~ 0), where the three angles are not separately defined.
     """
-    R = as_matrix(R, "R")
-    n = R.shape[0]
+    R = as_matrices(R, "R")
+    n = R.shape[-1]
     if n == 1:
-        return np.zeros(0)
+        return np.zeros(R.shape[:-2] + (0,))
     if n == 2:
-        return np.array([np.arctan2(R[1, 0], R[0, 0])])
+        return np.arctan2(R[..., 1, 0], R[..., 0, 0])[..., None]
     if n == 3:
-        cos_b = np.clip(R[2, 2], -1.0, 1.0)
-        sin_b = np.sqrt(max(0.0, 1.0 - cos_b * cos_b))
-        if sin_b < 1e-8:
+        if not _on_chart(R).all():
             raise DegenerateSpectrum("z-y-z chart degenerate: rotation axis near e3")
-        return np.array([np.arctan2(R[1, 2], R[0, 2]),
-                         np.arccos(cos_b),
-                         np.arctan2(R[2, 1], -R[2, 0])])
+        return np.stack([np.arctan2(R[..., 1, 2], R[..., 0, 2]),
+                         np.arccos(np.clip(R[..., 2, 2], -1.0, 1.0)),
+                         np.arctan2(R[..., 2, 1], -R[..., 2, 0])], axis=-1)
     raise ValueError("rotation charts support n <= 3")
 
 
@@ -160,31 +165,30 @@ def chart_weight(n: int, angles):
 def sample_orthogonal(n: int, seed: int, count: int | None = None) -> np.ndarray:
     """Haar-distributed SO(n) samples, n <= 3, Philox stream per seed.
 
-    Returns one (n, n) matrix, or a (count, n, n) stack when count is given.
-    The chart angles are drawn one sample at a time and mapped to rotations
-    in one stacked call.
+    Returns one (n, n) matrix, or a (count, n, n) stack when count is given,
+    from chart angles drawn in blocks of the samples still missing.
     """
     if not 1 <= n <= 3:
         raise ValueError("sample_orthogonal supports 1 <= n <= 3")
     rng = rng_from_seed(seed)
-    m = 1 if count is None else int(count)
-    angles = np.array([_sample_angles(n, rng) for _ in range(m)]).reshape(m, n * (n - 1) // 2)
+    want = 1 if count is None else int(count)
+    angles = np.empty((0, n * (n - 1) // 2))
+    while len(angles) < want:
+        block = _sample_angles(n, rng, want - len(angles))
+        if n == 3:  # resample off the chart boundary
+            block = block[np.sin(block[:, 1]) > 1e-12]
+        angles = np.concatenate([angles, block])
     out = rotation_from_angles(n, angles)
     return out[0] if count is None else out
 
 
-def _sample_angles(n: int, rng) -> tuple:
-    """Chart angles of one Haar-distributed SO(n) element."""
-    if n == 1:
-        return ()
-    if n == 2:
-        return (rng.uniform(0.0, 2.0 * np.pi),)
-    while True:
-        a = rng.uniform(0.0, 2.0 * np.pi)
-        g = rng.uniform(0.0, 2.0 * np.pi)
-        b = np.arccos(rng.uniform(-1.0, 1.0))
-        if np.sin(b) > 1e-12:  # resample off the chart boundary
-            return (a, b, g)
+def _sample_angles(n: int, rng, size: int) -> np.ndarray:
+    """Chart angles (size, k) of Haar-distributed SO(n) elements; at n = 3
+    beta = arccos of a uniform cosine, which may land on the chart boundary."""
+    if n <= 2:
+        return rng.uniform(0.0, 2.0 * np.pi, (size, n - 1))
+    a, g = rng.uniform(0.0, 2.0 * np.pi, (2, size))
+    return np.stack([a, np.arccos(rng.uniform(-1.0, 1.0, size)), g], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +224,9 @@ def _jacobian_dets(n: int, params: np.ndarray, step: float = 1e-6) -> np.ndarray
 
 
 def _chart_params(L, q, R) -> np.ndarray:
-    """Parameter row (L-angles, q, R-angles) of two-polar factors."""
+    """Parameter rows (..., n*n), (L-angles, q, R-angles), of two-polar factors."""
     return np.concatenate([angles_from_rotation(L), np.asarray(q, float),
-                           angles_from_rotation(R)])
+                           angles_from_rotation(R)], axis=-1)
 
 
 def jacobian_oracle(factors: TwoPolarFactors, step: float = 1e-6) -> float:
@@ -252,28 +256,26 @@ def measure_check_report(n: int, points: int = 100, seed: int = 0) -> dict:
     """Fit the sinh exponent and constant of the two-polar Haar density
     against the numeric Jacobian at random points.
 
-    The points are drawn one at a time in seed order; their Jacobians and
-    densities are then evaluated as (points, ...) stacks.
+    Candidates come in blocks of twice the points missing (q, then L's and
+    R's angles); the points are the first ``points`` of at most 50 * points
+    with q gaps >= 5e-2 and L, R off the chart boundary, evaluated as stacks.
     """
     if not 1 <= n <= 3:
         raise ValueError("measure-check supports 1 <= n <= 3")
     if points < 1:
         raise ValueError("points must be at least 1")
     rng = rng_from_seed(seed)
-    rows = []
-    attempts = 0
-    while len(rows) < points and attempts < 50 * points:
-        attempts += 1
-        q = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
-        if n > 1 and np.min(-np.diff(q)) < 5e-2:
-            continue
-        L = rotation_from_angles(n, _sample_angles(n, rng))
-        R = rotation_from_angles(n, _sample_angles(n, rng))
-        try:  # only the z-y-z chart (n = 3) has a boundary
-            rows.append(_chart_params(L, q, R))
-        except DegenerateSpectrum:
-            continue
-    params = np.array(rows)
+    params, attempts = np.empty((0, n * n)), 0
+    while len(params) < points and attempts < 50 * points:
+        batch = min(2 * (points - len(params)), 50 * points - attempts)
+        attempts += batch
+        q = np.sort(rng.uniform(-1.0, 1.0, (batch, n)), axis=-1)[:, ::-1]
+        L = rotation_from_angles(n, _sample_angles(n, rng, batch))
+        R = rotation_from_angles(n, _sample_angles(n, rng, batch))
+        keep = (-np.diff(q)).min(axis=-1, initial=np.inf) >= 5e-2
+        keep &= _on_chart(L) & _on_chart(R)
+        params = np.concatenate([params, _chart_params(L[keep], q[keep], R[keep])])
+    params = params[:points]
     n_ang = n * (n - 1) // 2
     q = params[:, n_ang:n_ang + n]
     sinh = _sinh_product(q)
@@ -294,5 +296,5 @@ def measure_check_report(n: int, points: int = 100, seed: int = 0) -> dict:
         "constant_c": constant,
         "expected_constant": 2.0 ** (n * (n - 1) // 2),
         "max_rel_err": max_rel_err,
-        "points": len(rows),
+        "points": len(params),
     }

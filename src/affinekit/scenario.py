@@ -318,6 +318,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ValidationError(f"integrator.method must be one of {INTEGRATION_METHODS}")
     dt = _num(integ, "dt", "integrator", 1e-3, positive=True)
     T = _num(integ, "T", "integrator", 1.0, minimum=0.0)
+    # integrate holds every sample, (steps + 1) x D float64s with steps <= T / dt + 1
+    if not (T / dt + 2) * 16 * N * n * (n + 1) <= np.iinfo(np.intp).max:
+        raise ValidationError(f"'integrator.T' = {T!r} takes too many steps of dt = {dt!r} "
+                              "to hold every sample in one array")
     out_dir = _typed(_typed(d.get("output", {}), dict, "output").get("dir", ""), str, "output.dir")
     return Scenario(n=n, N=N, model=model, params=params, potential=potential,
                     initial=initial, generate_scale=scale, method=method, dt=dt,
