@@ -14,8 +14,8 @@ from .dynamics import (ChargeRecord, PhaseState, Trajectory, hamilton_rhs,
 from .errors import (AffineKitError, ConvergenceFailure, DegenerateMetric,
                      DegenerateSpectrum, DomainOverflow, InvalidInertia,
                      IterationDiverged, MissingParams, NegativeOrientation,
-                     NonDifferentiable, ParseError, SingularInput, StateInvalid,
-                     ValidationError)
+                     NonDifferentiable, ParseError, RunTooLong, SingularInput,
+                     StateInvalid, ValidationError)
 from .kinematics import (BodyConfig, DeformationTensors, MutualTensors,
                          SystemConfig, VelocityState, act_material, act_spatial,
                          affine_velocity, deformation_tensors, eig_invariants,

@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AffineKitError, IterationDiverged, StateInvalid
+from .errors import AffineKitError, IterationDiverged, RunTooLong, StateInvalid
 from .kinematics import SystemConfig
 from .kinetics import KineticForm, KineticModel, MomentumState, compile_kinetics
 from .matcore import DET_FLOOR, det_inv, singular_values, unchecked_det
@@ -573,7 +573,11 @@ def integrate(model: KineticModel, params, spec: PotentialSpec, s0: PhaseState,
     eps = 1e-12 * max(1.0, T)
     steps = int(np.ceil((T - eps) / dt)) if T > eps else 0
     z = _pack(s0)
-    zs = np.empty((steps + 1, z.size))
+    try:
+        zs = np.empty((steps + 1, z.size))
+    except MemoryError:
+        raise RunTooLong(f"T = {T!r} takes {steps} steps of dt = {dt!r}, whose samples "
+                         f"need {(steps + 1) * z.size * 8} bytes") from None
     times = s0.time + np.arange(steps + 1) * dt
     hs = np.full(steps, dt)         # step lengths, the last one cut to end at T
     if steps:

@@ -37,6 +37,10 @@ class StateInvalid(AffineKitError):
     """A phase-space state left the admissible region (det phi at the floor)."""
 
 
+class RunTooLong(AffineKitError, MemoryError):
+    """A run's samples, stored up front, do not fit in memory."""
+
+
 class ConvergenceFailure(AffineKitError):
     """An eigensolver did not converge."""
 

@@ -15,11 +15,13 @@ is pure roundoff):
 The kinetic operator is -(hbar^2 / 2 alpha_eff) d2/dq2 with Dirichlet box
 ends, where alpha_eff = I + A + B is the one-dimensional reduction of the
 isotropic affine inertia triple.  Dirichlet walls are a choice made here:
-use potentials that confine well inside [q_min, q_max].
+use potentials that confine well inside [q_min, q_max].  A grid builds q and
+its measure weights once, on first use, as read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +58,22 @@ class QGrid:
     def h(self) -> float:
         return (self.q_max - self.q_min) / (self.m - 1)
 
-    @property
+    @functools.cached_property
     def q(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.m)
+        q = np.linspace(self.q_min, self.q_max, self.m)
+        q.flags.writeable = False
+        return q
 
     def weights(self, measure: str) -> np.ndarray:
         if measure not in MEASURE_TAGS:
             raise ValueError(f"unknown measure tag {measure!r}")
-        return np.ones(self.m) if measure == "haar" else np.exp(self.q)
+        return self._weights[measure]
+
+    @functools.cached_property
+    def _weights(self) -> dict:
+        haar, lebesgue = np.ones(self.m), np.exp(self.q)
+        haar.flags.writeable = lebesgue.flags.writeable = False
+        return {"haar": haar, "lebesgue": lebesgue}
 
     def inner(self, f: np.ndarray, g: np.ndarray, measure: str) -> complex:
         return complex(self.h * np.sum(np.conj(f) * self.weights(measure) * g))
@@ -148,17 +158,20 @@ def build_hamiltonian_1d(grid: QGrid, V) -> TridiagonalOperator:
     return TridiagonalOperator(grid=grid, diag=diag, off=off)
 
 
-def solve_spectrum(op: TridiagonalOperator, k: int) -> tuple[np.ndarray, list]:
-    """Lowest k eigenpairs, eigenvectors normalized in the Haar inner product."""
+def _solve_tridiagonal(op: TridiagonalOperator, k: int, eigvals_only: bool):
+    """Lowest k eigenvalues (LAPACK dstebz), and their eigenvectors unless eigvals_only."""
     from scipy.linalg import eigh_tridiagonal  # scipy loads only when a spectrum is solved
-
     if k < 1 or k > len(op.diag):
         raise ValueError("k must be between 1 and the interior size")
     try:
-        energies, vecs = eigh_tridiagonal(op.diag, op.off, select="i",
-                                          select_range=(0, k - 1))
+        return eigh_tridiagonal(op.diag, op.off, eigvals_only, select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure("tridiagonal eigensolver failed") from exc
+
+
+def solve_spectrum(op: TridiagonalOperator, k: int) -> tuple[np.ndarray, list]:
+    """Lowest k eigenpairs, eigenvectors normalized in the Haar inner product."""
+    energies, vecs = _solve_tridiagonal(op, k, eigvals_only=False)
     states = []
     for j in range(k):
         full = np.zeros(op.grid.m, dtype=complex)
@@ -213,12 +226,11 @@ def hermiticity_check(grid: QGrid, op_kind: str, measure: str) -> float:
         f = _bump(grid, center, width, wavenumber)
         norm = np.sqrt(abs(grid.inner(f, f, measure)))
         fams.append(f / norm)
+    applied = [_apply_operator(op_kind, grid, f) for f in fams]
     defect = 0.0
-    for f in fams:
-        for g in fams:
-            lhs = grid.inner(f, _apply_operator(op_kind, grid, g), measure)
-            rhs = grid.inner(_apply_operator(op_kind, grid, f), g, measure)
-            defect = max(defect, abs(lhs - rhs))
+    for f, op_f in zip(fams, applied):
+        for g, op_g in zip(fams, applied):
+            defect = max(defect, abs(grid.inner(f, op_g, measure) - grid.inner(op_f, g, measure)))
     return defect
 
 

@@ -41,6 +41,7 @@ import os
 import numpy as np
 
 from .dynamics import Trajectory, integrate
+from .errors import RunTooLong
 from .scenario import Scenario
 
 
@@ -336,9 +337,12 @@ def solver_telemetry(traj: Trajectory) -> dict:
 def run(scenario: Scenario, out_dir) -> dict:
     """Integrate the scenario and write its artifacts; returns the summary.
     Bad input raises from integrate before the output directory is made."""
-    traj = integrate(scenario.model, scenario.params, scenario.potential,
-                     scenario.initial_state(), dt=scenario.dt, T=scenario.T,
-                     method=scenario.method)
+    try:
+        traj = integrate(scenario.model, scenario.params, scenario.potential,
+                         scenario.initial_state(), dt=scenario.dt, T=scenario.T,
+                         method=scenario.method)
+    except RunTooLong as exc:
+        raise RunTooLong(f"'integrator.T': {exc}") from None
     os.makedirs(out_dir, exist_ok=True)
     traj_hash = write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     write_charges_csv(os.path.join(out_dir, "charges.csv"), traj)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from affinekit import qdesk
 from affinekit.errors import DomainOverflow, InvalidInertia
-from affinekit.qdesk import (QGrid, WaveFunction, build_hamiltonian_1d,
-                             gaussian_packet, hermiticity_check,
+from affinekit.qdesk import (HERMITIAN_UNDER, MEASURE_TAGS, QGrid, WaveFunction,
+                             build_hamiltonian_1d, gaussian_packet, hermiticity_check,
                              invariant_distribution, shift_action_check,
                              shift_wavefunction, solve_spectrum)
 
@@ -47,8 +48,43 @@ def test_grid_rejects_non_finite_values(field, value):
         QGrid(**kwargs)
 
 
+def test_grid_arrays_are_built_once_and_read_only():
+    grid = QGrid(-5.0, 5.0, 100)
+    assert grid.q is grid.q
+    np.testing.assert_array_equal(grid.q, np.linspace(-5.0, 5.0, 100))
+    arrays = [grid.q]
+    for measure in MEASURE_TAGS:
+        assert grid.weights(measure) is grid.weights(measure)
+        arrays.append(grid.weights(measure))
+    np.testing.assert_array_equal(grid.weights("lebesgue"), np.exp(grid.q))
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # equal grids stay equal and hashable whichever arrays they have built
+    assert grid == QGrid(-5.0, 5.0, 100) and hash(grid) == hash(QGrid(-5.0, 5.0, 100))
+
+
 # ---------------------------------------------------------------------------
 # spectra
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+@pytest.mark.parametrize("V", [harmonic(1.0), lambda q: 0.1 * q ** 4 - q * q],
+                         ids=["harmonic", "double_well"])
+def test_levels_alone_equal_the_spectrum_energies_bit_for_bit(k, V):
+    op = build_hamiltonian_1d(GRID, V)
+    levels = qdesk._solve_tridiagonal(op, k, eigvals_only=True)
+    energies, _ = solve_spectrum(op, k)
+    assert levels.dtype == energies.dtype and levels.tobytes() == energies.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 3999])
+def test_levels_validate_k_as_the_spectrum_does(k):
+    op = build_hamiltonian_1d(GRID, harmonic(1.0))
+    for solve in (lambda: qdesk._solve_tridiagonal(op, k, eigvals_only=True),
+                  lambda: solve_spectrum(op, k)):
+        with pytest.raises(ValueError, match="k must be between"):
+            solve()
+
 
 def test_harmonic_levels():
     op = build_hamiltonian_1d(GRID, harmonic(1.0))
@@ -110,6 +146,39 @@ def test_corrected_sigma_hermitian_under_lebesgue():
 
 def test_momentum_hermitian_under_lebesgue():
     assert hermiticity_check(GRID, "momentum_p", "lebesgue") <= 1e-10
+
+
+def _hermiticity_reference(grid, op_kind, measure):
+    """The defect with the operator applied on both sides of every pair."""
+    span, mid = grid.q_max - grid.q_min, 0.5 * (grid.q_min + grid.q_max)
+    fams = []
+    for center, width, wavenumber in ((mid, 0.30 * span, 0.0),
+                                      (mid - 0.12 * span, 0.22 * span, 2.0),
+                                      (mid + 0.10 * span, 0.25 * span, -3.0),
+                                      (mid, 0.35 * span, 5.0)):
+        f = qdesk._bump(grid, center, width, wavenumber)
+        fams.append(f / np.sqrt(abs(grid.inner(f, f, measure))))
+    defect = 0.0
+    for f in fams:
+        for g in fams:
+            lhs = grid.inner(f, qdesk._apply_operator(op_kind, grid, g), measure)
+            rhs = grid.inner(qdesk._apply_operator(op_kind, grid, f), g, measure)
+            defect = max(defect, abs(lhs - rhs))
+    return defect
+
+
+@pytest.mark.parametrize("grid", [GRID, QGrid(-8.0, 8.0, 2000)], ids=["m4000", "m2000"])
+@pytest.mark.parametrize("kind,measure",
+                         list(HERMITIAN_UNDER.items()) + [("Sigma", "lebesgue")])
+def test_hermiticity_check_applies_each_operator_once_and_keeps_its_bytes(
+        grid, kind, measure, monkeypatch):
+    expected = _hermiticity_reference(grid, kind, measure)
+    calls = []
+    apply = qdesk._apply_operator
+    monkeypatch.setattr(qdesk, "_apply_operator",
+                        lambda *args: calls.append(args[0]) or apply(*args))
+    assert hermiticity_check(grid, kind, measure).hex() == expected.hex()
+    assert calls == [kind] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from affinekit.cli import main as cli_main
 from affinekit.dynamics import integrate
-from affinekit.errors import ParseError, ValidationError
+from affinekit.errors import ParseError, RunTooLong, ValidationError
 from affinekit.runner import run, trajectory_header
 from affinekit.scenario import (Scenario, bundled_scenario_path, generate_initial,
                                 parse_scenario, scenario_from_dict, scenario_to_dict,
@@ -803,6 +803,20 @@ PINNED_REPORTS = {
 }
 
 
+# sha256 of the stdout of the default `affinekit spectrum` (numpy 2.4, scipy
+# 1.17, x86-64): its five levels and its three Hermiticity defects on the
+# 4000-point grid, a grid the qdesk suite's Hermiticity check does not use.
+PINNED_SPECTRUM_REPORT = "e045eeb43adc35e283c0e0dbc24ed47208afd7745c0f170db5a1b3b459418c91"
+
+
+def test_spectrum_report_equals_the_pinned_bytes(tmp_path, capsys):
+    import hashlib
+
+    assert cli_main(["spectrum", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPECTRUM_REPORT
+
+
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
 def test_check_reports_equal_the_pinned_bytes(argv, capsys):
     import hashlib
@@ -855,6 +869,34 @@ def test_a_run_too_long_to_hold_is_a_validation_error(T, tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")]) == 1
     assert "'integrator.T'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_run_too_long_for_memory_names_its_field(tmp_path, capsys):
+    """T = 1e14 passes the index-range test, but its (steps + 1) x D sample
+    array (4.8e18 bytes) cannot be allocated: the run exits 1 with one error
+    line naming integrator.T, the step count and the bytes, and makes no
+    output directory."""
+    d = _bundled_dict("afaf_dilatation_stabilized")
+    d["integrator"]["T"] = 1e14
+    (tmp_path / "s.json").write_text(json.dumps(d))
+    assert cli_main(["run", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: 'integrator.T': T = 100000000000000.0")
+    assert "49999999999950000 steps" in err and f"{49999999999950001 * 12 * 8} bytes" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integrate_names_a_run_too_long_for_memory_in_its_own_terms():
+    """integrate takes T as an argument: its MemoryError names T, not the
+    scenario field, and is still a MemoryError."""
+    d = _bundled_dict("afaf_dilatation_stabilized")
+    d["integrator"]["T"] = 1e14
+    sc = scenario_from_dict(d)
+    with pytest.raises(RunTooLong, match=r"^T = 100000000000000\.0 takes 49999999999950000 "
+                                         r"steps of dt = 0\.002") as info:
+        integrate(sc.model, sc.params, sc.potential, sc.initial_state(), dt=sc.dt, T=sc.T,
+                  method=sc.method)
+    assert isinstance(info.value, MemoryError)
 
 
 # sha256 of the CSV artifacts, recorded while every value was formatted by
