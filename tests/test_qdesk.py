@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,26 @@ def test_grid_rejects_non_finite_values(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         QGrid(**kwargs)
+
+
+@pytest.mark.parametrize("q_min,q_max,field", [(-10.0, 800.0, "q_max"),
+                                               (-800.0, -10.0, "q_min"),
+                                               (-710.0, 710.0, "q_max")])
+def test_grid_rejects_bounds_whose_exponential_overflows(q_min, q_max, field):
+    """e^q (the Lebesgue weight) and e^-q (in momentum_p) must be finite on
+    the grid: an overflowing bound is an error naming it, raised without a
+    warning, so no Hermiticity defect is computed on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{field} = .* overflows"):
+            QGrid(q_min, q_max, 2000)
+
+
+def test_grid_accepts_bounds_just_inside_the_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = QGrid(-709.78, 709.78, 16)
+        assert np.isfinite(grid.weights("lebesgue")).all() and np.isfinite(np.exp(-grid.q)).all()
 
 
 def test_grid_arrays_are_built_once_and_read_only():
@@ -181,8 +204,94 @@ def test_hermiticity_check_applies_each_operator_once_and_keeps_its_bytes(
     assert calls == [kind] * 4
 
 
+def test_hermiticity_check_keeps_a_nan_defect(monkeypatch):
+    """A NaN in one pair's defect is the result: max(0.0, nan) would drop it
+    and report the finite maximum of the other pairs."""
+    apply = qdesk._apply_operator
+    calls = []
+
+    def nan_in_second_family(kind, grid, f):
+        out = apply(kind, grid, f)
+        calls.append(kind)
+        if len(calls) == 2:
+            out[grid.m // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(qdesk, "_apply_operator", nan_in_second_family)
+    assert math.isnan(hermiticity_check(QGrid(-8.0, 8.0, 2000), "Sigma", "haar"))
+
+
 # ---------------------------------------------------------------------------
 # shift exponentials
+
+def _cubic_spline_shift(psi, z):
+    """The shift as two scipy CubicSplines, the reference for the bytes."""
+    from scipy.interpolate import CubicSpline
+
+    grid = psi.grid
+    target = grid.q + z
+    inside = (target >= grid.q_min) & (target <= grid.q_max)
+    out = np.zeros(grid.m, dtype=complex)
+    re, im = CubicSpline(grid.q, psi.values.real), CubicSpline(grid.q, psi.values.imag)
+    out[inside] = re(target[inside]) + 1j * im(target[inside])
+    return out
+
+
+# the 16-point minimum, 2000- and 4000-point grids with symmetric and
+# asymmetric bounds; where the spacing is a power of two, a shift by a
+# multiple of it lands exactly on the knots
+SHIFT_GRIDS = {
+    "m16": QGrid(-7.5, 7.5, 16),
+    "m16_asym": QGrid(-3.1, 8.2, 16),
+    "m2000": QGrid(-8.0, 8.0, 2000),
+    "m2000_asym": QGrid(-5.0, -5.0 + 1999 / 128, 2000),
+    "m4000": GRID,
+    "m4000_asym": QGrid(-6.0, -6.0 + 3999 / 256, 4000),
+}
+
+
+@pytest.mark.parametrize("wavenumber", [2.5, 0.0], ids=["complex", "real"])
+@pytest.mark.parametrize("z", [0.3, -0.45, "h", "-2h"])
+@pytest.mark.parametrize("name", list(SHIFT_GRIDS))
+def test_shift_is_bit_identical_to_cubic_spline(name, z, wavenumber):
+    grid = SHIFT_GRIDS[name]
+    if isinstance(z, str):
+        z = {"h": grid.h, "-2h": -2 * grid.h}[z]
+        if math.log2(grid.h).is_integer():
+            target = grid.q + z
+            inside = (target >= grid.q_min) & (target <= grid.q_max)
+            assert np.isin(target[inside], grid.q).all()
+    psi = gaussian_packet(grid, center=0.5 * (grid.q_min + grid.q_max),
+                          width=(grid.q_max - grid.q_min) / 30, wavenumber=wavenumber)
+    assert psi.values.imag.any() == bool(wavenumber)
+    shifted = shift_wavefunction(psi, z).values
+    assert shifted.dtype == complex and shifted.tobytes() == _cubic_spline_shift(psi, z).tobytes()
+
+
+def test_spline_is_bit_identical_to_cubic_spline_on_random_data():
+    """Random values on random grids, read at both ends, at interior knots and
+    between them: the shift's DomainOverflow contract keeps the spline's end
+    rows on values near roundoff, so this is where they are checked."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(2808)
+    for _ in range(100):
+        m = int(rng.integers(16, 300))
+        q_min = rng.uniform(-10.0, 0.0)
+        x = np.linspace(q_min, q_min + rng.uniform(1.0, 20.0), m)
+        y = rng.normal(size=(m, 2))
+        t = np.sort(np.concatenate([x[[0, -1]], x[rng.integers(1, m - 1, 5)],
+                                    rng.uniform(x[0], x[-1], 40)]))
+        expected = np.stack([CubicSpline(x, y[:, 0])(t), CubicSpline(x, y[:, 1])(t)], axis=1)
+        assert qdesk._not_a_knot_spline(x, y, t).tobytes() == expected.tobytes()
+
+
+def test_shift_rejects_non_finite_values():
+    values = gaussian_packet(GRID).values.copy()
+    values[7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        shift_wavefunction(WaveFunction(GRID, values), 0.3)
+
 
 def test_shift_zero_is_exact():
     psi = gaussian_packet(GRID, center=0.0, width=1.0)
@@ -206,7 +315,7 @@ def test_shift_composition():
 
 def test_shift_overflow_raises():
     psi = gaussian_packet(GRID, center=8.0, width=1.0)
-    with pytest.raises(DomainOverflow):
+    with pytest.raises(DomainOverflow, match=r"^shift z = 5.0 moves the support off the grid$"):
         shift_wavefunction(psi, 5.0)
 
 

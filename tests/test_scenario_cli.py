@@ -303,6 +303,21 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(child_env):
     assert proc.stdout.strip() == "[]"
 
 
+def test_qdesk_commands_leave_scipy_interpolate_unloaded(tmp_path, child_env):
+    """``check qdesk`` and ``spectrum`` use scipy.linalg alone: the shift
+    spline is built without scipy.interpolate, whose import also loads
+    scipy.optimize and scipy.sparse (about 23 MB of RSS)."""
+    code = ("import sys; from affinekit.cli import main; "
+            "assert main(['check', 'qdesk']) == 0; "
+            f"assert main(['spectrum', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.sparse') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_aborted_run_exit_code(tmp_path):
     d = {
         "schema_version": 1, "n": 2, "N": 1,
@@ -736,6 +751,24 @@ def test_cli_spectrum_rejects_non_finite_grid_values(tmp_path, capsys, flag, val
     assert f"{field} must be finite" in err
     assert "RuntimeWarning" not in err
     assert not (tmp_path / "rho.csv").exists()
+
+
+@pytest.mark.parametrize("argv,field", [(["--qmax", "800", "--points", "2000"], "q_max"),
+                                        (["--qmin", "-800", "--qmax", "-10",
+                                          "--potential", "zero"], "q_min")])
+def test_cli_spectrum_rejects_a_grid_whose_exponential_overflows(tmp_path, capsys, argv, field):
+    """e^q or e^-q overflowing on the grid is an error naming the bound, raised
+    before a Hermiticity defect could read 0.0 after numpy's warnings."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["spectrum", *argv, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} = ") and "overflows" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("suite", ["legendre", "invariance", "brackets",
