@@ -30,6 +30,7 @@ and G^-1 once; the public functions below are thin views over it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,13 @@ class InertiaParams:
         Built on first use for each (internal, n) and kept with these
         (immutable) constants.  Raises MissingParams or DegenerateMetric.
         """
-        cache = self.__dict__.setdefault("_metrics", {})
-        if (internal, n) not in cache:
-            cache[internal, n] = _internal_metric(internal, self, n)
-        return cache[internal, n]
+        if (internal, n) not in self._metrics:
+            self._metrics[internal, n] = _internal_metric(internal, self, n)
+        return self._metrics[internal, n]
+
+    @functools.cached_property
+    def _metrics(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,6 @@ class MomentumState:
         """Skew vorticity V_K = Sigma_hat_K - Sigma_hat_K.T."""
         s = self.sigma_hat(config)
         return s - np.transpose(s, (0, 2, 1))
-
-
-def params_for_body(params, K: int) -> InertiaParams:
-    """Resolve shared vs per-body inertia parameters."""
-    if isinstance(params, InertiaParams):
-        return params
-    return params[K]
 
 
 def tilde_constants(I: float, A: float, B: float, n: int) -> TildeConstants:
@@ -357,11 +354,10 @@ def compile_kinetics(model: KineticModel, params, n: int, N: int) -> KineticForm
         G, Ginv = params.metric(internal, n)
         M = np.full((N, 1), float(params.M))
     else:
-        per_body = [params_for_body(params, K) for K in range(N)]
-        forms = [pk.metric(internal, n) for pk in per_body]
+        forms = [params[K].metric(internal, n) for K in range(N)]
         G = np.stack([f[0] for f in forms])
         Ginv = np.stack([f[1] for f in forms])
-        M = np.array([[float(pk.M)] for pk in per_body])
+        M = np.array([[float(params[K].M)] for K in range(N)])
     return KineticForm(frame=frame, comoving_p=model.translational == "af-is",
                        M=M, G=G, Ginv=Ginv)
 

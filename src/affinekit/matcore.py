@@ -29,6 +29,10 @@ values are within a few eps s1 of the exact ones, as LAPACK's are, while
 a d - b c neither overflows nor underflows.  Taking s2 from the det rather
 than from the difference of the two hypots keeps s1 s2 = |det| to
 roundoff, so q1 + q2 = log|det| in the charges.
+
+``two_polar_decompose`` holds the one SVD, with the sign of det L from
+``unchecked_det``; ``polar_decompose`` forms L R^T, R D R^T and L D L^T of
+its factors, bit-equal to the unflipped SVD's (the flip negates both factors).
 """
 
 from __future__ import annotations
@@ -186,13 +190,8 @@ def polar_decompose(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     U is special orthogonal, A = sqrt(phi.T phi) and B = U A U^-1 are symmetric
     positive definite.  Input must have positive determinant.
     """
-    m = as_matrix(phi)
-    checked_det(m, require_positive=True)
-    W, s, Vt = np.linalg.svd(m)
-    U = W @ Vt
-    A = Vt.T @ np.diag(s) @ Vt
-    B = W @ np.diag(s) @ W.T
-    return U, A, B
+    f = two_polar_decompose(as_matrix(phi))
+    return f.L @ f.R.T, f.R @ f.D @ f.R.T, f.L @ f.D @ f.L.T
 
 
 def two_polar_decompose(phi) -> TwoPolarFactors:
@@ -207,7 +206,7 @@ def two_polar_decompose(phi) -> TwoPolarFactors:
     checked_det(m, require_positive=True)
     L, s, Vt = np.linalg.svd(m)
     R = np.swapaxes(Vt, -1, -2)
-    sign = np.where(np.linalg.det(L) < 0.0, -1.0, 1.0)[..., None]
+    sign = np.where(unchecked_det(L) < 0.0, -1.0, 1.0)[..., None]
     L[..., -1] *= sign
     R[..., -1] *= sign
     D = np.zeros(m.shape)

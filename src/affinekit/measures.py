@@ -19,6 +19,8 @@ pairs i < j and the constant to 2^(n(n-1)/2):
 
 Sampling draws from ``sampling.rng_from_seed``, the Philox counter-based
 generator, so every stream is reproducible from its seed alone.
+``sample_orthogonal`` is Mezzadri's Haar sampler on SO(n), n <= 4, from
+``sampling``; only ``measure_check_report`` draws chart angles.
 
 ``rotation_from_angles`` takes chart parameters (..., k) and returns a stack
 (..., n, n); ``_chart_map`` maps parameter rows (..., n*n) to flattened phi.
@@ -34,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .matcore import TwoPolarFactors, as_matrices, checked_det
-from .sampling import rng_from_seed
+from .matcore import MAX_DIM, TwoPolarFactors, as_matrices, checked_det
+from .sampling import orthogonal_from_normal, rng_from_seed
 
 MEASURE_KINDS = ("lebesgue_a", "haar_alpha", "lebesgue_l", "haar_lambda")
 
@@ -163,23 +165,15 @@ def chart_weight(n: int, angles):
 
 
 def sample_orthogonal(n: int, seed: int, count: int | None = None) -> np.ndarray:
-    """Haar-distributed SO(n) samples, n <= 3, Philox stream per seed.
+    """Haar-distributed SO(n) samples, 1 <= n <= 4, Philox stream per seed.
 
     Returns one (n, n) matrix, or a (count, n, n) stack when count is given,
-    from chart angles drawn in blocks of the samples still missing.
+    by ``orthogonal_from_normal`` from one standard normal draw of that shape.
     """
-    if not 1 <= n <= 3:
-        raise ValueError("sample_orthogonal supports 1 <= n <= 3")
-    rng = rng_from_seed(seed)
-    want = 1 if count is None else int(count)
-    angles = np.empty((0, n * (n - 1) // 2))
-    while len(angles) < want:
-        block = _sample_angles(n, rng, want - len(angles))
-        if n == 3:  # resample off the chart boundary
-            block = block[np.sin(block[:, 1]) > 1e-12]
-        angles = np.concatenate([angles, block])
-    out = rotation_from_angles(n, angles)
-    return out[0] if count is None else out
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"sample_orthogonal supports 1 <= n <= {MAX_DIM}")
+    shape = (n, n) if count is None else (int(count), n, n)
+    return orthogonal_from_normal(rng_from_seed(seed).standard_normal(shape))
 
 
 def _sample_angles(n: int, rng, size: int) -> np.ndarray:

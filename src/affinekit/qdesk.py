@@ -225,13 +225,16 @@ def _bump(grid: QGrid, center: float, width: float, wavenumber: float) -> np.nda
     return vals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm or defect raises
 def hermiticity_check(grid: QGrid, op_kind: str, measure: str) -> float:
     """Max |<f, Op g> - <Op f, g>| over a family of compact test pairs.
 
     Test functions are normalized in the tagged inner product, so the defect
     is scale free: ~1e-16 for a formally Hermitian pairing and O(1) for a
-    broken one (the uncorrected generator under the Lebesgue weight).
+    broken one (the uncorrected generator under the Lebesgue weight).  A norm
+    not finite and positive, or a defect not finite, raises ValueError.
     """
+    where = f"{op_kind} under the {measure} measure on q in [{grid.q_min!r}, {grid.q_max!r}]"
     span = grid.q_max - grid.q_min
     mid = 0.5 * (grid.q_min + grid.q_max)
     fams = []
@@ -243,11 +246,17 @@ def hermiticity_check(grid: QGrid, op_kind: str, measure: str) -> float:
     ):
         f = _bump(grid, center, width, wavenumber)
         norm = np.sqrt(abs(grid.inner(f, f, measure)))
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"hermiticity check of {where}: a test function's weighted norm "
+                             f"is {norm}, not finite and positive")
         fams.append(f / norm)
     applied = [_apply_operator(op_kind, grid, f) for f in fams]
     # np.max keeps a NaN defect, where max(0.0, nan) would drop it
-    return float(np.max([abs(grid.inner(f, op_g, measure) - grid.inner(op_f, g, measure))
-                         for f, op_f in zip(fams, applied) for g, op_g in zip(fams, applied)]))
+    defect = float(np.max([abs(grid.inner(f, op_g, measure) - grid.inner(op_f, g, measure))
+                           for f, op_f in zip(fams, applied) for g, op_g in zip(fams, applied)]))
+    if not np.isfinite(defect):
+        raise ValueError(f"hermiticity check of {where}: the defect is {defect}, not finite")
+    return defect
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ uniform in [-1, 1] and keep those that clear a determinant floor (|det| >
 conditioned for 1e-12-level identity checks.  ``size=None`` draws one (n, n)
 candidate at a time and returns the first kept; ``size=S`` draws blocks of
 _BLOCK x the matrices still missing and returns the first S kept, in draw
-order.  The accept test takes det elementwise in closed form at n <= 3.  At
+order.  The accept test takes det elementwise in closed form at n <= 3,
+``matcore.unchecked_det``'s at n <= 2 and a cofactor expansion at n = 3.  At
 n > 3, and for a block with a closed form (or, for ``random_invertible``,
 its absolute value) within ``ACCEPT_GUARD`` = 1e-12 of the floor,
 ``np.linalg.det`` decides.  On [-1, 1] entries the two forms differ by at
@@ -17,16 +18,19 @@ draw keeps what a LAPACK-only test would keep from the same candidates.
 *How to generate random matrices from the classical compact groups*,
 Notices AMS 2007): the Q factor of a Gaussian matrix with its columns
 multiplied by the signs of diag R, and with ``special`` the first column of
-each member of det -1 negated, which lands in SO(n).  It takes a stack
-(..., n, n) and factors it with one stacked QR, bit-equal to factoring each
-member alone.  ``random_orthogonal`` applies it to one
+each member of det -1 (by ``unchecked_det``) negated, which lands in SO(n).
+It takes a stack (..., n, n) and factors it with one stacked QR, bit-equal
+to factoring each member alone.  ``random_orthogonal`` applies it to one
 ``rng.standard_normal((n, n))`` draw, its only generator call, so callers
-can draw a block of Gaussian matrices and map them all at once.
+can draw a block of Gaussian matrices and map them all at once;
+``measures.sample_orthogonal`` is the same sampler on a seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .matcore import unchecked_det
 
 ACCEPT_GUARD = 1e-12
 _BLOCK = 4        # candidates drawn per matrix still missing
@@ -36,15 +40,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _closed_det(m) -> np.ndarray:
-    """Elementwise closed-form det of a 1x1, 2x2 or 3x3 m (n, n) or stack (S, n, n)."""
-    x = np.reshape(m, np.shape(m)[:-2] + (-1,)).T   # entries row by row, members last
-    if len(x) == 1:
-        return x[0]
-    if len(x) == 4:
-        a, b, c, d = x
-        return a * d - b * c
-    a, b, c, d, e, f, g, h, i = x
+def _closed_det(m: np.ndarray) -> np.ndarray:
+    """Elementwise closed-form det of m (n, n) or a stack (S, n, n), n <= 3:
+    ``unchecked_det``'s at n <= 2, the cofactor expansion at n = 3."""
+    if m.shape[-1] <= 2:
+        return unchecked_det(m)
+    a, b, c, d, e, f, g, h, i = m.reshape(m.shape[:-2] + (9,)).T  # members last
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
@@ -84,7 +85,7 @@ def orthogonal_from_normal(g: np.ndarray, special: bool = True) -> np.ndarray:
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     if special:
-        q[..., 0] *= np.sign(np.linalg.det(q))[..., None]  # det q is +-1
+        q[..., 0] *= np.sign(unchecked_det(q))[..., None]  # det q is +-1
     return q
 
 

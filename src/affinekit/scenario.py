@@ -88,7 +88,7 @@ def generate_initial(n: int, N: int, seed: int, scale: float = GENERATE_SCALE) -
     x = scale * rng.standard_normal((N, n))
     phi = np.stack([np.eye(n) + scale * rng.standard_normal((n, n)) for _ in range(N)])
     for K in range(N):
-        while np.linalg.det(phi[K]) < 0.2:
+        while unchecked_det(phi[K]) < 0.2:
             phi[K] = np.eye(n) + scale * rng.standard_normal((n, n))
     p = scale * rng.standard_normal((N, n))
     pi = scale * rng.standard_normal((N, n, n))

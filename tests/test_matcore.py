@@ -52,6 +52,27 @@ def test_polar_rejects_singular_and_flipped():
         polar_decompose(np.diag([1.0, -1.0]))
 
 
+def svd_polar(phi):
+    """(U, A, B) from one SVD of phi's own, the reference for the bytes."""
+    W, s, Vt = np.linalg.svd(phi)
+    return W @ Vt, Vt.T @ np.diag(s) @ Vt, W @ np.diag(s) @ W.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polar_is_bit_equal_to_the_factors_of_its_svd(n, glplus):
+    """Built on two_polar_decompose, whose column flip negates both factors
+    of each product it enters, U, A and B keep the bytes of the unflipped
+    SVD, at every scale and also where the flip ran."""
+    flipped = 0
+    # diag(1..n): its singular values come out reversed, at n = 3 by a reflection
+    for phi in [glplus(n) for _ in range(100)] + [np.diag(np.arange(1.0, n + 1))]:
+        flipped += bool(np.linalg.det(np.linalg.svd(phi)[0]) < 0)
+        for scale in (1e-2, 1.0, 1e2):
+            got, want = polar_decompose(scale * phi), svd_polar(scale * phi)
+            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+    assert flipped > 0 or n == 1
+
+
 def test_two_polar_identity():
     f = two_polar_decompose(np.eye(2))
     np.testing.assert_allclose(f.L, np.eye(2), atol=1e-14)

@@ -196,19 +196,28 @@ def test_measure_check_report_pins_exponent():
 # SO(n) sampling
 
 def test_samples_are_special_orthogonal():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         mats = sample_orthogonal(n, seed=7, count=50)
+        assert mats.shape == (50, n, n)
         for m in mats:
             assert np.max(np.abs(m.T @ m - np.eye(n))) <= 1e-14
             assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+        assert sample_orthogonal(n, seed=7).shape == (n, n)
 
 
 def test_sampling_deterministic_by_seed():
-    a = sample_orthogonal(3, seed=11, count=5)
-    b = sample_orthogonal(3, seed=11, count=5)
-    np.testing.assert_array_equal(a, b)
-    c = sample_orthogonal(3, seed=12, count=5)
-    assert np.max(np.abs(a - c)) > 1e-3
+    for n in (3, 4):
+        a = sample_orthogonal(n, seed=11, count=5)
+        b = sample_orthogonal(n, seed=11, count=5)
+        assert a.tobytes() == b.tobytes()
+        c = sample_orthogonal(n, seed=12, count=5)
+        assert np.max(np.abs(a - c)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_sampling_rejects_an_unsupported_dimension(n):
+    with pytest.raises(ValueError, match=r"1 <= n <= 4"):
+        sample_orthogonal(n, seed=1)
 
 
 def test_so2_angle_uniform():

@@ -204,9 +204,10 @@ def test_hermiticity_check_applies_each_operator_once_and_keeps_its_bytes(
     assert calls == [kind] * 4
 
 
-def test_hermiticity_check_keeps_a_nan_defect(monkeypatch):
-    """A NaN in one pair's defect is the result: max(0.0, nan) would drop it
-    and report the finite maximum of the other pairs."""
+def test_hermiticity_check_rejects_a_nan_defect(monkeypatch):
+    """A NaN in one pair's defect is a ValueError naming the measure and the
+    grid: max(0.0, nan) would drop it and report the finite maximum of the
+    other pairs."""
     apply = qdesk._apply_operator
     calls = []
 
@@ -218,7 +219,9 @@ def test_hermiticity_check_keeps_a_nan_defect(monkeypatch):
         return out
 
     monkeypatch.setattr(qdesk, "_apply_operator", nan_in_second_family)
-    assert math.isnan(hermiticity_check(QGrid(-8.0, 8.0, 2000), "Sigma", "haar"))
+    with pytest.raises(ValueError, match=r"^hermiticity check of Sigma under the haar measure "
+                                         r"on q in \[-8.0, 8.0\]: the defect is nan, not finite$"):
+        hermiticity_check(QGrid(-8.0, 8.0, 2000), "Sigma", "haar")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from affinekit import sampling
+from affinekit.matcore import unchecked_det
 from affinekit.sampling import (orthogonal_from_normal, random_glplus, random_invertible,
                                 random_orthogonal, rng_from_seed)
 
@@ -63,12 +64,16 @@ class QueuedCandidates:
         return m
 
 
+# the accept test's closed forms: matcore's a d - b c, the sampler's own 3x3 one
+CLOSED_DET = {2: unchecked_det, 3: sampling._closed_det}
+
+
 def _closed_form_above_lapack(n, signed):
     """A [-1, 1] matrix whose closed-form det (or |det|) exceeds LAPACK's."""
     rng = rng_from_seed(99)
     while True:
         m = rng.uniform(-1.0, 1.0, size=(n, n))
-        closed, lapack = sampling._closed_det(m.tolist()), np.linalg.det(m)
+        closed, lapack = CLOSED_DET[n](m), np.linalg.det(m)
         if not signed:
             closed, lapack = abs(closed), abs(lapack)
         if lapack > 0.1 and closed > lapack:
@@ -82,7 +87,7 @@ def test_candidate_in_the_guard_band_takes_the_lapack_decision(sampler, signed, 
     (det > floor fails) while the closed form, an ulp above, would accept
     it; the guard band hands the decision to LAPACK."""
     m, floor = _closed_form_above_lapack(n, signed)
-    assert abs(sampling._closed_det(m.tolist())) - floor <= 1e-12
+    assert abs(CLOSED_DET[n](m)) - floor <= 1e-12
     fallback = 2.0 * np.eye(n)
     got = sampler(QueuedCandidates(m, fallback), n, floor)
     assert got is fallback

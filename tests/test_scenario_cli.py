@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,28 @@ def test_generated_initial_redraws_a_low_det_body():
     assert np.linalg.det(a.config.phi).min() >= 0.2
 
 
+def lapack_generate_initial(n, N, seed, scale):
+    """generate_initial's draws with np.linalg.det deciding each redraw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = scale * rng.standard_normal((N, n))
+    phi = np.stack([np.eye(n) + scale * rng.standard_normal((n, n)) for _ in range(N)])
+    for K in range(N):
+        while np.linalg.det(phi[K]) < 0.2:
+            phi[K] = np.eye(n) + scale * rng.standard_normal((n, n))
+    return x, phi, scale * rng.standard_normal((N, n)), scale * rng.standard_normal((N, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_initial_equals_the_lapack_decided_draws(n):
+    """Deciding det phi < 0.2 with matcore's det redraws the same bodies."""
+    for seed in range(60):
+        for N in (1, 2, 3):
+            s = generate_initial(n, N, seed, 1.0)
+            got = (s.config.x, s.config.phi, s.mom.p, s.mom.pi)
+            want = lapack_generate_initial(n, N, seed, 1.0)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (seed, N)
+
+
 def _bundled_dict(name):
     return json.loads(bundled_scenario_path(name).read_text())
 
@@ -172,17 +195,35 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
                  id="J_indefinite"),
     pytest.param(("inertia", "H"), [[1.0, 0.0], [0.0, 0.0]], "'inertia'.*H must be positive",
                  id="H_singular"),
+    pytest.param(("potential", "binary"), [{"arg": "Q", "fn": INVARIANT["fn"]}],
+                 "potential.binary: unknown binary channel 'Q'", id="binary_channel_unknown"),
+    pytest.param(("initial", "bodies"), [], r"initial\.bodies has 0 entries, expected N = 1",
+                 id="bodies_not_N"),
+    pytest.param(("inertia",), {"per_body": []},
+                 r"inertia\.per_body has 0 entries, expected N = 1", id="per_body_not_N"),
+    pytest.param((), [MINIMAL], "must be a JSON object", id="top_level_array"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
-    file (Python's json reads NaN and Infinity)."""
+    file (Python's json reads NaN and Infinity).  The empty path replaces the
+    whole document: read from a file, a top level that is not an object is
+    a ParseError, raised before the schema is looked at."""
     d = _bundled_dict("harmonic_oscillator")
-    _set_at(d, path, value)
+    if path:
+        _set_at(d, path, value)
+    else:
+        d = value
     with pytest.raises(ValidationError, match=match):
         scenario_from_dict(d)
     (tmp_path / "bad.json").write_text(json.dumps(d))
-    with pytest.raises(ValidationError, match=match):
+    with pytest.raises(ValidationError if path else ParseError, match=match):
         parse_scenario(tmp_path / "bad.json")
+
+
+def test_unknown_bundled_scenario_lists_the_available_names():
+    with pytest.raises(FileNotFoundError, match=r"no bundled scenario 'nope'; available: "
+                                                r"\['afaf_dilatation_stabilized', .*'two_body"):
+        bundled_scenario_path("nope")
 
 
 def test_integral_numbers_parse_in_either_json_form():
@@ -768,6 +809,31 @@ def test_cli_spectrum_rejects_a_grid_whose_exponential_overflows(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} = ") and "overflows" in err
     assert "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bounds,found", [
+    (["--qmin", "-709", "--qmax", "-700"], "momentum_p under the lebesgue measure on q in "
+                                           r"\[-709.0, -700.0\]: the defect is nan"),
+    (["--qmin", "700", "--qmax", "709.7"], "Sigma_corrected under the lebesgue measure on q in "
+                                           r"\[700.0, 709.7\]: a test function's weighted "
+                                           "norm is inf")], ids=["nan_defect", "inf_norm"])
+def test_cli_spectrum_rejects_a_hermiticity_defect_that_overflows(tmp_path, capsys, bounds,
+                                                                   found):
+    """Just inside the overflow bounds, e^-q f' overflows into a NaN defect
+    and the bumps' e^q-weighted norms overflow to inf: one error line naming
+    the measure and the grid, no numpy warning, no NaN and no output."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["spectrum", *bounds, "--points", "2000", "--potential", "zero",
+                         "--out", str(tmp_path / "o")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert re.match("error: hermiticity check of " + found, err)
     assert not (tmp_path / "o").exists()
 
 
