@@ -7,8 +7,10 @@ order on the calling thread.
 The invariance, legendre and measures suites draw their samples as stacks,
 each n's (S_n, ...) arrays item by item after all n values (so the reports
 depend on the samplers' block schedule), and evaluate every relation once
-per stack: (S, n, n) matrices for the kinematic functions and S bodies of
-one system for the kinetic energies.  Rotations are drawn as Gaussian
+per stack: (S, n, n) matrices for the kinematic functions, and S bodies of
+one compiled KineticForm or PotentialForm for the kinetic energies, the
+kinetic Hamiltonian and the potentials, as runs evaluate them; no family
+goes through the object wrappers.  Rotations are drawn as Gaussian
 matrices and each stack maps them with one ``orthogonal_from_normal``.  An
 error is relative per sample, max|delta_s| / (1 + max|ref_s|), and a check
 reports the worst sample.  The brackets suite evaluates all (a, b, c, d)
@@ -24,12 +26,10 @@ import numpy as np
 from . import measures, qdesk
 from .dynamics import (PhaseState, poisson_bracket, sigma_component,
                        sigma_hat_component)
-from .kinematics import (SystemConfig, VelocityState, _T, affine_velocity,
-                         deformation_tensors, invariants_K, invariants_M,
-                         mutual_tensors)
+from .kinematics import (SystemConfig, _T, affine_velocity, deformation_tensors,
+                         invariants_K, invariants_M, mutual_tensors)
 from .kinetics import (INTERNAL_MODELS, TRANSLATIONAL_MODELS, InertiaParams,
-                       KineticModel, MomentumState, compile_kinetics, kinetic_energy,
-                       kinetic_hamiltonian, legendre)
+                       KineticModel, MomentumState, compile_kinetics)
 from .matcore import det_inv, two_polar_decompose
 from .potentials import (BinaryTerm, HarmonicFn, PotentialSpec, affine_distance,
                          compile_potential)
@@ -214,54 +214,46 @@ def _affine_distance_error(samples, seed):
 
 
 def _kinetic_invariance_error(samples, seed):
-    """Kinetic energies of each n group, evaluated as the bodies of one system."""
+    """Kinetic energies of each n group as the bodies of one compiled
+    KineticForm per model, and the af-is Hamiltonian at the Legendre image."""
     params = InertiaParams(M=1.3, I=2.0, A=1.0, B=0.7)
-    is_af = KineticModel("dalembert", "is-af")
-    af_is = KineticModel("af-is", "af-is")
-    af_af = KineticModel("dalembert", "af-af")
+    models = (KineticModel("dalembert", "is-af"), KineticModel("af-is", "af-is"),
+              KineticModel("dalembert", "af-af"))
 
     def draw(rng, n, S):
-        # GL+ transforms keep the configurations inside the working domain
+        # GL+ transforms keep the configurations inside the working domain;
+        # x keeps the stream, though no kinetic energy reads it
         return (rng.uniform(-1, 1, (S, n)), random_glplus(rng, n, size=S),
                 rng.uniform(-1, 1, (S, n)), rng.uniform(-1, 1, (S, n, n)),
                 random_glplus(rng, n, size=S), rng.standard_normal((S, n, n)),
                 random_glplus(rng, n, size=S))
 
-    def moved(config, vel, mat, side):
-        if side == "spatial":
-            return (SystemConfig(x=(config.x[:, None] @ _T(mat))[:, 0], phi=mat @ config.phi),
-                    VelocityState(v=(vel.v[:, None] @ _T(mat))[:, 0], xi=mat @ vel.xi))
-        return (SystemConfig(x=config.x, phi=config.phi @ mat),
-                VelocityState(v=vel.v, xi=vel.xi @ mat))
+    def energy(form, phi, v, xi):
+        return form.energy(det_inv(phi)[1], v, xi)
 
-    def energy(model, cfg, vl):
-        return kinetic_energy(model, params, cfg, vl, per_body=True)
+    def hamiltonian(form, phi, v, xi):
+        return form.hamiltonian(phi, *form.momenta(det_inv(phi)[1], v, xi))
 
-    def hamiltonian(model, cfg, vl):
-        return kinetic_hamiltonian(model, params, cfg, legendre(model, params, cfg, vl),
-                                   per_body=True)
+    def spatial(mat, phi, v, xi):
+        return mat @ phi, (v[:, None] @ _T(mat))[:, 0], mat @ xi
+
+    def material(mat, phi, v, xi):
+        return phi @ mat, v, xi @ mat
 
     worst = 0.0
-    for x, phi, v, xi, B, O, A in _draw_by_n(samples, seed, draw):
+    for _, phi, v, xi, B, O, A in _draw_by_n(samples, seed, draw):
         O = orthogonal_from_normal(O)
-        config = SystemConfig(x=x, phi=phi)
-        vel = VelocityState(v=v, xi=xi)
-        # af-af is an internal-sector statement: drop translational velocity
-        vel_int = VelocityState(v=np.zeros_like(v), xi=xi)
-        t_is_af = energy(is_af, config, vel)
-        t_af_is = energy(af_is, config, vel)
-        h_af_is = hamiltonian(af_is, config, vel)
-        t_af_af = energy(af_af, config, vel_int)
-        worst = max(worst,
-                    _rel(energy(is_af, *moved(config, vel, B, "material")) - t_is_af, t_is_af),
-                    _rel(energy(is_af, *moved(config, vel, O, "spatial")) - t_is_af, t_is_af),
-                    _rel(energy(af_is, *moved(config, vel, A, "spatial")) - t_af_is, t_af_is),
-                    _rel(hamiltonian(af_is, *moved(config, vel, A, "spatial")) - h_af_is,
-                         h_af_is),
-                    _rel(energy(af_af, *moved(config, vel_int, A, "spatial")) - t_af_af,
-                         t_af_af),
-                    _rel(energy(af_af, *moved(config, vel_int, B, "material")) - t_af_af,
-                         t_af_af))
+        is_af, af_is, af_af = (compile_kinetics(m, params, v.shape[1], len(v)) for m in models)
+        full = (phi, v, xi)
+        internal = (phi, np.zeros_like(v), xi)  # af-af is an internal-sector statement
+        for fn, form, z, move, mat in ((energy, is_af, full, material, B),
+                                       (energy, is_af, full, spatial, O),
+                                       (energy, af_is, full, spatial, A),
+                                       (hamiltonian, af_is, full, spatial, A),
+                                       (energy, af_af, internal, spatial, A),
+                                       (energy, af_af, internal, material, B)):
+            ref = fn(form, *z)
+            worst = max(worst, _rel(fn(form, *move(mat, *z)) - ref, ref))
     return worst
 
 

@@ -73,15 +73,11 @@ class SystemConfig:
 
     @classmethod
     def from_bodies(cls, bodies) -> "SystemConfig":
-        bodies = [b if isinstance(b, BodyConfig) else BodyConfig(*b) for b in bodies]
         return cls(x=np.stack([b.x for b in bodies]),
                    phi=np.stack([b.phi for b in bodies]))
 
     def body(self, K: int) -> BodyConfig:
         return BodyConfig(x=self.x[K], phi=self.phi[K])
-
-    def bodies(self):
-        return [self.body(K) for K in range(self.N)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ gives the conjugate spin S (pi, Sigma or Sigma_hat).  For the (I, A, B)
 family the forward map is Sigma = I Omega.T + A Omega + B Tr(Omega) Id; its
 inverse uses the reciprocal constants stored in ``TildeConstants``, which
 stay finite in the pure af-af limit I = 0.  ``compile_kinetics`` builds G
-and G^-1 once; the public functions below are thin views over it.
+and G^-1 once.  Runs, the Legendre check and the kinetic-invariance check
+evaluate the compiled ``KineticForm`` on stacks directly; the public
+functions below are thin views over it for one system, each compiling its
+own form and checking det phi.  ``MomentumState`` holds the momenta alone:
+the spins, skew spins and vorticities of a state are the charges that
+``dynamics`` evaluates.
 """
 
 from __future__ import annotations
@@ -129,28 +134,6 @@ class MomentumState:
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
-
-    def p_hat(self, config: SystemConfig) -> np.ndarray:
-        """Co-moving momenta phi_K.T p_K, shape (N, n)."""
-        return np.einsum("kji,kj->ki", config.phi, self.p)
-
-    def sigma(self, config: SystemConfig) -> np.ndarray:
-        """Spatial affine spin phi_K pi_K per body, shape (N, n, n)."""
-        return config.phi @ self.pi
-
-    def sigma_hat(self, config: SystemConfig) -> np.ndarray:
-        """Co-moving affine spin pi_K phi_K per body."""
-        return self.pi @ config.phi
-
-    def spin(self, config: SystemConfig) -> np.ndarray:
-        """Skew spin S_K = Sigma_K - Sigma_K.T."""
-        s = self.sigma(config)
-        return s - np.transpose(s, (0, 2, 1))
-
-    def vorticity(self, config: SystemConfig) -> np.ndarray:
-        """Skew vorticity V_K = Sigma_hat_K - Sigma_hat_K.T."""
-        s = self.sigma_hat(config)
-        return s - np.transpose(s, (0, 2, 1))
 
 
 def tilde_constants(I: float, A: float, B: float, n: int) -> TildeConstants:

@@ -103,10 +103,6 @@ def _plane_rotation(t, n: int, i: int, j: int) -> np.ndarray:
     return out
 
 
-def rotation_2d(theta) -> np.ndarray:
-    return _plane_rotation(theta, 2, 0, 1)
-
-
 def rotation_from_angles(n: int, angles) -> np.ndarray:
     """SO(n) element from chart parameters: () / (theta,) / z-y-z (a, b, g).
 
@@ -117,7 +113,7 @@ def rotation_from_angles(n: int, angles) -> np.ndarray:
     if n == 1:
         return np.broadcast_to(np.eye(1), angles.shape[:-1] + (1, 1)).copy()
     if n == 2:
-        return rotation_2d(angles[..., 0])
+        return _plane_rotation(angles[..., 0], 2, 0, 1)
     if n == 3:
         if angles.shape[-1] != 3:
             raise ValueError(f"z-y-z chart needs 3 angles, got {angles.shape[-1]}")

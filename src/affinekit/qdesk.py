@@ -15,7 +15,11 @@ is pure roundoff):
 The kinetic operator is -(hbar^2 / 2 alpha_eff) d2/dq2 with Dirichlet box
 ends, where alpha_eff = I + A + B is the one-dimensional reduction of the
 isotropic affine inertia triple.  Dirichlet walls are a choice made here:
-use potentials that confine well inside [q_min, q_max].  A grid builds q and
+use potentials that confine well inside [q_min, q_max].  The operator is
+symmetric by construction: one ``off`` array holds both off-diagonals.  Its
+kinetic constant is formed in float64, and a constant or a potential that
+overflows is a ValueError naming alpha_eff and hbar or the potential, not a
+numpy warning and a failed eigensolve.  A grid builds q and
 its measure weights once, on first use, as read-only arrays.  A bound whose
 e^q or e^-q overflows is rejected when the grid is made.
 
@@ -146,13 +150,6 @@ class TridiagonalOperator:
     diag: np.ndarray
     off: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
-
-    def symmetry_defect(self) -> float:
-        d = self.dense()
-        return float(np.max(np.abs(d - d.T)))
-
     def apply(self, interior: np.ndarray) -> np.ndarray:
         out = self.diag * interior
         out[:-1] += self.off * interior[1:]
@@ -164,14 +161,28 @@ def build_hamiltonian_1d(grid: QGrid, V) -> TridiagonalOperator:
     """H = -(hbar^2 / 2 alpha_eff) d2/dq2 + V(q), Dirichlet box walls.
 
     The operator acts on the m - 2 interior points; the walls sit exactly at
-    q_min and q_max.
+    q_min and q_max.  A kinetic constant kin = hbar^2 / (2 alpha_eff h^2)
+    whose 2 kin is not finite and positive, or a diagonal 2 kin + V(q) that
+    is not finite, raises ValueError naming alpha_eff and hbar or the
+    potential, without a numpy warning.
     """
     if grid.alpha_eff <= 0:
         raise InvalidInertia(f"alpha_eff must be positive, got {grid.alpha_eff}")
     q = grid.q[1:-1]
     h = grid.h
-    kin = grid.hbar ** 2 / (2.0 * grid.alpha_eff * h * h)
-    diag = 2.0 * kin + np.asarray(V(q), dtype=float)
+    with np.errstate(all="ignore"):  # in float64, so an overflow is inf, not OverflowError
+        kin = np.float64(grid.hbar) ** 2 / (2.0 * np.float64(grid.alpha_eff) * h * h)
+        diag = 2.0 * kin + np.asarray(V(q), dtype=float)
+    if not 0.0 < 2.0 * kin < np.inf:
+        raise ValueError(f"the kinetic constant hbar^2 / (2 alpha_eff h^2) is {kin}, not finite "
+                         f"and positive, at alpha_eff = {grid.alpha_eff!r}, "
+                         f"hbar = {grid.hbar!r} and h = {h!r}")
+    bad = ~np.isfinite(diag)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"the potential gives a diagonal 2 kin + V(q) = {diag[j]}, not "
+                         f"finite, at q = {float(q[j])!r} on q in "
+                         f"[{grid.q_min!r}, {grid.q_max!r}]")
     off = -kin * np.ones(grid.m - 3)
     return TridiagonalOperator(grid=grid, diag=diag, off=off)
 

@@ -14,6 +14,15 @@ its absolute value) within ``ACCEPT_GUARD`` = 1e-12 of the floor,
 most about 1e-15, so outside that band they reach the same decision: every
 draw keeps what a LAPACK-only test would keep from the same candidates.
 
+The closed form is kept for the blocks the suites draw.  The invariance,
+legendre and measures suites draw one block of 96-848 candidates per stack,
+and the brackets suite single (n, n) candidates.  Timed on one host (numpy
+2.4 with OpenBLAS 0.3.31, timeit best of 5 x 2000 calls), the n = 3
+cofactor expansion takes 14-15 us against ``np.linalg.det``'s 3-5 us on
+blocks of 1-4 candidates, but 15 against 32 us at 96, 21 against 136 us at
+400 and 27 against 167 us at 848, and 3.7 against 4.9 us on one (3, 3)
+candidate.  At n = 2 the closed form takes 3-4 against 16-132 us at 96-848.
+
 ``orthogonal_from_normal`` is Mezzadri's Haar sampler on O(n) (Mezzadri,
 *How to generate random matrices from the classical compact groups*,
 Notices AMS 2007): the Q factor of a Gaussian matrix with its columns

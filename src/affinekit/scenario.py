@@ -52,7 +52,7 @@ from .kinetics import InertiaParams, KineticModel, MomentumState
 from .matcore import DET_FLOOR, unchecked_det
 from .potentials import (BinaryTerm, DilatationTerm, HarmonicFn, InvariantTerm,
                          LennardJonesFn, LogHarmonicFn, PolyFn, PotentialSpec,
-                         TranslationalHarmonic)
+                         TranslationalHarmonic, _parse_channel)
 from .sampling import rng_from_seed
 
 SCHEMA_VERSION = 1
@@ -221,19 +221,20 @@ def _potential_from_dict(d: dict | None, n: int) -> PotentialSpec:
     binary = []
     for i, term in enumerate(_typed(d.get("binary", []), list, "potential.binary")):
         path = f"potential.binary[{i}]"
+        arg = _typed(_need(term, "arg", f"{path}.arg"), str, f"{path}.arg")
+        try:
+            _parse_channel(arg)
+        except ValueError as exc:
+            raise ValidationError(f"{path}.arg: {exc}") from exc
         binary.append(BinaryTerm(
-            arg=_typed(_need(term, "arg", f"{path}.arg"), str, f"{path}.arg"),
-            fn=_scalar_fn_from_dict(_need(term, "fn", f"{path}.fn"), f"{path}.fn")))
+            arg=arg, fn=_scalar_fn_from_dict(_need(term, "fn", f"{path}.fn"), f"{path}.fn")))
     dil = None
     if d.get("dilatation") is not None:
         path = "potential.dilatation"
         dil = DilatationTerm(kappa=_num(d["dilatation"], "kappa", path, minimum=0.0),
                              d_ref=_num(d["dilatation"], "d_ref", path, DilatationTerm.d_ref,
                                         positive=True))
-    try:
-        return PotentialSpec(one_body=tuple(one_body), binary=tuple(binary), dil=dil)
-    except ValueError as exc:
-        raise ValidationError(f"potential.binary: {exc}") from exc
+    return PotentialSpec(one_body=tuple(one_body), binary=tuple(binary), dil=dil)
 
 
 def _potential_to_dict(spec: PotentialSpec) -> dict:

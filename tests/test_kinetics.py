@@ -231,19 +231,6 @@ def test_affine_spin_transformation_rules(rng, glplus):
         np.testing.assert_allclose(sig_hat_r, Ainv @ sig_hat @ A, atol=1e-10)
 
 
-def test_momentum_state_derived_quantities(rng):
-    config, vel = random_state(rng, 2)
-    mom = MomentumState(p=rng.uniform(-1, 1, (1, 2)), pi=rng.uniform(-1, 1, (1, 2, 2)))
-    phi = config.phi[0]
-    np.testing.assert_allclose(mom.sigma(config)[0], phi @ mom.pi[0], atol=1e-14)
-    np.testing.assert_allclose(mom.sigma_hat(config)[0], mom.pi[0] @ phi, atol=1e-14)
-    np.testing.assert_allclose(mom.p_hat(config)[0], phi.T @ mom.p[0], atol=1e-14)
-    s = mom.spin(config)[0]
-    v_ = mom.vorticity(config)[0]
-    np.testing.assert_allclose(s, -s.T, atol=1e-15)
-    np.testing.assert_allclose(v_, -v_.T, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # tilde constants
 

@@ -32,11 +32,6 @@ def test_box_laplacian_action_on_constant_mode():
     assert abs(out[0] - kin) <= 1e-12 and abs(out[-1] - kin) <= 1e-12
 
 
-def test_operator_exactly_symmetric():
-    op = build_hamiltonian_1d(QGrid(-5.0, 5.0, 200), harmonic(1.0))
-    assert op.symmetry_defect() == 0.0
-
-
 def test_invalid_inertia():
     with pytest.raises(InvalidInertia):
         build_hamiltonian_1d(QGrid(-5.0, 5.0, 100, alpha_eff=-1.0), harmonic(1.0))

@@ -196,7 +196,12 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
     pytest.param(("inertia", "H"), [[1.0, 0.0], [0.0, 0.0]], "'inertia'.*H must be positive",
                  id="H_singular"),
     pytest.param(("potential", "binary"), [{"arg": "Q", "fn": INVARIANT["fn"]}],
-                 "potential.binary: unknown binary channel 'Q'", id="binary_channel_unknown"),
+                 r"potential\.binary\[0\]\.arg: unknown binary channel 'Q'",
+                 id="binary_channel_unknown"),
+    pytest.param(("potential", "binary"),
+                 [{"arg": arg, "fn": INVARIANT["fn"]} for arg in ("r", "Mbar:1", "K:0")],
+                 r"potential\.binary\[2\]\.arg: unknown binary channel 'K:0'",
+                 id="binary_channel_unknown_third"),
     pytest.param(("initial", "bodies"), [], r"initial\.bodies has 0 entries, expected N = 1",
                  id="bodies_not_N"),
     pytest.param(("inertia",), {"per_body": []},
@@ -834,6 +839,32 @@ def test_cli_spectrum_rejects_a_hermiticity_defect_that_overflows(tmp_path, caps
     assert out == ""
     assert len(err.splitlines()) == 1
     assert re.match("error: hermiticity check of " + found, err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,found", [
+    pytest.param(["--potential", "harmonic:1e308", "--points", "200"],
+                 r"the potential gives a diagonal 2 kin \+ V\(q\) = inf, not finite, "
+                 r"at q = -9\.89", id="potential"),
+    pytest.param(["--alpha", "1e-320"], r"the kinetic constant .* is inf, .* at "
+                                        r"alpha_eff = 1e-320, hbar = 1\.0 and h = ", id="alpha"),
+    pytest.param(["--hbar", "1e200"], r"the kinetic constant .* is inf, .* at "
+                                      r"alpha_eff = 1\.0, hbar = 1e\+200 and h = ", id="hbar"),
+])
+def test_cli_spectrum_rejects_a_hamiltonian_that_overflows(tmp_path, capsys, argv, found):
+    """A potential or a kinetic constant hbar^2 / (2 alpha_eff h^2) that
+    overflows is one error line naming the potential or alpha_eff and hbar:
+    no numpy warning, no OverflowError from float arithmetic, no output."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["spectrum", *argv, "--out", str(tmp_path / "o")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert re.match("error: " + found, err)
     assert not (tmp_path / "o").exists()
 
 
