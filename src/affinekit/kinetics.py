@@ -140,11 +140,12 @@ def tilde_constants(I: float, A: float, B: float, n: int) -> TildeConstants:
     """Reciprocal constants of the inverse (I, A, B) kinetic metric.
 
     Raises DegenerateMetric when I^2 = A^2 or (I + A)(I + A + nB) = 0, where
-    the Legendre map is not invertible.  Zero numerator inertias give zero
-    reciprocals, so the I = 0 (pure af-af) case is representable.
+    the Legendre map is not invertible, and when overflow leaves either
+    product NaN (inf - inf).  Zero numerator inertias give zero reciprocals,
+    so the I = 0 (pure af-af) case is representable.
     """
     d1 = I * I - A * A
-    if abs(d1) <= 1e-14 * max(1.0, I * I + A * A):
+    if not abs(d1) > 1e-14 * max(1.0, I * I + A * A):
         raise DegenerateMetric(f"I^2 = A^2 at (I, A) = ({I}, {A})")
     recip_I = 0.0 if I == 0.0 else I / d1
     recip_A = 0.0 if A == 0.0 else -A / d1
@@ -152,7 +153,7 @@ def tilde_constants(I: float, A: float, B: float, n: int) -> TildeConstants:
         recip_B = 0.0
     else:
         d2 = (I + A) * (I + A + n * B)
-        if abs(d2) <= 1e-14 * max(1.0, (I + A) ** 2, B * B):
+        if not abs(d2) > 1e-14 * max(1.0, (I + A) * (I + A), B * B):
             raise DegenerateMetric(f"(I + A)(I + A + nB) = 0 at (I, A, B, n) = ({I}, {A}, {B}, {n})")
         recip_B = -B / d2
     return TildeConstants(recip_I, recip_A, recip_B)
@@ -218,7 +219,12 @@ def _internal_metric(internal: str, params: InertiaParams, n: int):
         Ginv = _inverse(G, name)
     else:
         I, A, B = _iab(params, internal)
-        tc = tilde_constants(I, A, B, n)
+        try:
+            tc = tilde_constants(I, A, B, n)
+        except DegenerateMetric as exc:
+            if internal != "af-af":
+                raise
+            raise DegenerateMetric(f"{exc}; af-af fixes I = 0") from exc
         G, Ginv = _iab_form(I, A, B, n), _iab_form(tc.recip_I, tc.recip_A, tc.recip_B, n)
     for arr in (G, Ginv):
         arr.flags.writeable = False

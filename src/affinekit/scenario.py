@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .dynamics import INTEGRATION_METHODS, PhaseState
-from .errors import ParseError, ValidationError
+from .errors import DegenerateMetric, MissingParams, ParseError, ValidationError
 from .kinematics import SystemConfig
 from .kinetics import InertiaParams, KineticModel, MomentumState
 from .matcore import DET_FLOOR, unchecked_det
@@ -244,7 +244,9 @@ def _potential_to_dict(spec: PotentialSpec) -> dict:
     return {key: val for key, val in out.items() if val}
 
 
-def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
+def _inertia_from_dict(d: dict, n: int, internal: str, path: str = "inertia") -> InertiaParams:
+    """The inertia at ``path``, with the internal model's metric built (and
+    kept on it for the run), so missing or degenerate constants name the path."""
     sides = {"M": 0, "I": 0, "A": 0, "B": 0, "J": n, "H": n, "Lten": n * n, "Rten": n * n}
     unknown = set(_typed(d, dict, path)) - set(sides)
     if unknown:
@@ -255,9 +257,11 @@ def _inertia_from_dict(d: dict, n: int, path: str = "inertia") -> InertiaParams:
             kwargs[key] = _array(val, f"{path}.{key}", (sides[key],) * 2) if sides[key] \
                 else _num(d, key, path)
     try:
-        return InertiaParams(**kwargs)
-    except (TypeError, ValueError) as exc:
+        params = InertiaParams(**kwargs)
+        params.metric(internal, n)
+    except (TypeError, ValueError, MissingParams, DegenerateMetric) as exc:
         raise ValidationError(f"bad inertia parameters at {path!r}: {exc}") from exc
+    return params
 
 
 def _initial_from_dict(d: dict | None, n: int, N: int):
@@ -307,10 +311,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         entries = _typed(inertia["per_body"], list, "inertia.per_body")
         if len(entries) != N:
             raise ValidationError(f"inertia.per_body has {len(entries)} entries, expected N = {N}")
-        params = tuple(_inertia_from_dict(e, n, f"inertia.per_body[{i}]")
+        params = tuple(_inertia_from_dict(e, n, internal, f"inertia.per_body[{i}]")
                        for i, e in enumerate(entries))
     else:
-        params = _inertia_from_dict(inertia, n)
+        params = _inertia_from_dict(inertia, n, internal)
     potential = _potential_from_dict(d.get("potential"), n)
     initial, scale = _initial_from_dict(d.get("initial"), n, N)
     integ = _typed(d.get("integrator", {}), dict, "integrator")

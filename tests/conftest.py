@@ -36,7 +36,8 @@ def orthogonal(rng):
 @pytest.fixture
 def child_env():
     """Environment for a child Python: PYTHONPATH starts with the directory
-    this process imported ``affinekit`` from, so the child tests the same tree."""
+    this process imported ``affinekit`` from, ``src/`` or an installed copy's
+    site directory, so the child tests whichever copy this process tests."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(affinekit.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

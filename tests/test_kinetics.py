@@ -246,6 +246,9 @@ def test_tilde_constants_degenerate():
         tilde_constants(1.0, 1.0, 0.5, 2)
     with pytest.raises(DegenerateMetric):
         tilde_constants(2.0, 1.0, -1.5, 2)  # I + A + nB = 0
+    # I^2 - A^2 is inf - inf, and (I + A)^2 overflows
+    with pytest.raises(DegenerateMetric, match=r"I\^2 = A\^2 at \(I, A\) = \(1e\+160, 1e\+160\)"):
+        tilde_constants(1e160, 1e160, 1.0, 2)
 
 
 def test_tilde_constants_zero_numerators():

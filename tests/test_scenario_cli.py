@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ INVARIANT = {"kind": "invariant", "fn": {"kind": "harmonic", "stiffness": 1.0, "
     pytest.param(("inertia",), {"per_body": []},
                  r"inertia\.per_body has 0 entries, expected N = 1", id="per_body_not_N"),
     pytest.param((), [MINIMAL], "must be a JSON object", id="top_level_array"),
+    pytest.param(("inertia",), {"M": 1.0},
+                 r"'inertia': model 'dalembert' needs inertia parameter 'J'", id="J_missing"),
+    pytest.param(("inertia",), {"per_body": [{"M": 1.0}]},
+                 r"'inertia\.per_body\[0\]': model 'dalembert' needs inertia parameter 'J'",
+                 id="per_body_J_missing"),
+    pytest.param(("inertia", "J"), [[1e-320, 0.0], [0.0, 1.0]],
+                 r"'inertia': J is not invertible", id="J_inverse_overflows"),
+    pytest.param(("kinetic", "internal"), "af-af",
+                 r"'inertia': model 'af-af' needs inertia parameter 'A'", id="afaf_A_missing"),
 ])
 def test_scenario_defects_are_validation_errors(tmp_path, path, value, match):
     """Each defect is a ValidationError at parse time, also through a JSON
@@ -396,7 +406,24 @@ def _two_body_affine_pair(dt, T):
     return d
 
 
+def _afaf_without_A(**inertia):
+    d = _bundled_dict("afaf_geodetic_gl2")
+    d["inertia"].update(A=0.0, **inertia)
+    return d
+
+
+AFAF_A_ZERO = ("error: bad inertia parameters at 'inertia': I^2 = A^2 at (I, A) = (0.0, 0.0); "
+               "af-af fixes I = 0")
+
+# name: (scenario, exit code, abort kind or, at exit 1, the stderr line, samples kept)
 FAILURE_RUNS = {
+    # det phi = 1 - t reaches the floor at sample 100
+    "det_floor": (lambda: {**MINIMAL, "initial": {"bodies": [{"x": [0.0, 0.0],
+                                                              "phi": [[1.0, 0.0], [0.0, 1.0]],
+                                                              "p": [0.0, 0.0],
+                                                              "pi": [[-1.0, 0.0], [0.0, 0.0]]}]},
+                           "integrator": {"dt": 0.01, "T": 2.0}},
+                  2, "StateInvalid", 100),
     # the one-step block from sample 28 runs out of sweeps
     "diverged": (lambda: _two_body_affine_pair(0.7, 28.0), 2, "IterationDiverged", 29),
     # D is defined at coincident centers, its gradient is not
@@ -409,8 +436,18 @@ FAILURE_RUNS = {
                                                       "pi": [[-3.0, 0.0], [0.0, 0.0]]}]},
                               "integrator": {"dt": 1.0, "T": 4.0}},
                      2, "NegativeOrientation", 1),
-    # r is undefined there: bad input, whose charges raise after the abort
-    "coincident_r": (lambda: _coincident_pair("r"), 1, None, None),
+    # bad input, exit 1 with this error line: r is undefined at coincident
+    # centers, and its charges raise after the abort
+    "coincident_r": (lambda: _coincident_pair("r"), 1,
+                     "error: binary r-term with coincident centers", None),
+    "binary_channel_unknown_third": (
+        lambda: {**MINIMAL, "N": 2, "integrator": {"dt": 0.01, "T": 0.1},
+                 "potential": {"binary": [{"arg": arg, "fn": INVARIANT["fn"]}
+                                          for arg in ("r", "Mbar:1", "K:0")]}},
+        1, "error: potential.binary[2].arg: unknown binary channel 'K:0'", None),
+    # af-af fixes I = 0, so A = 0 gives I^2 = A^2, also when an I is given
+    "afaf_A_zero": (_afaf_without_A, 1, AFAF_A_ZERO, None),
+    "afaf_A_zero_I_given": (lambda: _afaf_without_A(I=2.0), 1, AFAF_A_ZERO, None),
 }
 
 
@@ -418,21 +455,25 @@ FAILURE_RUNS = {
 def test_cli_run_failure_outcomes(name, tmp_path, capsys):
     """A failure while the run steps aborts it: exit 2, the samples before the
     failure in all three artifacts, and its kind in summary.json and on
-    stderr.  An initial state where H is undefined stays bad input: exit 1
-    with the typed error and no output directory."""
+    stderr.  Bad input, such as an initial state where H is undefined or a
+    scenario that parses to no runnable system, exits 1 with one error line
+    and no output directory.  No warning is raised on the way."""
     make, code, kind, samples = FAILURE_RUNS[name]
     (tmp_path / "s.json").write_text(json.dumps(make()))
     out = tmp_path / "out"
-    assert cli_main(["run", str(tmp_path / "s.json"), "--out", str(out)]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", str(tmp_path / "s.json"), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 1:
         assert not out.exists()
-        assert "error: binary r-term with coincident centers" in err
+        assert err == kind + "\n"
         return
     assert sorted(f.name for f in out.iterdir()) == ["charges.csv", "summary.json",
                                                      "trajectory.csv"]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["abort_kind"] == kind and summary["steps"] == samples - 1
+    assert summary["aborted"] and summary["abort_kind"] == kind
+    assert summary["steps"] == samples - 1
     assert f"run aborted: {kind}: {summary['abort_reason']}\n" in err
     for table in ("trajectory.csv", "charges.csv"):
         assert len((out / table).read_text().splitlines()) == samples + 1
@@ -1217,15 +1258,16 @@ def test_all_scalar_fn_kinds_roundtrip(tmp_path):
 
 def test_scenario_dump_has_the_pinned_format():
     """The dump of a parsed scenario is an explicit dict: every key named,
-    every default filled in, every sequence a list.  Comparing one dump with
-    another, as the round trips above do, cannot see a renamed key, a tuple
-    or an int written for a float."""
+    every default filled in, every sequence a list, and inertia keys the
+    model does not use (the second body's J and H) kept.  Comparing one dump
+    with another, as the round trips above do, cannot see a renamed key, a
+    tuple or an int written for a float."""
     eye = [[1.0, 0.0], [0.0, 1.0]]
     d = {
         "schema_version": 1, "name": "format_pin", "n": 2, "N": 2,
         "kinetic": {"translational": "is-af", "internal": "af-af"},
         "inertia": {"per_body": [{"M": 1.0, "I": 6.0, "A": 1.0, "B": 1.0},
-                                 {"M": 2.0, "J": eye, "H": eye}]},
+                                 {"M": 2.0, "A": 0.5, "B": 2.0, "J": eye, "H": eye}]},
         "potential": {
             "one_body": [
                 {"kind": "harmonic_x", "stiffness": 0.5, "center": [0.1, 0.2]},
@@ -1248,7 +1290,7 @@ def test_scenario_dump_has_the_pinned_format():
         "schema_version": 1, "name": "format_pin", "n": 2, "N": 2,
         "kinetic": {"translational": "is-af", "internal": "af-af"},
         "inertia": {"per_body": [{"M": 1.0, "I": 6.0, "A": 1.0, "B": 1.0},
-                                 {"M": 2.0, "J": eye, "H": eye}]},
+                                 {"M": 2.0, "A": 0.5, "B": 2.0, "J": eye, "H": eye}]},
         "potential": {
             "one_body": [
                 {"kind": "harmonic_x", "stiffness": 0.5, "center": [0.1, 0.2]},
